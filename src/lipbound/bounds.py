@@ -3,18 +3,23 @@
 The upper bound maximizes the pattern-Jacobian norm over patterns whose
 closed region meets the domain; the lower bound restricts to patterns with
 a nonempty open region; the eps-margin value further demands region depth
-at least eps. A full enumeration oracle and a pruned depth-first
-branch-and-bound compute the same values; the eps-curve is the decreasing
-envelope of (region depth, norm) pairs and is exact, with breakpoints
-taken from the region depths themselves.
+at least eps. All of them are one maximization over (region depth, norm)
+points with different depth thresholds, so one aggregator reads every
+bound, every eps value and the exact eps-curve (the decreasing envelope
+of the points, with breakpoints at the region depths themselves) off one
+set of points. The enumeration oracle feeds it all 2^n patterns; the
+branch-and-bound feeds it the leaves of one depth-first search that
+checks the prefix slack LP after every fixed bit and prunes only
+closed-infeasible or strictly dominated prefixes. Both give identical
+reports; only the statistics differ.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -27,7 +32,7 @@ from .regions import TAU_CLOSED, TAU_STRICT, domain_nonempty, max_slack, witness
 
 INF = math.inf
 
-# A node is value-pruned only when it cannot even tie the incumbent.
+# A prefix is value-pruned only when it cannot even tie the envelope.
 _PRUNE_MARGIN = 1e-12
 
 # Brute-force enumeration refuses beyond this many hidden bits.
@@ -40,12 +45,6 @@ class SearchStats:
     lp_calls: int = 0
     patterns_feasible: int = 0
     wall_time: float = field(default=0.0, compare=False)
-
-    def merge(self, other: "SearchStats") -> None:
-        self.nodes_explored += other.nodes_explored
-        self.lp_calls += other.lp_calls
-        self.patterns_feasible += other.patterns_feasible
-        self.wall_time += other.wall_time
 
 
 @dataclass(frozen=True)
@@ -227,26 +226,73 @@ def _lower_witness(net, flat, widths, domain) -> np.ndarray:
     return witness_at_level(net, sigma, domain, 1.0)
 
 
+def _eps_values(eps_list: Sequence[float]) -> list[float]:
+    eps_list = list(dict.fromkeys(float(e) for e in eps_list))
+    if any(e < 0 for e in eps_list):
+        raise ValueError("eps values must be nonnegative")
+    return eps_list
+
+
+def _aggregate(net, domain, p, eps_list, points, stats, t0) -> BoundsReport:
+    """Every bound, argmax, eps value and the curve from (slack, norm, flat) points.
+
+    A target keeps the points its slack predicate accepts; the curve is
+    built from the strictly feasible ones.
+    """
+    widths = net.hidden_widths
+    targets = ("upper", "lower", *eps_list)
+    accept = {t: _accept_for_target(t) for t in targets}
+    best = {t: _Best() for t in targets}
+    strict: dict[float, float] = {}
+    for slack, norm, flat in points:
+        for t in targets:
+            if accept[t](slack):
+                best[t].offer(norm, flat)
+        if accept["upper"](slack):
+            stats.patterns_feasible += 1
+        if accept["lower"](slack) and norm > strict.get(slack, -INF):
+            strict[slack] = norm
+
+    def pattern(b: _Best):
+        return None if b.flat is None else ActivationPattern.from_flat(widths, b.flat)
+
+    report = BoundsReport(p=p, stats=stats)
+    report.upper = best["upper"].value
+    report.argmax_upper = pattern(best["upper"])
+    lo = best["lower"]
+    report.lower_empty = lo.value is None
+    report.lower = 0.0 if lo.value is None else lo.value
+    report.argmax_lower = pattern(lo)
+    if lo.flat is not None:
+        report.witness_x_lower = _lower_witness(net, lo.flat, widths, domain)
+        stats.lp_calls += 1
+    for e in eps_list:
+        b = best[e]
+        report.eps_values[e] = 0.0 if b.value is None else b.value
+        if b.value is None:
+            report.eps_empty.add(e)
+        else:
+            report.eps_argmax[e] = pattern(b)
+    report.curve = _curve_from_points(strict)
+    stats.wall_time = time.perf_counter() - t0
+    report.validate()
+    return report
+
+
 # --- brute-force oracle ----------------------------------------------------
 
 
 def brute_force_bounds(
-    net: MlpNetwork,
-    domain: InputDomain,
-    p,
-    eps_list: Sequence[float] = (),
-    *,
-    threads: int = 1,
+    net: MlpNetwork, domain: InputDomain, p, eps_list: Sequence[float] = ()
 ) -> BoundsReport:
     """Enumerate every pattern, solve its slack LP, and aggregate all bounds.
 
-    The oracle for the branch-and-bound. Refuses networks with more than
-    ENUMERATION_GUARD_BITS hidden neurons.
+    The oracle for the branch-and-bound: one full LP per pattern and no
+    pruning. Refuses networks with more than ENUMERATION_GUARD_BITS hidden
+    neurons.
     """
     p = check_norm_kind(p)
-    eps_list = [float(e) for e in eps_list]
-    if any(e < 0 for e in eps_list):
-        raise ValueError("eps values must be nonnegative")
+    eps_list = _eps_values(eps_list)
     nbits = net.total_hidden_bits
     if nbits > ENUMERATION_GUARD_BITS:
         raise EnumerationGuardError(
@@ -255,192 +301,148 @@ def brute_force_bounds(
     if not domain_nonempty(domain, net.input_dim):
         raise DomainEmptyError("input domain is empty")
     t0 = time.perf_counter()
-    stats = SearchStats()
     widths = net.hidden_widths
-
-    best_upper = _Best()
-    best_lower = _Best()
-    best_eps = {e: _Best() for e in eps_list}
-    accept_upper = _accept_for_target("upper")
-    accept_lower = _accept_for_target("lower")
-    accept_eps = {e: _accept_for_target(e) for e in eps_list}
-    strict_points: dict[float, float] = {}
-
-    def evaluate(flat: tuple[int, ...]):
+    points = []
+    for flat in itertools.product((0, 1), repeat=nbits):
         sigma = ActivationPattern.from_flat(widths, flat)
-        res = max_slack(net, sigma, domain)
-        norm = operator_norm(_jacobian_from_bits(net, sigma.bits), p)
-        return flat, res.status, res.slack, norm
-
-    def consume(flat, status, slack, norm):
-        stats.lp_calls += 1
-        stats.nodes_explored += 1
-        if status == "infeasible":
-            return
-        if accept_upper(slack):
-            stats.patterns_feasible += 1
-            best_upper.offer(norm, flat)
-        if accept_lower(slack):
-            best_lower.offer(norm, flat)
-            prev = strict_points.get(slack)
-            if prev is None or norm > prev:
-                strict_points[slack] = norm
-        for e in eps_list:
-            if accept_eps[e](slack):
-                best_eps[e].offer(norm, flat)
-
-    patterns = itertools.product((0, 1), repeat=nbits)
-    if threads > 1:
-        chunk = 256
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while True:
-                batch = list(itertools.islice(patterns, chunk))
-                if not batch:
-                    break
-                for row in pool.map(evaluate, batch):
-                    consume(*row)
-    else:
-        for flat in patterns:
-            consume(*evaluate(flat))
-
-    report = BoundsReport(p=p, stats=stats)
-    report.upper = best_upper.value
-    report.argmax_upper = (
-        ActivationPattern.from_flat(widths, best_upper.flat) if best_upper.flat is not None else None
-    )
-    if best_lower.value is None:
-        report.lower = 0.0
-        report.lower_empty = True
-    else:
-        report.lower = best_lower.value
-        report.argmax_lower = ActivationPattern.from_flat(widths, best_lower.flat)
-        report.witness_x_lower = _lower_witness(net, best_lower.flat, widths, domain)
-        stats.lp_calls += 1
-    for e in eps_list:
-        b = best_eps[e]
-        if b.value is None:
-            report.eps_values[e] = 0.0
-            report.eps_empty.add(e)
-        else:
-            report.eps_values[e] = b.value
-            report.eps_argmax[e] = ActivationPattern.from_flat(widths, b.flat)
-    report.curve = _curve_from_points(strict_points)
-    stats.wall_time = time.perf_counter() - t0
-    report.validate()
-    return report
+        slack = max_slack(net, sigma, domain).slack
+        points.append((slack, operator_norm(_jacobian_from_bits(net, sigma.bits), p), flat))
+    stats = SearchStats(nodes_explored=len(points), lp_calls=len(points))
+    return _aggregate(net, domain, p, eps_list, points, stats, t0)
 
 
 # --- branch and bound ------------------------------------------------------
 
 
-def _layer_boundaries(hidden_widths: Sequence[int]) -> dict[int, int]:
-    """depth -> number of complete layers at that depth."""
-    out, pos = {}, 0
-    for j, w in enumerate(hidden_widths, start=1):
-        pos += w
-        out[pos] = j
-    return out
+class _Envelope:
+    """Best norm among collected points of region depth >= s, as a staircase.
+
+    slacks ascend and norms strictly descend, so at(s) is one bisection.
+    """
+
+    __slots__ = ("slacks", "norms")
+
+    def __init__(self):
+        self.slacks: list[float] = []
+        self.norms: list[float] = []
+
+    def at(self, s: float) -> float:
+        i = bisect.bisect_left(self.slacks, s)
+        return self.norms[i] if i < len(self.norms) else -INF
+
+    def add(self, s: float, norm: float) -> None:
+        i = bisect.bisect_left(self.slacks, s)
+        if i < len(self.norms) and self.norms[i] >= norm:
+            return
+        j = i
+        while j > 0 and self.norms[j - 1] <= norm:
+            j -= 1
+        end = i + 1 if i < len(self.slacks) and self.slacks[i] == s else i
+        self.slacks[j:end] = [s]
+        self.norms[j:end] = [norm]
 
 
-def _bnb_search(
-    net: MlpNetwork,
-    domain: Optional[InputDomain],
-    p,
-    accept: Callable[[float], bool],
-    stats: SearchStats,
-) -> _Best:
-    """Depth-first search over patterns, branching bit 1 before bit 0.
+def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStats) -> list:
+    """Depth-first search over patterns, bit 1 before bit 0, one bit per node.
 
-    Prefix feasibility is checked with the slack LP of the completely
-    fixed layers whenever a layer fills up; subtrees are value-pruned
-    against the incumbent with node_upper_bound. domain=None skips all
-    feasibility work (the unconstrained problem).
+    Returns (region depth, norm, flat bits) for every leaf it reaches whose
+    closed region meets the domain; each leaf's depth comes from its full
+    slack LP. A prefix is pruned only when its prefix slack (the LP over
+    the margins of its fixed neurons, an upper bound on every completion's
+    depth) is below TAU_CLOSED, or when its norm bound over all completions
+    is strictly below the envelope of the collected points at that slack:
+    every completion is then beaten, on every target, by a deeper point.
+    A child whose new margin is nonnegative at the parent's LP witness (or
+    grows along the parent's unbounded ray) is closed-feasible without an
+    LP and keeps the parent's slack as its upper bound. domain=None skips
+    all feasibility work (the unconstrained problem; every depth is +inf).
     """
     widths = net.hidden_widths
     nbits = sum(widths)
-    boundaries = _layer_boundaries(widths)
+    starts = [0, *itertools.accumulate(widths)]  # flat index of each layer's first bit
+    layer_of = [h for h, w in enumerate(widths) for _ in range(w)] + [len(widths)]
     suffix = _layer_norm_suffix(net, p)
-    L = net.depth
-    best = _Best()
+    # coeff[h], offset[h]: affine pre-activation form of layer h under the
+    # fixed gates of the layers below; coeff[-1] is the pattern Jacobian.
+    coeff = [net.layers[0].weights] + [None] * (net.depth - 1)
+    offset = [net.layers[0].bias] + [None] * (net.depth - 1)
+    env = _Envelope()
+    points: list = []
     bits: list[int] = []
 
-    def recurse():
+    def bound(k: int, h: int) -> float:
+        if k == nbits:
+            return operator_norm(coeff[h], p)
+        gate = np.ones(widths[h])
+        gate[: k - starts[h]] = bits[starts[h] :]
+        return suffix[h + 1] * operator_norm(gate[:, None] * coeff[h], p)
+
+    def inherits(x, ray) -> bool:
+        k = len(bits) - 1
+        h = layer_of[k]
+        i, sgn = k - starts[h], bits[-1] - 0.5
+        if ray is not None:
+            return sgn * float(coeff[h][i] @ ray) > 0.0
+        return x is not None and sgn * (float(coeff[h][i] @ x) + offset[h][i]) >= 0.0
+
+    def visit(s: float, x, ray) -> None:
+        """Expand the prefix `bits`; s bounds its depth, x or ray certifies it."""
         stats.nodes_explored += 1
-        depth = len(bits)
-        j = boundaries.get(depth)
-        if depth == nbits:
-            flat = tuple(bits)
-            sigma = ActivationPattern.from_flat(widths, flat)
-            if domain is not None:
-                stats.lp_calls += 1
-                res = max_slack(net, sigma, domain)
-                if res.status == "infeasible" or not accept(res.slack):
-                    return
-            stats.patterns_feasible += 1
-            norm = operator_norm(net.layers[-1].weights @ _prefix_matrix(net, sigma.bits), p)
-            best.offer(norm, flat)
+        k = len(bits)
+        h = layer_of[k]
+        if k == starts[h] and h > 0:
+            gate = np.asarray(bits[starts[h - 1] :], dtype=float)
+            layer = net.layers[h]
+            coeff[h] = layer.weights @ (gate[:, None] * coeff[h - 1])
+            offset[h] = layer.weights @ (gate * offset[h - 1]) + layer.bias
+        best = env.at(s)
+        ub = bound(k, h) if k == nbits or best > -INF else None
+        if ub is not None and ub < best - _PRUNE_MARGIN:
             return
-        if j is not None and j >= 1:
-            partial = PartialAssignment(tuple(bits))
-            layer_bits = partial.layer_bits(widths)
-            G = _prefix_matrix(net, layer_bits)
-            node_ub = suffix[j] * operator_norm(G, p)
-            if best.value is not None and node_ub <= best.value - _PRUNE_MARGIN:
+        if domain is not None and k and (k == nbits or not inherits(x, ray)):
+            stats.lp_calls += 1
+            sigma = ActivationPattern.from_flat(widths, tuple(bits) + (0,) * (nbits - k))
+            res = max_slack(net, sigma, domain, neurons=k)
+            if not res.slack >= TAU_CLOSED:
                 return
-            if domain is not None:
-                stats.lp_calls += 1
-                sigma = ActivationPattern.from_flat(widths, tuple(bits) + (0,) * (nbits - depth))
-                res = max_slack(net, sigma, domain, layers=j)
-                if res.status == "infeasible" or not accept(res.slack):
+            s, x, ray = res.slack, res.witness, res.ray
+            best = env.at(s)
+            if k < nbits and best > -INF:
+                ub = bound(k, h) if ub is None else ub
+                if ub < best - _PRUNE_MARGIN:
                     return
+        if k == nbits:
+            points.append((s, ub, tuple(bits)))
+            env.add(s, ub)
+            return
         for b in (1, 0):
             bits.append(b)
-            recurse()
+            visit(s, x, ray)
             bits.pop()
 
-    recurse()
-    return best
+    visit(INF, None, None)
+    return points
 
 
-def branch_and_bound(net: MlpNetwork, domain: InputDomain, p, target) -> BoundsReport:
-    """Single-target search; agrees with brute_force_bounds on its target.
+def branch_and_bound(
+    net: MlpNetwork, domain: InputDomain, p, target, *, eps_list: Sequence[float] = ()
+) -> BoundsReport:
+    """The full report from one pruned search; agrees with brute_force_bounds.
 
-    target: "upper", "lower", or a nonnegative eps value.
+    target: "upper", "lower", or a nonnegative eps value, which joins
+    eps_list. Every target comes out of the same search, so the report
+    always carries upper, lower, every eps value and the curve.
     """
     p = check_norm_kind(p)
-    accept = _accept_for_target(target)
+    if target not in ("upper", "lower"):
+        eps_list = [*eps_list, target]
+    eps_list = _eps_values(eps_list)
     if not domain_nonempty(domain, net.input_dim):
         raise DomainEmptyError("input domain is empty")
     t0 = time.perf_counter()
     stats = SearchStats(lp_calls=1)  # the nonemptiness probe
-    best = _bnb_search(net, domain, p, accept, stats)
-    widths = net.hidden_widths
-    report = BoundsReport(p=p, stats=stats)
-    if target == "upper":
-        report.upper = best.value
-        report.argmax_upper = (
-            ActivationPattern.from_flat(widths, best.flat) if best.flat is not None else None
-        )
-    elif target == "lower":
-        if best.value is None:
-            report.lower = 0.0
-            report.lower_empty = True
-        else:
-            report.lower = best.value
-            report.argmax_lower = ActivationPattern.from_flat(widths, best.flat)
-            report.witness_x_lower = _lower_witness(net, best.flat, widths, domain)
-            stats.lp_calls += 1
-    else:
-        e = float(target)
-        if best.value is None:
-            report.eps_values[e] = 0.0
-            report.eps_empty.add(e)
-        else:
-            report.eps_values[e] = best.value
-            report.eps_argmax[e] = ActivationPattern.from_flat(widths, best.flat)
-    stats.wall_time = time.perf_counter() - t0
-    report.validate()
-    return report
+    points = _search(net, domain, p, stats)
+    return _aggregate(net, domain, p, eps_list, points, stats, t0)
 
 
 def unconstrained_bound(net: MlpNetwork, p) -> float:
@@ -450,66 +452,7 @@ def unconstrained_bound(net: MlpNetwork, p) -> float:
     constraint makes every binary gate assignment admissible.
     """
     p = check_norm_kind(p)
-    stats = SearchStats()
-    best = _bnb_search(net, None, p, lambda s: True, stats)
-    return float(best.value)
-
-
-def _frontier_curve(
-    net: MlpNetwork, domain: InputDomain, p, stats: SearchStats
-) -> list[CurveSegment]:
-    """Exact eps-curve by DFS over strictly feasible patterns.
-
-    Collects (region depth, norm) points; a subtree is pruned when its
-    norm bound cannot exceed the envelope value already achieved at its
-    prefix depth (everything it could add is dominated).
-    """
-    widths = net.hidden_widths
-    nbits = sum(widths)
-    boundaries = _layer_boundaries(widths)
-    suffix = _layer_norm_suffix(net, p)
-    points: dict[float, float] = {}
-    bits: list[int] = []
-
-    def envelope(s: float) -> Optional[float]:
-        vals = [n for sl, n in points.items() if sl >= s]
-        return max(vals) if vals else None
-
-    def recurse():
-        stats.nodes_explored += 1
-        depth = len(bits)
-        if depth == nbits:
-            flat = tuple(bits)
-            sigma = ActivationPattern.from_flat(widths, flat)
-            stats.lp_calls += 1
-            res = max_slack(net, sigma, domain)
-            if res.status == "infeasible" or not res.slack > TAU_STRICT:
-                return
-            norm = operator_norm(net.layers[-1].weights @ _prefix_matrix(net, sigma.bits), p)
-            prev = points.get(res.slack)
-            if prev is None or norm > prev:
-                points[res.slack] = norm
-            return
-        j = boundaries.get(depth)
-        if j is not None and j >= 1:
-            partial = PartialAssignment(tuple(bits))
-            stats.lp_calls += 1
-            sigma = ActivationPattern.from_flat(widths, tuple(bits) + (0,) * (nbits - depth))
-            res = max_slack(net, sigma, domain, layers=j)
-            if res.status == "infeasible" or not res.slack > TAU_STRICT:
-                return
-            G = _prefix_matrix(net, partial.layer_bits(widths))
-            node_ub = suffix[j] * operator_norm(G, p)
-            env = envelope(res.slack)
-            if env is not None and node_ub <= env:
-                return
-        for b in (1, 0):
-            bits.append(b)
-            recurse()
-            bits.pop()
-
-    recurse()
-    return _curve_from_points(points)
+    return float(max(norm for _, norm, _ in _search(net, None, p, SearchStats())))
 
 
 def compute_report(
@@ -518,45 +461,19 @@ def compute_report(
     p,
     eps_list: Sequence[float] = (),
     mode: str = "bnb",
-    threads: int = 1,
 ) -> BoundsReport:
     """Full report (upper, lower, requested eps values, exact curve).
 
-    mode="oracle" uses one exhaustive enumeration; mode="bnb" runs one
-    pruned search per target plus a frontier search for the curve. Both
-    produce identical values; only the statistics differ.
+    mode="oracle" aggregates the exhaustive enumeration; mode="bnb"
+    aggregates the leaves of one pruned search (one branch_and_bound
+    call). Both feed the same aggregator and produce identical values;
+    only the statistics differ.
     """
     if mode == "oracle":
-        return brute_force_bounds(net, domain, p, eps_list, threads=threads)
+        return brute_force_bounds(net, domain, p, eps_list)
     if mode != "bnb":
         raise ValueError(f"unknown mode {mode!r}")
-    eps_list = [float(e) for e in eps_list]
-    t0 = time.perf_counter()
-    up = branch_and_bound(net, domain, p, "upper")
-    lo = branch_and_bound(net, domain, p, "lower")
-    report = BoundsReport(p=up.p)
-    report.upper = up.upper
-    report.argmax_upper = up.argmax_upper
-    report.lower = lo.lower
-    report.lower_empty = lo.lower_empty
-    report.argmax_lower = lo.argmax_lower
-    report.witness_x_lower = lo.witness_x_lower
-    report.stats.merge(up.stats)
-    report.stats.merge(lo.stats)
-    for e in eps_list:
-        r = branch_and_bound(net, domain, p, e)
-        report.eps_values[e] = r.eps_values[e]
-        if e in r.eps_empty:
-            report.eps_empty.add(e)
-        if e in r.eps_argmax:
-            report.eps_argmax[e] = r.eps_argmax[e]
-        report.stats.merge(r.stats)
-    curve_stats = SearchStats()
-    report.curve = _frontier_curve(net, domain, p, curve_stats)
-    report.stats.merge(curve_stats)
-    report.stats.wall_time = time.perf_counter() - t0
-    report.validate()
-    return report
+    return branch_and_bound(net, domain, p, "upper", eps_list=eps_list)
 
 
 # --- serialization ---------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -61,14 +60,6 @@ def _p_label(p) -> str:
     return "inf" if p == INF else str(p)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("LIPBOUND_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _load_net(path: str):
     return load_network(Path(path).read_text())
 
@@ -113,7 +104,6 @@ def build_parser() -> _Parser:
                 help="margin level (repeatable)",
             )
         sp.add_argument("--relax-ball-to-box", action="store_true")
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--seed", type=int, default=0)
 
     b = sub.add_parser("bounds", help="certified upper/lower bounds and eps values")
@@ -159,7 +149,6 @@ def _resolved_config(args, command: str) -> dict:
         "seed",
         "samples",
         "pairs",
-        "threads",
         "out",
         "csv",
         "format",
@@ -183,8 +172,7 @@ def _cmd_bounds(args) -> int:
     net = _load_net(args.net)
     domain, relaxed = _relax_domain(_load_domain_arg(args.domain), args.relax_ball_to_box)
     p = _parse_p(args.p)
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = compute_report(net, domain, p, eps_list, mode=args.mode, threads=threads)
+    report = compute_report(net, domain, p, eps_list, mode=args.mode)
 
     parts = [f"upper={_fmt_value(report.upper)}", f"lower={_fmt_value(report.lower)}"]
     for e in eps_list:
@@ -215,8 +203,7 @@ def _cmd_curve(args) -> int:
     net = _load_net(args.net)
     domain, relaxed = _relax_domain(_load_domain_arg(args.domain), args.relax_ball_to_box)
     p = _parse_p(args.p)
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = compute_report(net, domain, p, [], mode=args.mode, threads=threads)
+    report = compute_report(net, domain, p, [], mode=args.mode)
 
     segments = report.curve or []
     print(f"curve segments: {len(segments)}")

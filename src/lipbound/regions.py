@@ -121,20 +121,30 @@ def max_slack(
     sigma: ActivationPattern,
     domain: InputDomain,
     *,
-    layers: Optional[int] = None,
+    neurons: Optional[int] = None,
 ) -> SlackResult:
     """Maximal common margin of the pattern's region inside the domain.
 
-    With layers=j only the constraints of hidden layers 1..j are imposed
-    (the branch-and-bound prefix relaxation); default is all layers.
+    With neurons=k only the margins of the first k hidden neurons, in
+    layer-major order, are imposed (the branch-and-bound prefix
+    relaxation; a neuron's form uses only the bits of earlier layers, so
+    the bits after position k are ignored); default is every neuron.
     """
     _check_pattern(net, sigma)
     check_domain_dim(domain, net.input_dim)
-    upto = net.depth - 1 if layers is None else layers
-    if not 1 <= upto <= net.depth - 1:
-        raise ValueError(f"layer prefix {upto} outside 1..{net.depth - 1}")
+    widths = net.hidden_widths
+    k = sum(widths) if neurons is None else neurons
+    if not 1 <= k <= sum(widths):
+        raise ValueError(f"neuron prefix {k} outside 1..{sum(widths)}")
+    upto, start = 1, 0  # hidden layers the prefix touches; first neuron of the last one
+    while start + widths[upto - 1] < k:
+        start += widths[upto - 1]
+        upto += 1
     forms = _affine_layers(net, sigma.bits, upto)
-    sol = _slack_lp(forms, sigma.bits[:upto], domain, net.input_dim)
+    bits = list(sigma.bits[:upto])
+    coeff, offset = forms[-1]
+    forms[-1], bits[-1] = (coeff[: k - start], offset[: k - start]), bits[-1][: k - start]
+    sol = _slack_lp(forms, bits, domain, net.input_dim)
     if sol.status == "infeasible":
         return SlackResult("infeasible", math.nan)
     if sol.status == "unbounded":

@@ -76,11 +76,6 @@ class TestBruteForce:
         assert 50.0 in r.eps_empty
         assert r.curve[-1].empty
 
-    def test_threads_do_not_change_anything(self, ex2):
-        a = brute_force_bounds(ex2, AllSpace(), 1, [0.25])
-        b = brute_force_bounds(ex2, AllSpace(), 1, [0.25], threads=3)
-        assert report_to_dict(a) == report_to_dict(b)
-
     def test_deterministic_rerun(self):
         net = random_net(5)
         box = unit_box(net)
@@ -289,3 +284,78 @@ class TestZeroBiasScaling:
                 res = max_slack(net, sigma, AllSpace())
                 if res.slack > 1e-9:
                     assert res.slack == math.inf
+
+
+def _seeded_net(seed, widths):
+    rng = np.random.default_rng(seed)
+    return MlpNetwork.from_arrays(
+        [
+            (rng.normal(size=(widths[k + 1], widths[k])), 0.5 * rng.normal(size=widths[k + 1]))
+            for k in range(len(widths) - 1)
+        ]
+    )
+
+
+def _degenerate(net, negate):
+    """Zero every bias and let the second first-layer neuron copy or negate the first."""
+    layers = [(np.array(layer.weights), np.zeros_like(layer.bias)) for layer in net.layers]
+    w0 = layers[0][0]
+    w0[1] = -w0[0] if negate else w0[0]
+    return MlpNetwork.from_arrays(layers)
+
+
+def _domains(net, seed):
+    n0 = net.input_dim
+    cut = np.random.default_rng(seed).normal(size=(1, n0))
+    polytope = Polytope(
+        np.vstack([np.eye(n0), -np.eye(n0), cut]),
+        np.concatenate([np.ones(2 * n0), [0.5 * np.abs(cut).sum()]]),
+    )
+    return (unit_box(net), polytope, AllSpace())
+
+
+EQUIVALENCE_NETS = [
+    _seeded_net(11, (2, 6, 1)),
+    _seeded_net(12, (2, 3, 3, 2)),
+    _seeded_net(13, (3, 2, 2, 2, 1)),
+    _degenerate(_seeded_net(14, (2, 4, 3, 1)), negate=False),
+    _degenerate(_seeded_net(15, (2, 4, 3, 1)), negate=True),
+    _degenerate(_seeded_net(16, (3, 5, 1)), negate=True),
+]
+
+
+class TestOneSearch:
+    @pytest.mark.parametrize("p", PS)
+    def test_bnb_report_equals_oracle(self, p):
+        for i, net in enumerate(EQUIVALENCE_NETS):
+            for domain in _domains(net, i):
+                a = report_to_dict(compute_report(net, domain, p, [0.05, 0.3], mode="oracle"))
+                b = report_to_dict(compute_report(net, domain, p, [0.05, 0.3], mode="bnb"))
+                a.pop("stats")
+                b.pop("stats")
+                assert a == b, (i, type(domain).__name__)
+
+    def test_prunes_within_one_hidden_layer(self):
+        # one hidden layer has no interior layer boundary: only the
+        # per-neuron prefix LPs can prune it
+        net = _seeded_net(3, (4, 10, 1))
+        r = compute_report(net, unit_box(net), 2, [0.05], mode="bnb")
+        assert r.stats.lp_calls < 2**10 + 1
+        oracle = compute_report(net, unit_box(net), 2, [0.05], mode="oracle")
+        assert oracle.stats.lp_calls == 2**10 + 1
+
+    def test_one_search_per_report(self, monkeypatch):
+        import lipbound.bounds as bounds_module
+
+        calls = []
+        original = bounds_module.branch_and_bound
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds_module, "branch_and_bound", spy)
+        net = random_net(1)
+        r = compute_report(net, unit_box(net), 2, [0.05, 0.2], mode="bnb")
+        assert len(calls) == 1
+        assert set(r.eps_values) == {0.05, 0.2}

@@ -86,21 +86,6 @@ class TestBounds:
                 docs.append(doc)
             assert docs[0] == docs[1]
 
-    def test_threads_do_not_change_output(self, capsys, ex2_path, tmp_path, monkeypatch):
-        outs = []
-        for threads in ("1", "3"):
-            out = tmp_path / f"t{threads}.json"
-            monkeypatch.setenv("LIPBOUND_THREADS", threads)
-            rc, _, _ = run(
-                capsys, "bounds", "--net", ex2_path, "--p", "1", "--mode", "oracle",
-                "--out", str(out),
-            )
-            assert rc == 0
-            doc = json.loads(out.read_text())
-            doc["config"].pop("out")
-            outs.append(doc)
-        assert outs[0] == outs[1]
-
 
 class TestCurve:
     def test_example2_csv_steps(self, capsys, ex2_path, tmp_path):

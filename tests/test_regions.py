@@ -10,6 +10,7 @@ from lipbound import (
     Box,
     DomainEmptyError,
     L2Ball,
+    MlpNetwork,
     NonPolyhedralDomainError,
     Polytope,
     forward,
@@ -155,3 +156,53 @@ class TestConsistencyProperties:
             for flat in grid_patterns:
                 sigma = ActivationPattern.from_flat(net.hidden_widths, flat)
                 assert region_feasible(net, sigma, box, "strict")
+
+
+class TestNeuronPrefix:
+    def test_non_increasing_in_prefix_length(self):
+        for seed in range(8):
+            net = random_net(seed)
+            box = unit_box(net)
+            rng = np.random.default_rng(seed)
+            flat = tuple(int(b) for b in rng.integers(0, 2, net.total_hidden_bits))
+            sigma = ActivationPattern.from_flat(net.hidden_widths, flat)
+            slacks = [
+                max_slack(net, sigma, box, neurons=k).slack
+                for k in range(1, net.total_hidden_bits + 1)
+            ]
+            assert all(b <= a + 1e-9 for a, b in zip(slacks, slacks[1:]))
+
+    def test_all_neurons_is_the_full_lp(self):
+        for seed in range(6):
+            net = random_net(seed)
+            rng = np.random.default_rng(seed)
+            flat = tuple(int(b) for b in rng.integers(0, 2, net.total_hidden_bits))
+            sigma = ActivationPattern.from_flat(net.hidden_widths, flat)
+            for domain in (unit_box(net), AllSpace()):
+                full = max_slack(net, sigma, domain)
+                prefix = max_slack(net, sigma, domain, neurons=net.total_hidden_bits)
+                assert (prefix.status, prefix.slack) == (full.status, full.slack)
+
+    def test_layer_boundaries_match_layer_prefix_lp(self):
+        # at a layer boundary the prefix LP imposes exactly the margins of
+        # the complete layers: the same rows as a network cut after them
+        for seed in range(6):
+            net = random_net(seed)
+            box = unit_box(net)
+            rng = np.random.default_rng(seed)
+            flat = tuple(int(b) for b in rng.integers(0, 2, net.total_hidden_bits))
+            sigma = ActivationPattern.from_flat(net.hidden_widths, flat)
+            used = 0
+            for j, w in enumerate(net.hidden_widths[:-1], start=1):
+                used += w
+                cut = MlpNetwork.from_arrays(
+                    [(layer.weights, layer.bias) for layer in net.layers[: j + 1]]
+                )
+                expected = max_slack(cut, ActivationPattern(sigma.bits[:j]), box).slack
+                assert max_slack(net, sigma, box, neurons=used).slack == expected
+
+    def test_prefix_out_of_range(self, ex1):
+        sigma = ActivationPattern(((1, 1),))
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                max_slack(ex1, sigma, AllSpace(), neurons=k)
