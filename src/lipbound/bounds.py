@@ -26,9 +26,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainEmptyError, EnumerationGuardError
-from .network import ActivationPattern, InputDomain, MlpNetwork, _jacobian_from_bits
+from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _jacobian_from_bits
 from .norms import check_norm_kind, operator_norm
-from .regions import TAU_CLOSED, TAU_STRICT, domain_nonempty, max_slack, witness_at_level
+from .regions import (
+    TAU_CLOSED,
+    TAU_STRICT,
+    SlackResult,
+    domain_nonempty,
+    max_slack,
+    witness_at_level,
+)
 
 INF = math.inf
 
@@ -41,8 +48,15 @@ ENUMERATION_GUARD_BITS = 24
 
 @dataclass
 class SearchStats:
+    """Deterministic counters of one report's search.
+
+    lp_calls counts every LP solved, the domain probe included when it
+    solves one; pivots sums the simplex pivots of the region slack LPs.
+    """
+
     nodes_explored: int = 0
     lp_calls: int = 0
+    pivots: int = 0
     patterns_feasible: int = 0
     wall_time: float = field(default=0.0, compare=False)
 
@@ -218,12 +232,12 @@ def _curve_from_points(points: dict[float, float]) -> list[CurveSegment]:
     return segments
 
 
-def _lower_witness(net, flat, widths, domain) -> np.ndarray:
-    sigma = ActivationPattern.from_flat(widths, flat)
-    res = max_slack(net, sigma, domain)
+def _lower_witness(net, flat, widths, domain, res: SlackResult) -> np.ndarray:
+    """A point of the lower argmax's open region, from its slack LP result."""
     if res.status == "bounded":
         return np.array(res.witness)
-    return witness_at_level(net, sigma, domain, 1.0)
+    sigma = ActivationPattern.from_flat(widths, flat)
+    return witness_at_level(net, sigma, domain, 1.0, slack=res)
 
 
 def _eps_values(eps_list: Sequence[float]) -> list[float]:
@@ -233,18 +247,27 @@ def _eps_values(eps_list: Sequence[float]) -> list[float]:
     return eps_list
 
 
+def _check_domain(net: MlpNetwork, domain: InputDomain) -> int:
+    """Raise DomainEmptyError on an empty domain; return the LPs the check solved."""
+    if not domain_nonempty(domain, net.input_dim):
+        raise DomainEmptyError("input domain is empty")
+    return int(isinstance(domain, Polytope) and domain.A.shape[0] > 0)  # no LP otherwise
+
+
 def _aggregate(net, domain, p, eps_list, points, stats, t0) -> BoundsReport:
-    """Every bound, argmax, eps value and the curve from (slack, norm, flat) points.
+    """Every bound, argmax, eps value and the curve from (slack, norm, flat,
+    slack result) points.
 
     A target keeps the points its slack predicate accepts; the curve is
-    built from the strictly feasible ones.
+    built from the strictly feasible ones. The lower argmax's witness comes
+    from its point's slack result, so no LP is solved here.
     """
     widths = net.hidden_widths
     targets = ("upper", "lower", *eps_list)
     accept = {t: _accept_for_target(t) for t in targets}
     best = {t: _Best() for t in targets}
     strict: dict[float, float] = {}
-    for slack, norm, flat in points:
+    for slack, norm, flat, _ in points:
         for t in targets:
             if accept[t](slack):
                 best[t].offer(norm, flat)
@@ -264,8 +287,8 @@ def _aggregate(net, domain, p, eps_list, points, stats, t0) -> BoundsReport:
     report.lower = 0.0 if lo.value is None else lo.value
     report.argmax_lower = pattern(lo)
     if lo.flat is not None:
-        report.witness_x_lower = _lower_witness(net, lo.flat, widths, domain)
-        stats.lp_calls += 1
+        res = next(r for _, _, flat, r in points if flat == lo.flat)
+        report.witness_x_lower = _lower_witness(net, lo.flat, widths, domain, res)
     for e in eps_list:
         b = best[e]
         report.eps_values[e] = 0.0 if b.value is None else b.value
@@ -298,16 +321,18 @@ def brute_force_bounds(
         raise EnumerationGuardError(
             f"{nbits} hidden bits exceed the enumeration guard ({ENUMERATION_GUARD_BITS})"
         )
-    if not domain_nonempty(domain, net.input_dim):
-        raise DomainEmptyError("input domain is empty")
+    stats = SearchStats(lp_calls=_check_domain(net, domain))
     t0 = time.perf_counter()
     widths = net.hidden_widths
     points = []
     for flat in itertools.product((0, 1), repeat=nbits):
         sigma = ActivationPattern.from_flat(widths, flat)
-        slack = max_slack(net, sigma, domain).slack
-        points.append((slack, operator_norm(_jacobian_from_bits(net, sigma.bits), p), flat))
-    stats = SearchStats(nodes_explored=len(points), lp_calls=len(points))
+        res = max_slack(net, sigma, domain)
+        stats.pivots += res.pivots
+        norm = operator_norm(_jacobian_from_bits(net, sigma.bits), p)
+        points.append((res.slack, norm, flat, res))
+    stats.nodes_explored = len(points)
+    stats.lp_calls += len(points)
     return _aggregate(net, domain, p, eps_list, points, stats, t0)
 
 
@@ -345,10 +370,11 @@ class _Envelope:
 def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStats) -> list:
     """Depth-first search over patterns, bit 1 before bit 0, one bit per node.
 
-    Returns (region depth, norm, flat bits) for every leaf it reaches whose
-    closed region meets the domain; each leaf's depth comes from its full
-    slack LP. A prefix is pruned only when its prefix slack (the LP over
-    the margins of its fixed neurons, an upper bound on every completion's
+    Returns (region depth, norm, flat bits, slack result) for every leaf it
+    reaches whose closed region meets the domain; each leaf's depth and
+    result come from its full slack LP (the result is None when domain is
+    None). A prefix is pruned only when its prefix slack (the LP over the
+    margins of its fixed neurons, an upper bound on every completion's
     depth) is below TAU_CLOSED, or when its norm bound over all completions
     is strictly below the envelope of the collected points at that slack:
     every completion is then beaten, on every target, by a deeper point.
@@ -388,6 +414,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     def visit(s: float, x, ray) -> None:
         """Expand the prefix `bits`; s bounds its depth, x or ray certifies it."""
         stats.nodes_explored += 1
+        res = None
         k = len(bits)
         h = layer_of[k]
         if k == starts[h] and h > 0:
@@ -403,6 +430,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             stats.lp_calls += 1
             sigma = ActivationPattern.from_flat(widths, tuple(bits) + (0,) * (nbits - k))
             res = max_slack(net, sigma, domain, neurons=k)
+            stats.pivots += res.pivots
             if not res.slack >= TAU_CLOSED:
                 return
             s, x, ray = res.slack, res.witness, res.ray
@@ -412,7 +440,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
                 if ub < best - _PRUNE_MARGIN:
                     return
         if k == nbits:
-            points.append((s, ub, tuple(bits)))
+            points.append((s, ub, tuple(bits), res))
             env.add(s, ub)
             return
         for b in (1, 0):
@@ -437,10 +465,8 @@ def branch_and_bound(
     if target not in ("upper", "lower"):
         eps_list = [*eps_list, target]
     eps_list = _eps_values(eps_list)
-    if not domain_nonempty(domain, net.input_dim):
-        raise DomainEmptyError("input domain is empty")
+    stats = SearchStats(lp_calls=_check_domain(net, domain))
     t0 = time.perf_counter()
-    stats = SearchStats(lp_calls=1)  # the nonemptiness probe
     points = _search(net, domain, p, stats)
     return _aggregate(net, domain, p, eps_list, points, stats, t0)
 
@@ -452,7 +478,7 @@ def unconstrained_bound(net: MlpNetwork, p) -> float:
     constraint makes every binary gate assignment admissible.
     """
     p = check_norm_kind(p)
-    return float(max(norm for _, norm, _ in _search(net, None, p, SearchStats())))
+    return float(max(norm for _, norm, _, _ in _search(net, None, p, SearchStats())))
 
 
 def compute_report(
@@ -516,6 +542,7 @@ def report_to_dict(report: BoundsReport, version: str | None = None, config=None
         "stats": {
             "nodes_explored": report.stats.nodes_explored,
             "lp_calls": report.stats.lp_calls,
+            "pivots": report.stats.pivots,
             "patterns_feasible": report.stats.patterns_feasible,
         },
     }

@@ -33,7 +33,7 @@ from .network import (
     check_domain_dim,
     forward,
 )
-from .simplex import EQ, GE, LE, LinearProgram, LpSolution, lp_solve
+from .simplex import GE, LE, LinearProgram, LpSolution, lp_solve
 
 # Strictness knob: a slack above this counts as a nonempty open region.
 TAU_STRICT = 1e-9
@@ -55,6 +55,7 @@ class SlackResult:
     witness: Optional[np.ndarray] = None
     ray: Optional[np.ndarray] = None
     ray_slack_rate: Optional[float] = None
+    pivots: int = 0  # simplex pivots of the LP
 
     @property
     def feasible_strict(self) -> bool:
@@ -68,32 +69,31 @@ class SlackResult:
 
 
 def _domain_rows_bounds(domain: InputDomain, n0: int):
-    """LP rows and variable bounds for x in the domain (t excluded)."""
+    """(A, b, bounds) for x in the domain: rows A x <= b and per-variable bounds."""
     bounds: list[tuple[Optional[float], Optional[float]]] = [(None, None)] * n0
-    rows: list[tuple[np.ndarray, str, float]] = []
+    A, b = np.zeros((0, n0)), np.zeros(0)
     if isinstance(domain, AllSpace):
         pass
     elif isinstance(domain, Box):
-        bounds = [(float(lo), float(up)) for lo, up in zip(domain.lower, domain.upper)]
+        bounds = list(zip(domain.lower.tolist(), domain.upper.tolist()))
     elif isinstance(domain, Polytope):
-        for r in range(domain.A.shape[0]):
-            rows.append((domain.A[r], LE, float(domain.b[r])))
+        A, b = domain.A, domain.b
     elif isinstance(domain, L2Ball):
         raise NonPolyhedralDomainError(
             "L2 ball domains are not polyhedral; relax to the circumscribed box explicitly"
         )
     else:
         raise TypeError(f"unknown domain {type(domain).__name__}")
-    return rows, bounds
+    return A, b, bounds
 
 
 def domain_nonempty(domain: InputDomain, n0: int) -> bool:
     """Decide whether the polyhedral domain contains any point (one LP)."""
     check_domain_dim(domain, n0)
-    rows, bounds = _domain_rows_bounds(domain, n0)
-    if not rows:
+    A, b, bounds = _domain_rows_bounds(domain, n0)
+    if not b.size:
         return True  # boxes and all-space are nonempty by construction
-    sol = lp_solve(LinearProgram(np.zeros(n0), rows, bounds))
+    sol = lp_solve(LinearProgram(np.zeros(n0), list(zip(A, [LE] * b.size, b)), bounds))
     return sol.status != "infeasible"
 
 
@@ -103,17 +103,24 @@ def _slack_lp(
     domain: InputDomain,
     n0: int,
 ) -> LpSolution:
-    """Build and solve max t s.t. (sigma-1/2)*theta >= t, x in domain."""
-    rows, xb = _domain_rows_bounds(domain, n0)
-    rows = [(np.append(a, 0.0), rel, b) for a, rel, b in rows]
-    for (coeff, offset), layer_bits in zip(forms, bits):
-        sgn = np.asarray(layer_bits, dtype=float) - 0.5
-        for i in range(coeff.shape[0]):
-            a = np.append(sgn[i] * coeff[i], -1.0)
-            rows.append((a, GE, -sgn[i] * offset[i]))
+    """Build and solve max t s.t. (sigma-1/2)*theta >= t, x in domain.
+
+    Variables are (x, t); the domain rows come first, then one margin row
+    per neuron.
+    """
+    A_dom, b_dom, xb = _domain_rows_bounds(domain, n0)
+    sgn = np.concatenate([np.asarray(layer_bits, dtype=float) for layer_bits in bits]) - 0.5
+    coeff = np.vstack([c for c, _ in forms])
+    offset = np.concatenate([o for _, o in forms])
+    A = np.zeros((b_dom.size + sgn.size, n0 + 1))
+    A[: b_dom.size, :n0] = A_dom
+    A[b_dom.size :, :n0] = sgn[:, None] * coeff
+    A[b_dom.size :, n0] = -1.0
+    b = np.concatenate([b_dom, -sgn * offset])
+    rels = [LE] * b_dom.size + [GE] * sgn.size
     objective = np.zeros(n0 + 1)
     objective[-1] = 1.0
-    return lp_solve(LinearProgram(objective, rows, xb + [(None, None)]))
+    return lp_solve(LinearProgram(objective, list(zip(A, rels, b)), xb + [(None, None)]))
 
 
 def max_slack(
@@ -146,7 +153,7 @@ def max_slack(
     forms[-1], bits[-1] = (coeff[: k - start], offset[: k - start]), bits[-1][: k - start]
     sol = _slack_lp(forms, bits, domain, net.input_dim)
     if sol.status == "infeasible":
-        return SlackResult("infeasible", math.nan)
+        return SlackResult("infeasible", math.nan, pivots=sol.pivots)
     if sol.status == "unbounded":
         return SlackResult(
             "unbounded",
@@ -154,8 +161,9 @@ def max_slack(
             witness=sol.x[:-1],
             ray=sol.ray[:-1],
             ray_slack_rate=float(sol.ray[-1]),
+            pivots=sol.pivots,
         )
-    return SlackResult("bounded", float(sol.value), witness=sol.x[:-1])
+    return SlackResult("bounded", float(sol.value), witness=sol.x[:-1], pivots=sol.pivots)
 
 
 def region_feasible(
@@ -181,14 +189,17 @@ def witness_at_level(
     sigma: ActivationPattern,
     domain: InputDomain,
     eps: float,
+    *,
+    slack: Optional[SlackResult] = None,
 ) -> np.ndarray:
     """A concrete x whose margins under sigma all reach eps.
 
     For unbounded regions the LP ray is followed far enough to clear the
     level; the ray increases every margin at the t-component rate, so the
-    required step is explicit.
+    required step is explicit. slack is the pattern's max_slack result
+    when the caller already has it; otherwise its LP is solved here.
     """
-    res = max_slack(net, sigma, domain)
+    res = max_slack(net, sigma, domain) if slack is None else slack
     if res.status == "infeasible":
         raise DomainEmptyError("domain is empty; no witness exists")
     if res.status == "bounded":

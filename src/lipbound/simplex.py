@@ -1,17 +1,29 @@
 """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
 Solves  max c.x  subject to rows  a_i.x (<=, >=, =) b_i  and optional
-per-variable lower/upper bounds. Free variables are split internally,
-finite lower/upper bounds are shifted or reflected into the nonnegative
-orthant. Everything is floating point with fixed tolerances; no exact
-arithmetic. Unbounded problems report an improving ray together with the
-basic feasible point it emanates from.
+per-variable lower/upper bounds. Variables with a finite lower bound are
+shifted, those with only an upper bound reflected, and free ones split,
+so that x = x0 + M s with s >= 0. Every row is then put in <= form: a >=
+row is negated, an = row becomes two <= rows, and a finite upper bound on
+a shifted variable adds one more. Each row gets a slack, and the slack
+basis is the start.
+
+Phase 1 (Chvatal 1983, Linear Programming, ch. 3) adds one auxiliary
+column with -1 on every row whose right-hand side is negative, pivots it
+in on the most negative row, which makes the basis feasible, and then
+minimizes it. At every feasible basis the auxiliary's value is the
+largest violation of the <= rows, so the LP is infeasible when its
+minimum exceeds FEAS_TOL. Otherwise the auxiliary is pivoted out of the
+basis (its row is dropped if it has no other nonzero entry) and phase 2
+maximizes the objective. Everything is floating point with fixed
+tolerances; no exact arithmetic. Unbounded problems report an improving
+ray together with the basic feasible point it emanates from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -31,12 +43,19 @@ class LinearProgram:
     """max objective.x subject to rows and per-variable bounds.
 
     rows: list of (coeffs, relation, rhs); bounds: per-variable (lower,
-    upper) with None meaning unbounded on that side.
+    upper) with None meaning unbounded on that side. Construction checks
+    the input and stacks it into A (rows x n), rel and b, plus lo and up
+    with None as -inf and +inf.
     """
 
     objective: np.ndarray
     rows: list[tuple[np.ndarray, str, float]]
     bounds: list[tuple[Optional[float], Optional[float]]]
+    A: np.ndarray = field(init=False, repr=False, compare=False)
+    rel: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    up: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -45,21 +64,33 @@ class LinearProgram:
             raise ValueError(f"{len(self.bounds)} bounds for {n} variables")
         if not np.isfinite(self.objective).all():
             raise ValueError("objective has non-finite entries")
-        clean = []
-        for i, (a, rel, b) in enumerate(self.rows):
-            a = np.atleast_1d(np.asarray(a, dtype=float))
-            if a.shape != (n,):
-                raise ValueError(f"row {i}: {a.shape[0]} coefficients for {n} variables")
-            if rel not in (LE, GE, EQ):
-                raise ValueError(f"row {i}: unknown relation {rel!r}")
-            b = float(b)
-            if not (np.isfinite(a).all() and np.isfinite(b)):
-                raise ValueError(f"row {i}: non-finite entry")
-            clean.append((a, rel, b))
-        self.rows = clean
-        for j, (lo, up) in enumerate(self.bounds):
-            if lo is not None and up is not None and lo > up:
-                raise ValueError(f"variable {j}: lower bound {lo} exceeds upper bound {up}")
+        m = len(self.rows)
+        coeffs, rels, rhs = zip(*self.rows) if m else ((), (), ())
+        try:
+            A = np.array(coeffs, dtype=float).reshape(m, -1) if m else np.zeros((0, n))
+        except ValueError:
+            A = None  # ragged rows; the loop below names the first bad one
+        if A is None or A.shape[1] != n:
+            for i, a in enumerate(coeffs):
+                a = np.atleast_1d(np.asarray(a, dtype=float))
+                if a.shape != (n,):
+                    raise ValueError(f"row {i}: {a.shape[0]} coefficients for {n} variables")
+        rel = np.array(rels, dtype=object)
+        bad = (rel != LE) & (rel != GE) & (rel != EQ)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"row {i}: unknown relation {rels[i]!r}")
+        b = np.array(rhs, dtype=float)
+        bad = ~(np.isfinite(A).all(axis=1) & np.isfinite(b))
+        if bad.any():
+            raise ValueError(f"row {int(bad.argmax())}: non-finite entry")
+        lo = np.array([-np.inf if bd[0] is None else bd[0] for bd in self.bounds], dtype=float)
+        up = np.array([np.inf if bd[1] is None else bd[1] for bd in self.bounds], dtype=float)
+        bad = lo > up
+        if bad.any():
+            j = int(bad.argmax())
+            raise ValueError(f"variable {j}: lower bound {lo[j]} exceeds upper bound {up[j]}")
+        self.A, self.rel, self.b, self.lo, self.up = A, rel, b, lo, up
 
     @property
     def n(self) -> int:
@@ -72,38 +103,32 @@ class LpSolution:
     value: Optional[float]
     x: Optional[np.ndarray]  # optimum, or the feasible point a ray emanates from
     ray: Optional[np.ndarray]  # improving direction when unbounded
+    pivots: int = 0  # simplex pivots, phase 1 and phase 2
 
 
 def _pivot(T: np.ndarray, r: int, c: int) -> None:
-    T[r] /= T[r, c]
-    col = T[:, c].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    T[:, c] = 0.0
-    T[r, c] = 1.0
+    row = T[r] / T[r, c]
+    T -= T[:, c, None] * row  # zeroes column c: row[c] is exactly 1
+    T[r] = row
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], ncols: int):
-    """Iterate to optimality. Returns ("optimal", None) or ("unbounded", col)."""
-    m = T.shape[0] - 1
-    for _ in range(_MAX_ITERS):
-        cost = T[-1, :ncols]
-        negative = np.flatnonzero(cost < -OPT_TOL)
-        if negative.size == 0:
-            return "optimal", None
-        c = int(negative[0])  # Bland: lowest index
-        if m == 0:
-            return "unbounded", c
+def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
+    """Iterate to optimality. Returns (status, entering column or None, pivots)."""
+    rhs = T[:-1, -1]
+    for it in range(_MAX_ITERS):
+        negative = T[-1, :ncols] < -OPT_TOL
+        c = int(negative.argmax())  # Bland: lowest index
+        if not negative[c]:
+            return "optimal", None, it
         col = T[:-1, c]
-        eligible = np.flatnonzero(col > PIVOT_TOL)
+        eligible = (col > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
-            eligible = np.flatnonzero(col > PIVOT_MIN)
+            eligible = (col > PIVOT_MIN).nonzero()[0]
             if eligible.size == 0:
-                return "unbounded", c
-        ratios = T[eligible, -1] / col[eligible]
-        best = ratios.min()
-        ties = eligible[np.flatnonzero(ratios <= best + 1e-12)]
-        r = int(min(ties, key=lambda i: basis[i]))  # Bland: lowest basic index
+                return "unbounded", c, it
+        ratios = rhs[eligible] / col[eligible]
+        ties = eligible[ratios <= ratios.min() + 1e-12]
+        r = int(ties[basis[ties].argmin()])  # Bland: lowest basic index
         _pivot(T, r, c)
         basis[r] = c
     raise SimplexBreakdownError(f"simplex did not finish within {_MAX_ITERS} iterations")
@@ -112,145 +137,73 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int):
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP. Returned points satisfy every constraint within 1e-8."""
     n = lp.n
+    has_lo, has_up = np.isfinite(lp.lo), np.isfinite(lp.up)
+    free = ~(has_lo | has_up)
+    # x = x0 + M s: one column per variable, a second (negated) one for a free variable.
+    width = 1 + free
+    start = np.cumsum(width) - width
+    ns = n + int(free.sum())
+    M = np.zeros((n, ns))
+    M[np.arange(n), start] = np.where(has_up & ~has_lo, -1.0, 1.0)
+    M[free, start[free] + 1] = -1.0
+    x0 = np.where(has_lo, lp.lo, np.where(has_up, lp.up, 0.0))
 
-    # Shift/reflect/split variables into s >= 0.
-    trans: list[tuple] = []
-    ns = 0
-    extra_rows: list[tuple[np.ndarray, str, float]] = []
-    for j, (lo, up) in enumerate(lp.bounds):
-        if lo is not None:
-            trans.append(("shift", ns, float(lo)))
-            if up is not None:
-                extra_rows.append((j, up - lo))
-            ns += 1
-        elif up is not None:
-            trans.append(("neg", ns, float(up)))
-            ns += 1
-        else:
-            trans.append(("split", ns, ns + 1))
-            ns += 2
+    # <= form: >= rows negated, = rows doubled, a row per boxed variable.
+    sign = np.where(lp.rel == GE, -1.0, 1.0)
+    eq = (lp.rel == EQ).nonzero()[0]
+    boxed = (has_lo & has_up).nonzero()[0]
+    A_s = lp.A @ M
+    b_s = lp.b - lp.A @ x0
+    A = np.vstack([sign[:, None] * A_s, -A_s[eq], M[boxed]])
+    b = np.concatenate([sign * b_s, -b_s[eq], (lp.up - lp.lo)[boxed]])
 
-    def to_s(a: np.ndarray) -> tuple[np.ndarray, float]:
-        """Rewrite a.x as coeffs.s + const."""
-        out = np.zeros(ns)
-        const = 0.0
-        for j, t in enumerate(trans):
-            if t[0] == "shift":
-                out[t[1]] = a[j]
-                const += a[j] * t[2]
-            elif t[0] == "neg":
-                out[t[1]] = -a[j]
-                const += a[j] * t[2]
-            else:
-                out[t[1]] = a[j]
-                out[t[2]] = -a[j]
-        return out, const
+    # Tableau: structural columns, one slack per row, the auxiliary, the rhs.
+    m = A.shape[0]
+    aux = ns + m
+    T = np.zeros((m + 1, aux + 2))
+    T[:m, :ns] = A
+    T[:m, ns:aux] = np.eye(m)
+    T[:m, -1] = b
+    basis = np.arange(ns, aux)
+    pivots = 0
 
-    def from_s(s: np.ndarray, with_const: bool) -> np.ndarray:
-        x = np.zeros(n)
-        for j, t in enumerate(trans):
-            if t[0] == "shift":
-                x[j] = s[t[1]] + (t[2] if with_const else 0.0)
-            elif t[0] == "neg":
-                x[j] = (t[2] if with_const else 0.0) - s[t[1]]
-            else:
-                x[j] = s[t[1]] - s[t[2]]
-        return x
-
-    rows_s: list[tuple[np.ndarray, str, float]] = []
-    for a, rel, b in lp.rows:
-        sa, const = to_s(a)
-        rows_s.append((sa, rel, b - const))
-    for j, ub in extra_rows:
-        e = np.zeros(ns)
-        e[trans[j][1]] = 1.0
-        rows_s.append((e, LE, float(ub)))
-    c_s, _ = to_s(lp.objective)
-
-    # Equality standard form with rhs >= 0; slack basis where available.
-    m = len(rows_s)
-    n_slack = sum(1 for _, rel, _ in rows_s if rel != EQ)
-    A = np.zeros((m, ns + n_slack))
-    rhs = np.zeros(m)
-    needs_art = []
-    si = 0
-    basis: list[int] = [-1] * m
-    for i, (a, rel, b) in enumerate(rows_s):
-        if b < 0:
-            a, b = -a, -b
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        A[i, :ns] = a
-        rhs[i] = b
-        if rel == LE:
-            A[i, ns + si] = 1.0
-            basis[i] = ns + si
-            si += 1
-        elif rel == GE:
-            A[i, ns + si] = -1.0
-            si += 1
-            needs_art.append(i)
-        else:
-            needs_art.append(i)
-    ncols = ns + n_slack
-    n_art = len(needs_art)
-
-    if n_art:
-        Tab = np.zeros((m + 1, ncols + n_art + 1))
-        Tab[:m, :ncols] = A
-        Tab[:m, -1] = rhs
-        for k, i in enumerate(needs_art):
-            Tab[i, ncols + k] = 1.0
-            basis[i] = ncols + k
-        Tab[-1, ncols : ncols + n_art] = 1.0  # phase-1 cost: sum of artificials
-        for i in needs_art:
-            Tab[-1] -= Tab[i]
-        status, _ = _run_simplex(Tab, basis, ncols + n_art)
+    violated = b < 0
+    if violated.any():
+        T[:m, aux] = np.where(violated, -1.0, 0.0)
+        T[-1, aux] = 1.0  # phase-1 cost: minimize the auxiliary
+        r = int(b.argmin())
+        _pivot(T, r, aux)
+        basis[r] = aux
+        status, _, it = _run_simplex(T, basis, aux + 1)
+        pivots += 1 + it
         if status != "optimal":
-            raise SimplexBreakdownError("phase 1 reported unbounded; artificial cost is bounded")
-        if -Tab[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, None, None)
-        # Drive leftover artificials out of the basis or drop redundant rows.
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= ncols:
-                choices = np.flatnonzero(np.abs(Tab[i, :ncols]) > PIVOT_MIN)
-                if choices.size:
-                    _pivot(Tab, i, int(choices[0]))
-                    basis[i] = int(choices[0])
-                else:
-                    keep[i] = False
-        rowmask = np.append(keep, True)
-        Tab = Tab[rowmask][:, np.r_[0:ncols, Tab.shape[1] - 1]]
-        basis = [b for i, b in enumerate(basis) if keep[i]]
-        m = len(basis)
-    else:
-        Tab = np.zeros((m + 1, ncols + 1))
-        Tab[:m, :ncols] = A
-        Tab[:m, -1] = rhs
+            raise SimplexBreakdownError("phase 1 reported unbounded; the auxiliary is bounded below")
+        if -T[-1, -1] > FEAS_TOL:
+            return LpSolution("infeasible", None, None, None, pivots)
+        if (basis == aux).any():
+            r = int((basis == aux).argmax())
+            choices = (np.abs(T[r, :aux]) > PIVOT_MIN).nonzero()[0]
+            if choices.size:
+                _pivot(T, r, int(choices[0]))
+                basis[r] = choices[0]
+                pivots += 1
+            else:
+                T, basis = np.delete(T, r, axis=0), np.delete(basis, r)
 
-    # Phase 2: minimize -c_s . s
-    Tab[-1, :] = 0.0
-    Tab[-1, :ns] = -c_s
-    for i in range(m):
-        cb = Tab[-1, basis[i]]
-        if cb != 0.0:
-            Tab[-1] -= cb * Tab[i]
+    # Phase 2: minimize -c.x over the columns before the auxiliary, which stays at 0.
+    T[-1] = 0.0
+    T[-1, :ns] = -(lp.objective @ M)
+    T[-1] -= T[-1, basis] @ T[:-1]
+    status, enter, it = _run_simplex(T, basis, aux)
+    pivots += it
 
-    status, enter = _run_simplex(Tab, basis, ncols)
-
-    s = np.zeros(ncols)
-    for i in range(m):
-        s[basis[i]] = max(Tab[i, -1], 0.0)
-    x = from_s(s[:ns], with_const=True)
-
+    s = np.zeros(aux)
+    s[basis] = np.maximum(T[:-1, -1], 0.0)
+    x = x0 + M @ s[:ns]
     if status == "unbounded":
-        ray_s = np.zeros(ncols)
+        ray_s = np.zeros(aux)
         ray_s[enter] = 1.0
-        for i in range(m):
-            ray_s[basis[i]] = -Tab[i, enter]
+        ray_s[basis] = -T[:-1, enter]
         ray_s[np.abs(ray_s) <= PIVOT_MIN] = 0.0
-        ray = from_s(ray_s[:ns], with_const=False)
-        return LpSolution("unbounded", None, x, ray)
-
-    value = float(lp.objective @ x)
-    return LpSolution("optimal", value, x, None)
+        return LpSolution("unbounded", None, x, M @ ray_s[:ns], pivots)
+    return LpSolution("optimal", float(lp.objective @ x), x, None, pivots)

@@ -19,6 +19,7 @@ from lipbound import (
     node_upper_bound,
     operator_norm,
     pattern_norm,
+    pattern_of,
     report_to_dict,
     unconstrained_bound,
 )
@@ -335,6 +336,22 @@ class TestOneSearch:
                 b.pop("stats")
                 assert a == b, (i, type(domain).__name__)
 
+    @pytest.mark.parametrize("p", PS)
+    def test_lower_witness_realizes_argmax(self, p):
+        # the witness may move between optimal LP vertices, but it must lie
+        # in the domain and in the open region of the lower argmax
+        for i, net in enumerate(EQUIVALENCE_NETS):
+            for domain in _domains(net, i):
+                r = compute_report(net, domain, p, [0.05], mode="bnb")
+                if r.lower_empty:
+                    continue
+                x = r.witness_x_lower
+                assert pattern_of(net, x) == r.argmax_lower, (i, type(domain).__name__)
+                if isinstance(domain, Box):
+                    assert np.all(domain.lower - 1e-9 <= x) and np.all(x <= domain.upper + 1e-9)
+                elif isinstance(domain, Polytope):
+                    assert np.all(domain.A @ x <= domain.b + 1e-9)
+
     def test_prunes_within_one_hidden_layer(self):
         # one hidden layer has no interior layer boundary: only the
         # per-neuron prefix LPs can prune it
@@ -342,7 +359,7 @@ class TestOneSearch:
         r = compute_report(net, unit_box(net), 2, [0.05], mode="bnb")
         assert r.stats.lp_calls < 2**10 + 1
         oracle = compute_report(net, unit_box(net), 2, [0.05], mode="oracle")
-        assert oracle.stats.lp_calls == 2**10 + 1
+        assert oracle.stats.lp_calls == 2**10
 
     def test_one_search_per_report(self, monkeypatch):
         import lipbound.bounds as bounds_module

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from lipbound import (
     ActivationPattern,
@@ -13,6 +14,7 @@ from lipbound import (
     MlpNetwork,
     NonPolyhedralDomainError,
     Polytope,
+    affine_preactivations,
     forward,
     max_slack,
     pattern_of,
@@ -206,3 +208,56 @@ class TestNeuronPrefix:
         for k in (0, 3):
             with pytest.raises(ValueError):
                 max_slack(ex1, sigma, AllSpace(), neurons=k)
+
+
+def scipy_slack(net, sigma, domain):
+    """HiGHS on max t s.t. (sigma - 1/2) * theta(x) >= t for every neuron, x in domain."""
+    n0 = net.input_dim
+    sgn = np.concatenate([np.asarray(b, float) for b in sigma.bits]) - 0.5
+    forms = affine_preactivations(net, sigma)
+    # -(sgn * coeffs) . x + t <= sgn * offset
+    A_ub = [np.append(-g * f.coeffs, 1.0) for g, f in zip(sgn, forms)]
+    b_ub = [g * f.offset for g, f in zip(sgn, forms)]
+    bounds = [(None, None)] * n0
+    if isinstance(domain, Box):
+        bounds = list(zip(domain.lower, domain.upper))
+    elif isinstance(domain, Polytope):
+        A_ub += [np.append(a, 0.0) for a in domain.A]
+        b_ub += list(domain.b)
+    c = np.zeros(n0 + 1)
+    c[-1] = -1.0
+    return linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub), bounds=bounds + [(None, None)],
+                   method="highs")
+
+
+class TestAgainstScipy:
+    def test_max_slack_matches_highs(self):
+        statuses = {"bounded": 0, "unbounded": 0}
+        for seed in range(8):
+            for bias_scale in (0.5, 0.0):
+                net = random_net(seed, bias_scale=bias_scale)
+                n0 = net.input_dim
+                cut = np.random.default_rng(seed).normal(size=(1, n0))
+                polytope = Polytope(
+                    np.vstack([np.eye(n0), -np.eye(n0), cut]),
+                    np.concatenate([np.ones(2 * n0), [0.5 * np.abs(cut).sum()]]),
+                )
+                rng = np.random.default_rng(100 + seed)
+                # random bit strings (mostly empty regions) and the patterns of
+                # random points (realized, so unbounded without biases)
+                flats = [tuple(rng.integers(0, 2, net.total_hidden_bits)) for _ in range(3)]
+                flats += [pattern_of(net, rng.normal(size=n0)).flat for _ in range(3)]
+                for flat in flats:
+                    sigma = ActivationPattern.from_flat(net.hidden_widths, flat)
+                    for domain in (unit_box(net), polytope, AllSpace()):
+                        mine = max_slack(net, sigma, domain)
+                        ref = scipy_slack(net, sigma, domain)
+                        statuses[mine.status] += 1
+                        if mine.status == "bounded":
+                            assert ref.status == 0, (seed, flat, type(domain).__name__)
+                            assert mine.slack == pytest.approx(-ref.fun, abs=1e-7)
+                        else:
+                            assert mine.status == "unbounded"
+                            assert ref.status == 3, (seed, flat, type(domain).__name__)
+        # both outcomes occur: zero-bias nets on all of space give unbounded slacks
+        assert min(statuses.values()) > 10

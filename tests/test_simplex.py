@@ -74,6 +74,62 @@ class TestBasics:
         assert sol.value == pytest.approx(1.0)
 
 
+class TestPhaseOne:
+    def test_duplicated_equality_rows(self):
+        rows = [([1.0, 1.0], EQ, 2.0), ([1.0, 1.0], EQ, 2.0), ([2.0, 2.0], EQ, 4.0)]
+        sol = solve([1.0, 0.0], rows, [(0.0, None), (0.0, None)])
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(2.0)
+        assert sol.x == pytest.approx([2.0, 0.0])
+
+    def test_redundant_equalities_pin_the_point(self):
+        rows = [([1.0, 1.0], EQ, 2.0), ([2.0, 2.0], EQ, 4.0), ([1.0, -1.0], EQ, 0.0)]
+        sol = solve([1.0, 2.0], rows, [(0.0, None), (0.0, None)])
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(3.0)
+        assert sol.x == pytest.approx([1.0, 1.0])
+
+    def test_auxiliary_ends_basic_at_zero(self):
+        # x >= 1 brings the auxiliary in; x then enters with a ratio tie
+        # between its row and x <= 1, Bland's rule lets the slack of x <= 1
+        # leave, and the auxiliary stays basic at zero until it is pivoted
+        # out: three pivots in all
+        sol = solve([1.0], [([1.0], GE, 1.0), ([1.0], LE, 1.0)], [(0.0, None)])
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(1.0)
+        assert sol.x == pytest.approx([1.0])
+        assert sol.pivots == 3
+
+    def test_every_row_violated_infeasible(self):
+        # the slack basis violates both rows; the smallest violation is 1
+        sol = solve([0.0], [([1.0], LE, -1.0), ([1.0], GE, 1.0)], [(None, None)])
+        assert sol.status == "infeasible"
+        assert sol.x is None and sol.pivots > 0
+
+    def test_every_row_violated_feasible(self):
+        rows = [([1.0, 0.0], GE, 1.0), ([0.0, 1.0], GE, 2.0), ([1.0, 1.0], GE, 4.0)]
+        sol = solve([-1.0, -1.0], rows, [(0.0, None), (0.0, None)])
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(-4.0)
+        assert float(np.sum(sol.x)) == pytest.approx(4.0)
+        assert sol.x[0] >= 1.0 - 1e-9 and sol.x[1] >= 2.0 - 1e-9
+
+    def test_bounded_without_rows(self):
+        sol = solve([1.0, -1.0], [], [(0.0, 2.0), (-1.0, 3.0)])
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(3.0)
+        assert sol.x == pytest.approx([2.0, -1.0])
+        sol = solve([1.0, -1.0], [], [(None, 2.0), (-1.0, None)])
+        assert (sol.status, sol.pivots) == ("optimal", 0)
+        assert sol.x == pytest.approx([2.0, -1.0])
+
+    def test_feasible_start_skips_phase_one(self):
+        sol = solve([1.0, 1.0], [([1.0, 2.0], LE, 4.0), ([3.0, 1.0], LE, 6.0)], [(0.0, None)] * 2)
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(2.8)
+        assert sol.pivots == 2
+
+
 class TestFeasibilityOfReturnedPoints:
     def test_points_satisfy_constraints(self):
         rng = np.random.default_rng(3)
