@@ -93,7 +93,8 @@ def domain_nonempty(domain: InputDomain, n0: int) -> bool:
     A, b, bounds = _domain_rows_bounds(domain, n0)
     if not b.size:
         return True  # boxes and all-space are nonempty by construction
-    sol = lp_solve(LinearProgram(np.zeros(n0), list(zip(A, [LE] * b.size, b)), bounds))
+    rel = np.full(b.size, LE, dtype=object)
+    sol = lp_solve(LinearProgram.from_arrays(np.zeros(n0), A, rel, b, bounds))
     return sol.status != "infeasible"
 
 
@@ -117,10 +118,11 @@ def _slack_lp(
     A[b_dom.size :, :n0] = sgn[:, None] * coeff
     A[b_dom.size :, n0] = -1.0
     b = np.concatenate([b_dom, -sgn * offset])
-    rels = [LE] * b_dom.size + [GE] * sgn.size
+    rel = np.full(b.size, GE, dtype=object)
+    rel[: b_dom.size] = LE
     objective = np.zeros(n0 + 1)
     objective[-1] = 1.0
-    return lp_solve(LinearProgram(objective, list(zip(A, rels, b)), xb + [(None, None)]))
+    return lp_solve(LinearProgram.from_arrays(objective, A, rel, b, xb + [(None, None)]))
 
 
 def max_slack(

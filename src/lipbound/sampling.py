@@ -58,11 +58,12 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     A = np.atleast_2d(np.asarray(A, float))
     b = np.atleast_1d(np.asarray(b, float))
     m, n = A.shape
-    norms = np.linalg.norm(A, axis=1)
-    rows = [(np.append(A[i], norms[i]), LE, float(b[i])) for i in range(m)]
+    rows = np.hstack([A, np.linalg.norm(A, axis=1)[:, None]])
+    rel = np.full(m, LE, dtype=object)
     obj = np.zeros(n + 1)
     obj[-1] = 1.0
-    sol = lp_solve(LinearProgram(obj, rows, [(None, None)] * n + [(0.0, _CHORD_CAP)]))
+    bounds = [(None, None)] * n + [(0.0, _CHORD_CAP)]
+    sol = lp_solve(LinearProgram.from_arrays(obj, rows, rel, b, bounds))
     if sol.status == "infeasible":
         raise DomainEmptyError("polytope is empty")
     return sol.x[:n], float(sol.x[n])

@@ -22,8 +22,8 @@ ray together with the basic feasible point it emanates from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,34 +38,20 @@ PIVOT_MIN = 1e-12  # below this a pivot is numerically meaningless
 _MAX_ITERS = 50_000
 
 
-@dataclass
 class LinearProgram:
     """max objective.x subject to rows and per-variable bounds.
 
     rows: list of (coeffs, relation, rhs); bounds: per-variable (lower,
-    upper) with None meaning unbounded on that side. Construction checks
-    the input and stacks it into A (rows x n), rel and b, plus lo and up
-    with None as -inf and +inf.
+    upper) with None meaning unbounded on that side. from_arrays takes the
+    rows already stacked. Either way construction checks the input and
+    keeps it as A (rows x n), rel and b, plus lo and up with None as -inf
+    and +inf.
     """
 
-    objective: np.ndarray
-    rows: list[tuple[np.ndarray, str, float]]
-    bounds: list[tuple[Optional[float], Optional[float]]]
-    A: np.ndarray = field(init=False, repr=False, compare=False)
-    rel: np.ndarray = field(init=False, repr=False, compare=False)
-    b: np.ndarray = field(init=False, repr=False, compare=False)
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    up: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        n = self.objective.shape[0]
-        if len(self.bounds) != n:
-            raise ValueError(f"{len(self.bounds)} bounds for {n} variables")
-        if not np.isfinite(self.objective).all():
-            raise ValueError("objective has non-finite entries")
-        m = len(self.rows)
-        coeffs, rels, rhs = zip(*self.rows) if m else ((), (), ())
+    def __init__(self, objective, rows: Sequence[tuple[np.ndarray, str, float]], bounds):
+        objective = np.atleast_1d(np.asarray(objective, dtype=float))
+        n, m = objective.shape[0], len(rows)
+        coeffs, rels, rhs = zip(*rows) if m else ((), (), ())
         try:
             A = np.array(coeffs, dtype=float).reshape(m, -1) if m else np.zeros((0, n))
         except ValueError:
@@ -75,22 +61,49 @@ class LinearProgram:
                 a = np.atleast_1d(np.asarray(a, dtype=float))
                 if a.shape != (n,):
                     raise ValueError(f"row {i}: {a.shape[0]} coefficients for {n} variables")
-        rel = np.array(rels, dtype=object)
-        bad = (rel != LE) & (rel != GE) & (rel != EQ)
-        if bad.any():
-            i = int(bad.argmax())
-            raise ValueError(f"row {i}: unknown relation {rels[i]!r}")
-        b = np.array(rhs, dtype=float)
+        self._set(objective, A, np.array(rels, dtype=object), np.array(rhs, dtype=float), bounds)
+
+    @classmethod
+    def from_arrays(cls, objective, A, rel, b, bounds) -> "LinearProgram":
+        """The LP with row i reading A[i].x rel[i] b[i]."""
+        objective = np.atleast_1d(np.asarray(objective, dtype=float))
+        A = np.asarray(A, dtype=float)
+        rel, b = np.asarray(rel, dtype=object), np.asarray(b, dtype=float)
+        n = objective.shape[0]
+        if A.ndim != 2 or A.shape[1] != n:
+            raise ValueError(f"row 0: {A.shape[-1]} coefficients for {n} variables")
+        m = A.shape[0]
+        if rel.shape != (m,) or b.shape != (m,):
+            raise ValueError(f"{m} rows, {rel.size} relations, {b.size} right-hand sides")
+        lp = cls.__new__(cls)
+        lp._set(objective, A, rel, b, bounds)
+        return lp
+
+    def _set(self, objective, A, rel, b, bounds) -> None:
+        n = objective.shape[0]
+        if len(bounds) != n:
+            raise ValueError(f"{len(bounds)} bounds for {n} variables")
+        if not np.isfinite(objective).all():
+            raise ValueError("objective has non-finite entries")
+        bad = [i for i, r in enumerate(rel.tolist()) if r not in (LE, GE, EQ)]
+        if bad:
+            raise ValueError(f"row {bad[0]}: unknown relation {rel[bad[0]]!r}")
         bad = ~(np.isfinite(A).all(axis=1) & np.isfinite(b))
         if bad.any():
             raise ValueError(f"row {int(bad.argmax())}: non-finite entry")
-        lo = np.array([-np.inf if bd[0] is None else bd[0] for bd in self.bounds], dtype=float)
-        up = np.array([np.inf if bd[1] is None else bd[1] for bd in self.bounds], dtype=float)
+        lo = np.array([-np.inf if bd[0] is None else bd[0] for bd in bounds], dtype=float)
+        up = np.array([np.inf if bd[1] is None else bd[1] for bd in bounds], dtype=float)
         bad = lo > up
         if bad.any():
             j = int(bad.argmax())
             raise ValueError(f"variable {j}: lower bound {lo[j]} exceeds upper bound {up[j]}")
+        self.objective, self.bounds = objective, bounds
         self.A, self.rel, self.b, self.lo, self.up = A, rel, b, lo, up
+
+    @property
+    def rows(self) -> list[tuple[np.ndarray, str, float]]:
+        """The rows as (coeffs, relation, rhs) tuples."""
+        return list(zip(self.A, self.rel.tolist(), self.b.tolist()))
 
     @property
     def n(self) -> int:

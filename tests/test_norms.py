@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestOperatorNorm:
             assert operator_norm(A, 1) == operator_norm(A.T, math.inf)
 
     def test_p2_grid_sandwich(self):
-        # power iteration dominates every sampled direction and never exceeds
+        # the spectral norm dominates every sampled direction and never exceeds
         # the sqrt(norm1 * norminf) interpolation bound
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -72,6 +73,30 @@ class TestOperatorNorm:
             assert s >= grid - 1e-9
             assert s <= math.sqrt(operator_norm(A, 1) * operator_norm(A, math.inf)) + 1e-9
 
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (4, 6)])
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    def test_p2_nearly_equal_top_singular_values(self, shape, delta):
+        # sigma = (1, 1 - delta, 1/2, 1/4, ...): the top pair is nearly tied
+        m, n = shape
+        rng = np.random.default_rng(19)
+        U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        k = min(m, n)
+        S = np.zeros((m, n))
+        S[range(k), range(k)] = [1.0, 1.0 - delta] + [0.5**i for i in range(1, k - 1)]
+        A = U @ S @ V.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(operator_norm(A, 2) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("c", [1e160, -1e160, 1e-300])
+    def test_extreme_scales(self, p, c):
+        rng = np.random.default_rng(23)
+        A = rng.normal(size=(3, 4))
+        want = abs(c) * operator_norm(A, p)
+        assert operator_norm(c * A, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 class TestPatternNorm:
     @pytest.mark.parametrize("p", PS)
@@ -114,6 +139,18 @@ class TestNormWitness:
             target = operator_norm(A, p)
             assert target - 1e-8 <= achieved <= target + 1e-8
 
+
+    def test_p2_sign_convention(self):
+        # the largest-magnitude entry is positive; near-ties go to the lowest index
+        assert norm_witness([[1.0, -1.0]], 2) == pytest.approx([math.sqrt(0.5), -math.sqrt(0.5)])
+        assert norm_witness([[-1.0, 1.0]], 2) == pytest.approx([math.sqrt(0.5), -math.sqrt(0.5)])
+        assert norm_witness([[3.0, 0.0], [0.0, -4.0]], 2) == pytest.approx([0.0, 1.0])
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            A = rng.normal(size=(rng.integers(1, 6), rng.integers(1, 6)))
+            y = norm_witness(A, 2)
+            assert y[np.abs(y).argmax()] > 0.0
+            assert norm_witness(-A, 2) == pytest.approx(y, abs=1e-12)
 
 class TestRelaxationProperties:
     @pytest.mark.parametrize("p", PS)

@@ -74,6 +74,52 @@ class TestBasics:
         assert sol.value == pytest.approx(1.0)
 
 
+class TestFromArrays:
+    ROWS = [([1.0, 2.0], LE, 4.0), ([1.0, -1.0], GE, -1.0), ([0.0, 1.0], EQ, 1.0)]
+    BOUNDS = [(0.0, None), (None, 3.0)]
+
+    def stacked(self, rows=None):
+        coeffs, rels, rhs = zip(*(rows or self.ROWS))
+        return np.array(coeffs), np.array(rels, dtype=object), np.array(rhs)
+
+    def test_same_lp_as_rows(self):
+        by_rows = LinearProgram(np.array([1.0, 1.0]), self.ROWS, self.BOUNDS)
+        by_arrays = LinearProgram.from_arrays(np.array([1.0, 1.0]), *self.stacked(), self.BOUNDS)
+        for name in ("A", "rel", "b", "lo", "up"):
+            assert np.array_equal(getattr(by_arrays, name), getattr(by_rows, name))
+        assert len(by_arrays.rows) == 3
+        assert by_arrays.rows[1][1:] == (GE, -1.0)
+        a, b = lp_solve(by_rows), lp_solve(by_arrays)
+        assert a.status == b.status == "optimal"
+        assert np.array_equal(a.x, b.x) and a.pivots == b.pivots
+
+    @pytest.mark.parametrize(
+        "rows, bounds, match",
+        [
+            ([([1.0, 0.0], "<", 1.0)], BOUNDS, "row 0: unknown relation"),
+            ([([1.0, 0.0], LE, 1.0), ([np.nan, 0.0], LE, 1.0)], BOUNDS, "row 1: non-finite"),
+            ([([1.0, 0.0], LE, np.inf)], BOUNDS, "row 0: non-finite"),
+            ([([1.0, 0.0], LE, 1.0)], [(0.0, None)], "1 bounds for 2 variables"),
+            ([([1.0, 0.0], LE, 1.0)], [(0.0, None), (2.0, 1.0)], "variable 1: lower bound"),
+        ],
+    )
+    def test_same_errors_as_rows(self, rows, bounds, match):
+        objective = np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match=match):
+            LinearProgram(objective, rows, bounds)
+        with pytest.raises(ValueError, match=match):
+            LinearProgram.from_arrays(objective, *self.stacked(rows), bounds)
+
+    def test_shape_mismatch_rejected(self):
+        A, rel, b = self.stacked()
+        objective = np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match="row 0: 3 coefficients for 2 variables"):
+            LinearProgram.from_arrays(objective, np.hstack([A, A[:, :1]]), rel, b, self.BOUNDS)
+        with pytest.raises(ValueError, match="3 rows, 2 relations"):
+            LinearProgram.from_arrays(objective, A, rel[:2], b, self.BOUNDS)
+        with pytest.raises(ValueError, match="3 rows, 3 relations, 2 right-hand sides"):
+            LinearProgram.from_arrays(objective, A, rel, b[:2], self.BOUNDS)
+
 class TestPhaseOne:
     def test_duplicated_equality_rows(self):
         rows = [([1.0, 1.0], EQ, 2.0), ([1.0, 1.0], EQ, 2.0), ([2.0, 2.0], EQ, 4.0)]
