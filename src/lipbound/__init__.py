@@ -9,12 +9,10 @@ oracle, plus portable MIQCQP model export with an assignment checker.
 from .bounds import (
     BoundsReport,
     CurveSegment,
-    PartialAssignment,
     SearchStats,
     branch_and_bound,
     brute_force_bounds,
     compute_report,
-    node_upper_bound,
     report_to_dict,
     unconstrained_bound,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "ModelFormatError",
     "NetworkFormatError",
     "NonPolyhedralDomainError",
-    "PartialAssignment",
     "Polytope",
     "RelaxedPattern",
     "SampleEstimate",
@@ -114,7 +111,6 @@ __all__ = [
     "load_network",
     "lp_solve",
     "max_slack",
-    "node_upper_bound",
     "norm_witness",
     "operator_norm",
     "pairwise_quotient_estimate",

@@ -19,23 +19,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainEmptyError, EnumerationGuardError
 from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _jacobian_from_bits
 from .norms import check_norm_kind, operator_norm
-from .regions import (
-    TAU_CLOSED,
-    TAU_STRICT,
-    SlackResult,
-    domain_nonempty,
-    max_slack,
-    witness_at_level,
-)
+from .regions import SlackResult, domain_nonempty, max_slack, meets_level, witness_at_level
 
 INF = math.inf
 
@@ -58,7 +50,6 @@ class SearchStats:
     lp_calls: int = 0
     pivots: int = 0
     patterns_feasible: int = 0
-    wall_time: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -97,98 +88,7 @@ class BoundsReport:
                 raise AssertionError("curve values must be non-increasing")
 
 
-@dataclass(frozen=True)
-class PartialAssignment:
-    """A branch-and-bound node: a prefix of pattern bits in layer-major order."""
-
-    fixed_bits: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.fixed_bits)
-
-    def complete_layers(self, hidden_widths: Sequence[int]) -> int:
-        """Number of fully assigned hidden layers; trailing partial layers do not count."""
-        if self.depth > sum(hidden_widths):
-            raise ValueError("prefix longer than the total number of hidden bits")
-        done, used = 0, 0
-        for w in hidden_widths:
-            if used + w <= self.depth:
-                done += 1
-                used += w
-            else:
-                break
-        return done
-
-    def layer_bits(self, hidden_widths: Sequence[int]) -> list[tuple[int, ...]]:
-        out, pos = [], 0
-        for w in hidden_widths:
-            if pos + w > self.depth:
-                break
-            out.append(tuple(self.fixed_bits[pos : pos + w]))
-            pos += w
-        return out
-
-
-def _prefix_matrix(net: MlpNetwork, layer_bits: Sequence[Sequence[int]]) -> np.ndarray:
-    """diag(sigma_j) M_j ... diag(sigma_1) M_1 for the fixed prefix."""
-    gate = np.asarray(layer_bits[0], dtype=float)
-    G = gate[:, None] * net.layers[0].weights
-    for k in range(1, len(layer_bits)):
-        gate = np.asarray(layer_bits[k], dtype=float)
-        G = gate[:, None] * (net.layers[k].weights @ G)
-    return G
-
-
-def _layer_norm_suffix(net: MlpNetwork, p) -> list[float]:
-    """suffix[j] = product of ||M_k||_p over layers j..L (0-based j)."""
-    norms = [operator_norm(layer.weights, p) for layer in net.layers]
-    suffix = [1.0] * (len(norms) + 1)
-    for j in range(len(norms) - 1, -1, -1):
-        suffix[j] = norms[j] * suffix[j + 1]
-    return suffix
-
-
-def node_upper_bound(net: MlpNetwork, partial: PartialAssignment, p) -> float:
-    """Upper bound on the pattern norm over all completions of the prefix.
-
-    Gating never increases an induced norm and norms are submultiplicative,
-    so the free layers contribute at most the product of their plain layer
-    norms. A fully fixed prefix folds the output layer in and returns the
-    exact pattern norm.
-    """
-    p = check_norm_kind(p)
-    widths = net.hidden_widths
-    j = partial.complete_layers(widths)
-    suffix = _layer_norm_suffix(net, p)
-    if j == 0:
-        return suffix[0]
-    G = _prefix_matrix(net, partial.layer_bits(widths))
-    if j == net.depth - 1:
-        return operator_norm(net.layers[-1].weights @ G, p)
-    return suffix[j] * operator_norm(G, p)
-
-
 # --- shared aggregation ----------------------------------------------------
-
-
-def _accept_for_target(target) -> Callable[[float], bool]:
-    """Monotone slack predicate for a search target.
-
-    target is "upper" (closed regions), "lower" (strict regions), or a
-    nonnegative float eps (margin at least eps; eps=0 behaves like
-    "upper" per the closure tolerance).
-    """
-    if target == "upper":
-        return lambda s: s >= TAU_CLOSED
-    if target == "lower":
-        return lambda s: s > TAU_STRICT
-    eps = float(target)
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    if eps == 0.0:
-        return lambda s: s >= TAU_CLOSED
-    return lambda s: s >= eps
 
 
 class _Best:
@@ -242,8 +142,8 @@ def _lower_witness(net, flat, widths, domain, res: SlackResult) -> np.ndarray:
 
 def _eps_values(eps_list: Sequence[float]) -> list[float]:
     eps_list = list(dict.fromkeys(float(e) for e in eps_list))
-    if any(e < 0 for e in eps_list):
-        raise ValueError("eps values must be nonnegative")
+    if not all(0.0 <= e < INF for e in eps_list):
+        raise ValueError(f"eps values must be finite and nonnegative, got {eps_list}")
     return eps_list
 
 
@@ -254,26 +154,26 @@ def _check_domain(net: MlpNetwork, domain: InputDomain) -> int:
     return int(isinstance(domain, Polytope) and domain.A.shape[0] > 0)  # no LP otherwise
 
 
-def _aggregate(net, domain, p, eps_list, points, stats, t0) -> BoundsReport:
+def _aggregate(net, domain, p, eps_list, points, stats) -> BoundsReport:
     """Every bound, argmax, eps value and the curve from (slack, norm, flat,
     slack result) points.
 
-    A target keeps the points its slack predicate accepts; the curve is
-    built from the strictly feasible ones. The lower argmax's witness comes
-    from its point's slack result, so no LP is solved here.
+    A target keeps the points whose slack meets its level: upper the closed
+    level (eps 0), lower the open one (None), each eps value its own. The
+    curve is built from the strictly feasible points. The lower argmax's
+    witness comes from its point's slack result, so no LP is solved here.
     """
     widths = net.hidden_widths
-    targets = ("upper", "lower", *eps_list)
-    accept = {t: _accept_for_target(t) for t in targets}
-    best = {t: _Best() for t in targets}
+    levels = {"upper": 0.0, "lower": None, **{e: e for e in eps_list}}
+    best = {t: _Best() for t in levels}
     strict: dict[float, float] = {}
     for slack, norm, flat, _ in points:
-        for t in targets:
-            if accept[t](slack):
+        for t, level in levels.items():
+            if meets_level(slack, level):
                 best[t].offer(norm, flat)
-        if accept["upper"](slack):
+        if meets_level(slack, 0.0):
             stats.patterns_feasible += 1
-        if accept["lower"](slack) and norm > strict.get(slack, -INF):
+        if meets_level(slack, None) and norm > strict.get(slack, -INF):
             strict[slack] = norm
 
     def pattern(b: _Best):
@@ -297,7 +197,6 @@ def _aggregate(net, domain, p, eps_list, points, stats, t0) -> BoundsReport:
         else:
             report.eps_argmax[e] = pattern(b)
     report.curve = _curve_from_points(strict)
-    stats.wall_time = time.perf_counter() - t0
     report.validate()
     return report
 
@@ -322,7 +221,6 @@ def brute_force_bounds(
             f"{nbits} hidden bits exceed the enumeration guard ({ENUMERATION_GUARD_BITS})"
         )
     stats = SearchStats(lp_calls=_check_domain(net, domain))
-    t0 = time.perf_counter()
     widths = net.hidden_widths
     points = []
     for flat in itertools.product((0, 1), repeat=nbits):
@@ -333,7 +231,7 @@ def brute_force_bounds(
         points.append((res.slack, norm, flat, res))
     stats.nodes_explored = len(points)
     stats.lp_calls += len(points)
-    return _aggregate(net, domain, p, eps_list, points, stats, t0)
+    return _aggregate(net, domain, p, eps_list, points, stats)
 
 
 # --- branch and bound ------------------------------------------------------
@@ -367,6 +265,15 @@ class _Envelope:
         self.norms[j:end] = [norm]
 
 
+def _layer_norm_suffix(net: MlpNetwork, p) -> list[float]:
+    """suffix[j] = product of ||M_k||_p over layers j..L (0-based j)."""
+    norms = [operator_norm(layer.weights, p) for layer in net.layers]
+    suffix = [1.0] * (len(norms) + 1)
+    for j in range(len(norms) - 1, -1, -1):
+        suffix[j] = norms[j] * suffix[j + 1]
+    return suffix
+
+
 def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStats) -> list:
     """Depth-first search over patterns, bit 1 before bit 0, one bit per node.
 
@@ -375,7 +282,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     result come from its full slack LP (the result is None when domain is
     None). A prefix is pruned only when its prefix slack (the LP over the
     margins of its fixed neurons, an upper bound on every completion's
-    depth) is below TAU_CLOSED, or when its norm bound over all completions
+    depth) misses the closed level, or when its norm bound over all completions
     is strictly below the envelope of the collected points at that slack:
     every completion is then beaten, on every target, by a deeper point.
     A child whose new margin is nonnegative at the parent's LP witness (or
@@ -431,7 +338,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             sigma = ActivationPattern.from_flat(widths, tuple(bits) + (0,) * (nbits - k))
             res = max_slack(net, sigma, domain, neurons=k)
             stats.pivots += res.pivots
-            if not res.slack >= TAU_CLOSED:
+            if not meets_level(res.slack, 0.0):
                 return
             s, x, ray = res.slack, res.witness, res.ray
             best = env.at(s)
@@ -457,7 +364,7 @@ def branch_and_bound(
 ) -> BoundsReport:
     """The full report from one pruned search; agrees with brute_force_bounds.
 
-    target: "upper", "lower", or a nonnegative eps value, which joins
+    target: "upper", "lower", or a finite nonnegative eps value, which joins
     eps_list. Every target comes out of the same search, so the report
     always carries upper, lower, every eps value and the curve.
     """
@@ -466,9 +373,8 @@ def branch_and_bound(
         eps_list = [*eps_list, target]
     eps_list = _eps_values(eps_list)
     stats = SearchStats(lp_calls=_check_domain(net, domain))
-    t0 = time.perf_counter()
     points = _search(net, domain, p, stats)
-    return _aggregate(net, domain, p, eps_list, points, stats, t0)
+    return _aggregate(net, domain, p, eps_list, points, stats)
 
 
 def unconstrained_bound(net: MlpNetwork, p) -> float:
@@ -514,8 +420,8 @@ def _json_num(v: float):
 
 
 def report_to_dict(report: BoundsReport, version: str | None = None, config=None) -> dict:
-    """JSON-ready dict; infinities become the string "inf", wall time is
-    dropped so identical inputs serialize to identical bytes."""
+    """JSON-ready dict; infinities become the string "inf". It holds no
+    timing, so identical inputs serialize to identical bytes."""
 
     def pattern(sig):
         return [list(layer) for layer in sig.bits] if sig is not None else None

@@ -167,8 +167,6 @@ def _resolved_config(args, command: str) -> dict:
 
 def _cmd_bounds(args) -> int:
     eps_list = args.eps or []
-    if any(e < 0 for e in eps_list):
-        raise ValueError("--eps values must be nonnegative")
     net = _load_net(args.net)
     domain, relaxed = _relax_domain(_load_domain_arg(args.domain), args.relax_ball_to_box)
     p = _parse_p(args.p)
@@ -233,8 +231,6 @@ def _cmd_curve(args) -> int:
 
 def _cmd_emit(args) -> int:
     eps_list = args.eps if args.eps is not None else [0.0]
-    if any(e < 0 for e in eps_list):
-        raise ValueError("--eps values must be nonnegative")
     if len(eps_list) != 1:
         raise ValueError("emit expects exactly one --eps level")
     net = _load_net(args.net)

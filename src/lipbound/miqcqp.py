@@ -204,8 +204,8 @@ def build_model(
     """Materialize the eps-margin norm problem for one p as a model object."""
     p = check_norm_kind(p)
     eps = float(eps)
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < INF:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     check_domain_dim(domain, net.input_dim)
     widths = net.widths
     L = net.depth

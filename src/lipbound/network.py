@@ -168,10 +168,6 @@ class ActivationPattern:
     def flat(self) -> tuple[int, ...]:
         return tuple(b for layer in self.bits for b in layer)
 
-    @property
-    def total_bits(self) -> int:
-        return len(self.flat)
-
     def matches(self, net: MlpNetwork) -> bool:
         return tuple(len(layer) for layer in self.bits) == net.hidden_widths
 

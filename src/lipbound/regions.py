@@ -35,10 +35,23 @@ from .network import (
 )
 from .simplex import GE, LE, LinearProgram, LpSolution, lp_solve
 
-# Strictness knob: a slack above this counts as a nonempty open region.
+# The two tolerances of meets_level, the one rule that turns a slack into a
+# feasibility decision: the open region needs a slack above TAU_STRICT, the
+# closed region (eps = 0) a slack of at least TAU_CLOSED.
 TAU_STRICT = 1e-9
-# Closed-region tolerance: a slack above this counts as touching the region closure.
 TAU_CLOSED = -1e-9
+
+
+def meets_level(slack: float, eps: Optional[float]) -> bool:
+    """Whether a region of depth `slack` meets a level.
+
+    eps=None asks for a nonempty open region (slack > TAU_STRICT); a float
+    eps asks for the closed eps-margin set (slack >= eps, with eps = 0
+    using TAU_CLOSED). A NaN slack, the mark of an empty domain, meets none.
+    """
+    if eps is None:
+        return slack > TAU_STRICT
+    return slack >= (TAU_CLOSED if eps == 0.0 else eps)
 
 
 @dataclass(frozen=True)
@@ -47,7 +60,8 @@ class SlackResult:
 
     status is "bounded" (slack attained at witness), "unbounded" (slack
     grows without bound along ray; slack is +inf), or "infeasible" (the
-    domain itself is empty; impossible otherwise since t is free).
+    domain itself is empty, impossible otherwise since t is free; slack is
+    NaN, so it meets no level).
     """
 
     status: str
@@ -59,13 +73,10 @@ class SlackResult:
 
     @property
     def feasible_strict(self) -> bool:
-        return self.status != "infeasible" and self.slack > TAU_STRICT
+        return meets_level(self.slack, None)
 
     def feasible_closed(self, eps: float = 0.0) -> bool:
-        if self.status == "infeasible":
-            return False
-        threshold = TAU_CLOSED if eps == 0.0 else eps
-        return self.slack >= threshold
+        return meets_level(self.slack, eps)
 
 
 def _domain_rows_bounds(domain: InputDomain, n0: int):
@@ -94,7 +105,7 @@ def domain_nonempty(domain: InputDomain, n0: int) -> bool:
     if not b.size:
         return True  # boxes and all-space are nonempty by construction
     rel = np.full(b.size, LE, dtype=object)
-    sol = lp_solve(LinearProgram.from_arrays(np.zeros(n0), A, rel, b, bounds))
+    sol = lp_solve(LinearProgram(np.zeros(n0), A, rel, b, bounds))
     return sol.status != "infeasible"
 
 
@@ -122,7 +133,7 @@ def _slack_lp(
     rel[: b_dom.size] = LE
     objective = np.zeros(n0 + 1)
     objective[-1] = 1.0
-    return lp_solve(LinearProgram.from_arrays(objective, A, rel, b, xb + [(None, None)]))
+    return lp_solve(LinearProgram(objective, A, rel, b, xb + [(None, None)]))
 
 
 def max_slack(
@@ -176,9 +187,8 @@ def region_feasible(
 ) -> bool:
     """Membership test for the pattern's constraint set.
 
-    mode="strict" asks for a nonempty open region (slack > 1e-9); a float
-    eps asks for the closed eps-margin set (slack >= eps, with eps=0 using
-    the -1e-9 closure tolerance).
+    mode="strict" asks for a nonempty open region; a float eps asks for the
+    closed eps-margin set. meets_level decides both.
     """
     res = max_slack(net, sigma, domain)
     if mode == "strict":

@@ -63,7 +63,7 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     obj = np.zeros(n + 1)
     obj[-1] = 1.0
     bounds = [(None, None)] * n + [(0.0, _CHORD_CAP)]
-    sol = lp_solve(LinearProgram.from_arrays(obj, rows, rel, b, bounds))
+    sol = lp_solve(LinearProgram(obj, rows, rel, b, bounds))
     if sol.status == "infeasible":
         raise DomainEmptyError("polytope is empty")
     return sol.x[:n], float(sol.x[n])

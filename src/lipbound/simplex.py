@@ -23,7 +23,7 @@ ray together with the basic feasible point it emanates from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,33 +39,14 @@ _MAX_ITERS = 50_000
 
 
 class LinearProgram:
-    """max objective.x subject to rows and per-variable bounds.
+    """max objective.x subject to rows A[i].x rel[i] b[i] and per-variable bounds.
 
-    rows: list of (coeffs, relation, rhs); bounds: per-variable (lower,
-    upper) with None meaning unbounded on that side. from_arrays takes the
-    rows already stacked. Either way construction checks the input and
-    keeps it as A (rows x n), rel and b, plus lo and up with None as -inf
-    and +inf.
+    bounds: per-variable (lower, upper) with None meaning unbounded on that
+    side, kept as lo and up with None as -inf and +inf. Construction checks
+    the shapes, the relations and that every entry is finite.
     """
 
-    def __init__(self, objective, rows: Sequence[tuple[np.ndarray, str, float]], bounds):
-        objective = np.atleast_1d(np.asarray(objective, dtype=float))
-        n, m = objective.shape[0], len(rows)
-        coeffs, rels, rhs = zip(*rows) if m else ((), (), ())
-        try:
-            A = np.array(coeffs, dtype=float).reshape(m, -1) if m else np.zeros((0, n))
-        except ValueError:
-            A = None  # ragged rows; the loop below names the first bad one
-        if A is None or A.shape[1] != n:
-            for i, a in enumerate(coeffs):
-                a = np.atleast_1d(np.asarray(a, dtype=float))
-                if a.shape != (n,):
-                    raise ValueError(f"row {i}: {a.shape[0]} coefficients for {n} variables")
-        self._set(objective, A, np.array(rels, dtype=object), np.array(rhs, dtype=float), bounds)
-
-    @classmethod
-    def from_arrays(cls, objective, A, rel, b, bounds) -> "LinearProgram":
-        """The LP with row i reading A[i].x rel[i] b[i]."""
+    def __init__(self, objective, A, rel, b, bounds):
         objective = np.atleast_1d(np.asarray(objective, dtype=float))
         A = np.asarray(A, dtype=float)
         rel, b = np.asarray(rel, dtype=object), np.asarray(b, dtype=float)
@@ -75,12 +56,6 @@ class LinearProgram:
         m = A.shape[0]
         if rel.shape != (m,) or b.shape != (m,):
             raise ValueError(f"{m} rows, {rel.size} relations, {b.size} right-hand sides")
-        lp = cls.__new__(cls)
-        lp._set(objective, A, rel, b, bounds)
-        return lp
-
-    def _set(self, objective, A, rel, b, bounds) -> None:
-        n = objective.shape[0]
         if len(bounds) != n:
             raise ValueError(f"{len(bounds)} bounds for {n} variables")
         if not np.isfinite(objective).all():
@@ -97,7 +72,7 @@ class LinearProgram:
         if bad.any():
             j = int(bad.argmax())
             raise ValueError(f"variable {j}: lower bound {lo[j]} exceeds upper bound {up[j]}")
-        self.objective, self.bounds = objective, bounds
+        self.objective = objective
         self.A, self.rel, self.b, self.lo, self.up = A, rel, b, lo, up
 
     @property

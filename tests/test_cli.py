@@ -1,3 +1,4 @@
+import itertools
 import json
 from importlib import resources
 from pathlib import Path
@@ -47,9 +48,16 @@ class TestBounds:
         assert rc == 1
         assert "error" in err
 
-    def test_negative_eps_usage_error(self, capsys, ex1_path):
-        rc, _, err = run(capsys, "bounds", "--net", ex1_path, "--p", "2", "--eps", "-1")
-        assert rc == 1
+    def test_negative_eps_usage_error(self, capsys, ex1_path, tmp_path):
+        # negative and non-finite levels fail in the library, before any file is written
+        for command, eps in itertools.product(("bounds", "emit"), ("-1", "nan", "inf")):
+            out = tmp_path / f"{command}{eps}.json"
+            rc, _, err = run(
+                capsys, command, "--net", ex1_path, "--p", "2", "--eps", eps, "--out", str(out)
+            )
+            assert rc == 1, (command, eps)
+            assert "finite and nonnegative" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_domain_exit_2(self, capsys, ex1_path, tmp_path):
         dom = tmp_path / "empty.json"

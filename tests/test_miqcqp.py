@@ -68,8 +68,9 @@ class TestBuildModel:
         assert len(m.groups["mu"]) == nL
 
     def test_negative_eps_rejected(self, ex1):
-        with pytest.raises(ValueError):
-            build_model(ex1, AllSpace(), 2, -1.0)
+        for eps in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                build_model(ex1, AllSpace(), 2, eps)
 
     def test_binaries_have_unit_bounds(self, ex2):
         m = build_model(ex2, AllSpace(), math.inf, 0.0)

@@ -21,7 +21,7 @@ from lipbound import (
     region_feasible,
     witness_at_level,
 )
-from lipbound.regions import domain_nonempty
+from lipbound.regions import TAU_CLOSED, TAU_STRICT, SlackResult, domain_nonempty, meets_level
 
 from conftest import random_net, unit_box
 
@@ -74,6 +74,30 @@ class TestRegionFeasible:
         sigma = ActivationPattern(((0, 1),))
         assert region_feasible(ex2, sigma, AllSpace(), 0.5)
         assert not region_feasible(ex2, sigma, AllSpace(), 0.6)
+
+
+class TestMeetsLevel:
+    # (slack, level, meets): level None is the open region, a float the
+    # closed eps-margin set
+    CASES = [
+        (TAU_STRICT, None, False),
+        (float(np.nextafter(TAU_STRICT, 1)), None, True),
+        (TAU_CLOSED, 0.0, True),
+        (float(np.nextafter(TAU_CLOSED, -1)), 0.0, False),
+        (0.0, None, False),
+        (0.0, 0.0, True),
+        (0.3, 0.3, True),
+        (float(np.nextafter(0.3, -1)), 0.3, False),
+        *((math.nan, level, False) for level in (None, 0.0, 0.3)),
+        *((math.inf, level, True) for level in (None, 0.0, 0.3)),
+    ]
+
+    @pytest.mark.parametrize("slack, level, meets", CASES)
+    def test_table(self, slack, level, meets):
+        assert meets_level(slack, level) is meets
+        status = "infeasible" if math.isnan(slack) else "unbounded" if slack == math.inf else "bounded"
+        res = SlackResult(status, slack)
+        assert (res.feasible_strict if level is None else res.feasible_closed(level)) is meets
 
 
 class TestWitnesses:

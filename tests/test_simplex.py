@@ -6,8 +6,17 @@ from lipbound import LinearProgram, lp_solve
 from lipbound.simplex import EQ, GE, LE
 
 
+def stacked(rows, n):
+    """(A, rel, b) of (coeffs, relation, rhs) row tuples over n variables."""
+    if not rows:
+        return np.zeros((0, n)), np.array([], dtype=object), np.zeros(0)
+    coeffs, rels, rhs = zip(*rows)
+    return np.array(coeffs, dtype=float), np.array(rels, dtype=object), np.array(rhs)
+
+
 def solve(objective, rows, bounds):
-    return lp_solve(LinearProgram(np.asarray(objective, float), rows, bounds))
+    objective = np.asarray(objective, float)
+    return lp_solve(LinearProgram(objective, *stacked(rows, objective.size), bounds))
 
 
 class TestBasics:
@@ -59,11 +68,11 @@ class TestBasics:
 
     def test_inconsistent_bounds_rejected(self):
         with pytest.raises(ValueError):
-            LinearProgram(np.array([1.0]), [], [(2.0, 1.0)])
+            solve([1.0], [], [(2.0, 1.0)])
 
     def test_bad_row_shape_rejected(self):
         with pytest.raises(ValueError):
-            LinearProgram(np.array([1.0]), [([1.0, 2.0], LE, 0.0)], [(0.0, None)])
+            solve([1.0], [([1.0, 2.0], LE, 0.0)], [(0.0, None)])
 
     def test_degenerate_many_ties(self):
         # several constraints active at the optimum; Bland must terminate
@@ -74,24 +83,19 @@ class TestBasics:
         assert sol.value == pytest.approx(1.0)
 
 
-class TestFromArrays:
+class TestConstructor:
     ROWS = [([1.0, 2.0], LE, 4.0), ([1.0, -1.0], GE, -1.0), ([0.0, 1.0], EQ, 1.0)]
     BOUNDS = [(0.0, None), (None, 3.0)]
 
-    def stacked(self, rows=None):
-        coeffs, rels, rhs = zip(*(rows or self.ROWS))
-        return np.array(coeffs), np.array(rels, dtype=object), np.array(rhs)
-
-    def test_same_lp_as_rows(self):
-        by_rows = LinearProgram(np.array([1.0, 1.0]), self.ROWS, self.BOUNDS)
-        by_arrays = LinearProgram.from_arrays(np.array([1.0, 1.0]), *self.stacked(), self.BOUNDS)
-        for name in ("A", "rel", "b", "lo", "up"):
-            assert np.array_equal(getattr(by_arrays, name), getattr(by_rows, name))
-        assert len(by_arrays.rows) == 3
-        assert by_arrays.rows[1][1:] == (GE, -1.0)
-        a, b = lp_solve(by_rows), lp_solve(by_arrays)
-        assert a.status == b.status == "optimal"
-        assert np.array_equal(a.x, b.x) and a.pivots == b.pivots
+    def test_keeps_rows_as_arrays(self):
+        lp = LinearProgram(np.array([1.0, 1.0]), *stacked(self.ROWS, 2), self.BOUNDS)
+        assert lp.A.shape == (3, 2) and lp.rel.tolist() == [LE, GE, EQ]
+        assert np.array_equal(lp.lo, [0.0, -np.inf]) and np.array_equal(lp.up, [np.inf, 3.0])
+        assert len(lp.rows) == 3
+        assert lp.rows[1][1:] == (GE, -1.0)
+        sol = lp_solve(lp)
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(3.0) and sol.x == pytest.approx([2.0, 1.0])
 
     @pytest.mark.parametrize(
         "rows, bounds, match",
@@ -103,22 +107,20 @@ class TestFromArrays:
             ([([1.0, 0.0], LE, 1.0)], [(0.0, None), (2.0, 1.0)], "variable 1: lower bound"),
         ],
     )
-    def test_same_errors_as_rows(self, rows, bounds, match):
-        objective = np.array([1.0, 1.0])
+    def test_rejects_bad_input(self, rows, bounds, match):
         with pytest.raises(ValueError, match=match):
-            LinearProgram(objective, rows, bounds)
-        with pytest.raises(ValueError, match=match):
-            LinearProgram.from_arrays(objective, *self.stacked(rows), bounds)
+            LinearProgram(np.array([1.0, 1.0]), *stacked(rows, 2), bounds)
 
     def test_shape_mismatch_rejected(self):
-        A, rel, b = self.stacked()
+        A, rel, b = stacked(self.ROWS, 2)
         objective = np.array([1.0, 1.0])
         with pytest.raises(ValueError, match="row 0: 3 coefficients for 2 variables"):
-            LinearProgram.from_arrays(objective, np.hstack([A, A[:, :1]]), rel, b, self.BOUNDS)
+            LinearProgram(objective, np.hstack([A, A[:, :1]]), rel, b, self.BOUNDS)
         with pytest.raises(ValueError, match="3 rows, 2 relations"):
-            LinearProgram.from_arrays(objective, A, rel[:2], b, self.BOUNDS)
+            LinearProgram(objective, A, rel[:2], b, self.BOUNDS)
         with pytest.raises(ValueError, match="3 rows, 3 relations, 2 right-hand sides"):
-            LinearProgram.from_arrays(objective, A, rel, b[:2], self.BOUNDS)
+            LinearProgram(objective, A, rel, b[:2], self.BOUNDS)
+
 
 class TestPhaseOne:
     def test_duplicated_equality_rows(self):
