@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainEmptyError, EnumerationGuardError
 from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _jacobian_from_bits
 from .norms import check_norm_kind, operator_norm
-from .regions import SlackResult, domain_nonempty, max_slack, meets_level, witness_at_level
+from .regions import SlackResult, check_eps, domain_nonempty, max_slack, meets_level, witness_at_level
 
 INF = math.inf
 
@@ -42,8 +42,10 @@ ENUMERATION_GUARD_BITS = 24
 class SearchStats:
     """Deterministic counters of one report's search.
 
-    lp_calls counts every LP solved, the domain probe included when it
-    solves one; pivots sums the simplex pivots of the region slack LPs.
+    nodes_explored counts every prefix visited, those pruned by value
+    before their LP included; lp_calls counts every LP solved, the domain
+    probe included when it solves one; pivots sums the simplex pivots of
+    the region slack LPs.
     """
 
     nodes_explored: int = 0
@@ -106,30 +108,35 @@ class _Best:
             self.flat = flat
 
 
-def _curve_from_points(points: dict[float, float]) -> list[CurveSegment]:
-    """Decreasing step envelope of {region depth -> best norm at that depth}.
+class _Envelope:
+    """Best norm among collected points of region depth >= s, as a staircase.
 
-    Thresholds are the distinct depths of strictly feasible patterns; the
-    value on (previous, s] is the best norm among depths >= s. A trailing
-    empty segment is appended when no region extends to infinity.
+    slacks ascend and norms strictly descend, so at(s) is one bisection.
+    Each value keeps its deepest slack, so over the strictly feasible
+    points the staircase is the eps-curve: norms[i] holds on
+    (slacks[i-1], slacks[i]].
     """
-    if not points:
-        return [CurveSegment(INF, 0.0, empty=True)]
-    slacks = sorted(points)
-    values = [0.0] * len(slacks)
-    running = -INF
-    for j in range(len(slacks) - 1, -1, -1):
-        running = max(running, points[slacks[j]])
-        values[j] = running
-    segments: list[CurveSegment] = []
-    for j, (s, v) in enumerate(zip(slacks, values)):
-        if segments and segments[-1].value == v:
-            segments[-1] = CurveSegment(s, v)
-        else:
-            segments.append(CurveSegment(s, v))
-    if slacks[-1] != INF:
-        segments.append(CurveSegment(INF, 0.0, empty=True))
-    return segments
+
+    __slots__ = ("slacks", "norms")
+
+    def __init__(self):
+        self.slacks: list[float] = []
+        self.norms: list[float] = []
+
+    def at(self, s: float) -> float:
+        i = bisect.bisect_left(self.slacks, s)
+        return self.norms[i] if i < len(self.norms) else -INF
+
+    def add(self, s: float, norm: float) -> None:
+        i = bisect.bisect_left(self.slacks, s)
+        if i < len(self.norms) and self.norms[i] >= norm:
+            return
+        j = i
+        while j > 0 and self.norms[j - 1] <= norm:
+            j -= 1
+        end = i + 1 if i < len(self.slacks) and self.slacks[i] == s else i
+        self.slacks[j:end] = [s]
+        self.norms[j:end] = [norm]
 
 
 def _lower_witness(net, flat, widths, domain, res: SlackResult) -> np.ndarray:
@@ -141,10 +148,7 @@ def _lower_witness(net, flat, widths, domain, res: SlackResult) -> np.ndarray:
 
 
 def _eps_values(eps_list: Sequence[float]) -> list[float]:
-    eps_list = list(dict.fromkeys(float(e) for e in eps_list))
-    if not all(0.0 <= e < INF for e in eps_list):
-        raise ValueError(f"eps values must be finite and nonnegative, got {eps_list}")
-    return eps_list
+    return list(dict.fromkeys(check_eps(e) for e in eps_list))
 
 
 def _check_domain(net: MlpNetwork, domain: InputDomain) -> int:
@@ -160,21 +164,21 @@ def _aggregate(net, domain, p, eps_list, points, stats) -> BoundsReport:
 
     A target keeps the points whose slack meets its level: upper the closed
     level (eps 0), lower the open one (None), each eps value its own. The
-    curve is built from the strictly feasible points. The lower argmax's
+    curve is the envelope of the strictly feasible points. The lower argmax's
     witness comes from its point's slack result, so no LP is solved here.
     """
     widths = net.hidden_widths
     levels = {"upper": 0.0, "lower": None, **{e: e for e in eps_list}}
     best = {t: _Best() for t in levels}
-    strict: dict[float, float] = {}
+    env = _Envelope()
     for slack, norm, flat, _ in points:
         for t, level in levels.items():
             if meets_level(slack, level):
                 best[t].offer(norm, flat)
         if meets_level(slack, 0.0):
             stats.patterns_feasible += 1
-        if meets_level(slack, None) and norm > strict.get(slack, -INF):
-            strict[slack] = norm
+        if meets_level(slack, None):
+            env.add(slack, norm)
 
     def pattern(b: _Best):
         return None if b.flat is None else ActivationPattern.from_flat(widths, b.flat)
@@ -196,7 +200,9 @@ def _aggregate(net, domain, p, eps_list, points, stats) -> BoundsReport:
             report.eps_empty.add(e)
         else:
             report.eps_argmax[e] = pattern(b)
-    report.curve = _curve_from_points(strict)
+    report.curve = [CurveSegment(s, v) for s, v in zip(env.slacks, env.norms)]
+    if not env.slacks or env.slacks[-1] != INF:
+        report.curve.append(CurveSegment(INF, 0.0, empty=True))
     report.validate()
     return report
 
@@ -237,34 +243,6 @@ def brute_force_bounds(
 # --- branch and bound ------------------------------------------------------
 
 
-class _Envelope:
-    """Best norm among collected points of region depth >= s, as a staircase.
-
-    slacks ascend and norms strictly descend, so at(s) is one bisection.
-    """
-
-    __slots__ = ("slacks", "norms")
-
-    def __init__(self):
-        self.slacks: list[float] = []
-        self.norms: list[float] = []
-
-    def at(self, s: float) -> float:
-        i = bisect.bisect_left(self.slacks, s)
-        return self.norms[i] if i < len(self.norms) else -INF
-
-    def add(self, s: float, norm: float) -> None:
-        i = bisect.bisect_left(self.slacks, s)
-        if i < len(self.norms) and self.norms[i] >= norm:
-            return
-        j = i
-        while j > 0 and self.norms[j - 1] <= norm:
-            j -= 1
-        end = i + 1 if i < len(self.slacks) and self.slacks[i] == s else i
-        self.slacks[j:end] = [s]
-        self.norms[j:end] = [norm]
-
-
 def _layer_norm_suffix(net: MlpNetwork, p) -> list[float]:
     """suffix[j] = product of ||M_k||_p over layers j..L (0-based j)."""
     norms = [operator_norm(layer.weights, p) for layer in net.layers]
@@ -280,15 +258,19 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     Returns (region depth, norm, flat bits, slack result) for every leaf it
     reaches whose closed region meets the domain; each leaf's depth and
     result come from its full slack LP (the result is None when domain is
-    None). A prefix is pruned only when its prefix slack (the LP over the
-    margins of its fixed neurons, an upper bound on every completion's
-    depth) misses the closed level, or when its norm bound over all completions
-    is strictly below the envelope of the collected points at that slack:
-    every completion is then beaten, on every target, by a deeper point.
-    A child whose new margin is nonnegative at the parent's LP witness (or
-    grows along the parent's unbounded ray) is closed-feasible without an
-    LP and keeps the parent's slack as its upper bound. domain=None skips
-    all feasibility work (the unconstrained problem; every depth is +inf).
+    None). A prefix is dropped when its prefix slack (the LP over the margins
+    of its fixed neurons, an upper bound on every completion's depth)
+    misses the closed level. The one value prune runs before the LP: a
+    prefix goes when its norm bound over all completions is strictly below
+    the envelope at its parent's slack, as every completion then loses, on
+    every target, to a deeper point. Retesting at the prefix's own slack
+    after the LP would save no LP: a child's bound never exceeds its
+    parent's and the envelope only grows, so each child of such a prefix
+    fails its own pre-LP test. A child whose new margin is nonnegative at
+    the parent's LP witness (or grows along its unbounded ray) is
+    closed-feasible without an LP and keeps the parent's slack as its upper
+    bound. domain=None skips all feasibility work (the unconstrained
+    problem; every depth is +inf).
     """
     widths = net.hidden_widths
     nbits = sum(widths)
@@ -341,11 +323,6 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             if not meets_level(res.slack, 0.0):
                 return
             s, x, ray = res.slack, res.witness, res.ray
-            best = env.at(s)
-            if k < nbits and best > -INF:
-                ub = bound(k, h) if ub is None else ub
-                if ub < best - _PRUNE_MARGIN:
-                    return
         if k == nbits:
             points.append((s, ub, tuple(bits), res))
             env.add(s, ub)

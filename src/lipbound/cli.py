@@ -74,18 +74,6 @@ def _write_json(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _relax_domain(domain, relax: bool):
-    """L2 balls are not polyhedral; with the opt-in flag they widen to the
-    circumscribed box. Widening keeps upper bounds valid but voids lower
-    certificates, so the report is flagged."""
-    if isinstance(domain, L2Ball) and relax:
-        return (
-            Box(domain.center - domain.radius, domain.center + domain.radius),
-            True,
-        )
-    return domain, False
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="lipbound", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lipbound {__version__}")
@@ -103,19 +91,21 @@ def build_parser() -> _Parser:
                 default=None,
                 help="margin level (repeatable)",
             )
+
+    def add_report(sp):
         sp.add_argument("--relax-ball-to-box", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--mode", choices=["bnb", "oracle"], default="bnb")
 
     b = sub.add_parser("bounds", help="certified upper/lower bounds and eps values")
     add_common(b)
-    b.add_argument("--mode", choices=["bnb", "oracle"], default="bnb")
+    add_report(b)
     b.add_argument("--out", default=None, help="report JSON path")
     b.add_argument("--emit-witness", default=None, help="assignment JSON path")
     b.add_argument("--linearize-inf-objective", action="store_true")
 
     c = sub.add_parser("curve", help="exact eps-curve")
     add_common(c, with_eps=False)
-    c.add_argument("--mode", choices=["bnb", "oracle"], default="bnb")
+    add_report(c)
     c.add_argument("--out", default=None, help="curve report JSON path")
     c.add_argument("--csv", default=None, help="step-rendering CSV path")
 
@@ -133,98 +123,76 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("sample", help="heuristic sampled lower estimates")
     add_common(s, with_eps=False)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=100)
     s.add_argument("--pairs", type=int, default=None)
     s.add_argument("--out", default=None)
     return parser
 
 
-def _resolved_config(args, command: str) -> dict:
-    keys = (
-        "net",
-        "domain",
-        "p",
-        "eps",
-        "mode",
-        "seed",
-        "samples",
-        "pairs",
-        "out",
-        "csv",
-        "format",
-        "lp_out",
-        "emit_witness",
-        "relax_ball_to_box",
-        "linearize_inf_objective",
-        "tol",
-    )
-    out = {"command": command, "version": __version__}
-    for key in keys:
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
-    return out
+def _resolved_config(args) -> dict:
+    return {**vars(args), "version": __version__}
+
+
+def _report(args, eps_list, summary):
+    """Compute a bounds or curve report, print summary(report) and the
+    relaxation note, and write the report JSON to --out.
+
+    L2 balls are not polyhedral; --relax-ball-to-box widens them to the
+    circumscribed box. Widening keeps upper bounds valid but voids lower
+    certificates, so the report is flagged."""
+    net = _load_net(args.net)
+    domain = _load_domain_arg(args.domain)
+    relaxed = args.relax_ball_to_box and isinstance(domain, L2Ball)
+    if relaxed:
+        domain = Box(domain.center - domain.radius, domain.center + domain.radius)
+    report = compute_report(net, domain, _parse_p(args.p), eps_list, mode=args.mode)
+    print(summary(report))
+    if relaxed:
+        print("note: domain widened to circumscribed box; lower bounds are not certificates")
+    doc = report_to_dict(report, version=__version__, config=_resolved_config(args))
+    doc["domain_relaxed"] = relaxed
+    if args.out:
+        _write_json(args.out, doc)
+    return net, domain, report
 
 
 def _cmd_bounds(args) -> int:
     eps_list = args.eps or []
-    net = _load_net(args.net)
-    domain, relaxed = _relax_domain(_load_domain_arg(args.domain), args.relax_ball_to_box)
-    p = _parse_p(args.p)
-    report = compute_report(net, domain, p, eps_list, mode=args.mode)
 
-    parts = [f"upper={_fmt_value(report.upper)}", f"lower={_fmt_value(report.lower)}"]
-    for e in eps_list:
-        parts.append(f"L_{e:g}={_fmt_value(report.eps_values[e])}")
-    print(" ".join(parts))
-    if relaxed:
-        print("note: domain widened to circumscribed box; lower bounds are not certificates")
+    def summary(report):
+        parts = [f"upper={_fmt_value(report.upper)}", f"lower={_fmt_value(report.lower)}"]
+        parts += [f"L_{e:g}={_fmt_value(report.eps_values[e])}" for e in eps_list]
+        return " ".join(parts)
 
-    doc = report_to_dict(report, version=__version__, config=_resolved_config(args, "bounds"))
-    doc["domain_relaxed"] = relaxed
-    if args.out:
-        _write_json(args.out, doc)
+    net, domain, report = _report(args, eps_list, summary)
     if args.emit_witness:
         level = eps_list[0] if eps_list else 0.0
         assignment = witness_from_bounds(
-            net,
-            domain,
-            p,
-            level,
-            report,
-            linearize_inf_objective=args.linearize_inf_objective,
+            net, domain, report.p, level, report, linearize_inf_objective=args.linearize_inf_objective
         )
         Path(args.emit_witness).write_text(emit_assignment_json(assignment))
     return 0
 
 
 def _cmd_curve(args) -> int:
-    net = _load_net(args.net)
-    domain, relaxed = _relax_domain(_load_domain_arg(args.domain), args.relax_ball_to_box)
-    p = _parse_p(args.p)
-    report = compute_report(net, domain, p, [], mode=args.mode)
+    def summary(report):
+        lines = [f"curve segments: {len(report.curve)}"]
+        for seg in report.curve:
+            label = "inf" if seg.eps_end == math.inf else f"{seg.eps_end:g}"
+            suffix = " [empty]" if seg.empty else ""
+            lines.append(f"  value {seg.value:g} up to eps {label}{suffix}")
+        return "\n".join(lines)
 
-    segments = report.curve or []
-    print(f"curve segments: {len(segments)}")
-    for seg in segments:
-        label = "inf" if seg.eps_end == math.inf else f"{seg.eps_end:g}"
-        suffix = " [empty]" if seg.empty else ""
-        print(f"  value {seg.value:g} up to eps {label}{suffix}")
-    if relaxed:
-        print("note: domain widened to circumscribed box; lower bounds are not certificates")
-
-    doc = report_to_dict(report, version=__version__, config=_resolved_config(args, "curve"))
-    doc["domain_relaxed"] = relaxed
-    if args.out:
-        _write_json(args.out, doc)
+    _, _, report = _report(args, [], summary)
     if args.csv:
-        rows = ["eps,value"]
-        if segments:
-            rows.append(f"0,{segments[0].value!r}")
-            for i, seg in enumerate(segments):
-                end = "inf" if seg.eps_end == math.inf else repr(seg.eps_end)
-                rows.append(f"{end},{seg.value!r}")
-                if i + 1 < len(segments):
-                    rows.append(f"{end},{segments[i + 1].value!r}")
+        segments = report.curve
+        rows = ["eps,value", f"0,{segments[0].value!r}"]
+        for i, seg in enumerate(segments):
+            end = "inf" if seg.eps_end == math.inf else repr(seg.eps_end)
+            rows.append(f"{end},{seg.value!r}")
+            if i + 1 < len(segments):
+                rows.append(f"{end},{segments[i + 1].value!r}")
         Path(args.csv).write_text("\n".join(rows) + "\n")
     return 0
 
@@ -283,7 +251,7 @@ def _cmd_sample(args) -> int:
     print("note: heuristic lower estimates only; not certified bounds")
     if args.out:
         doc = {
-            "config": _resolved_config(args, "sample"),
+            "config": _resolved_config(args),
             "sampled_lower_bound": est.value,
             "valid_samples": est.n_valid,
             "pairwise_quotient": quot,

@@ -33,7 +33,7 @@ from .network import (
     jacobian,
 )
 from .norms import INF, check_norm_kind, norm_witness, operator_norm
-from .regions import witness_at_level
+from .regions import check_eps, witness_at_level
 
 FORMAT_VERSION = 1
 
@@ -203,9 +203,7 @@ def build_model(
 ) -> MiqcqpModel:
     """Materialize the eps-margin norm problem for one p as a model object."""
     p = check_norm_kind(p)
-    eps = float(eps)
-    if not 0.0 <= eps < INF:
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    eps = check_eps(eps)
     check_domain_dim(domain, net.input_dim)
     widths = net.widths
     L = net.depth

@@ -54,6 +54,14 @@ def meets_level(slack: float, eps: Optional[float]) -> bool:
     return slack >= (TAU_CLOSED if eps == 0.0 else eps)
 
 
+def check_eps(eps) -> float:
+    """eps as a float; a ValueError unless it is finite and nonnegative."""
+    eps = float(eps)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class SlackResult:
     """Outcome of the maximal-slack LP for one pattern.
@@ -190,10 +198,8 @@ def region_feasible(
     mode="strict" asks for a nonempty open region; a float eps asks for the
     closed eps-margin set. meets_level decides both.
     """
-    res = max_slack(net, sigma, domain)
-    if mode == "strict":
-        return res.feasible_strict
-    return res.feasible_closed(float(mode))
+    eps = None if mode == "strict" else check_eps(mode)
+    return meets_level(max_slack(net, sigma, domain).slack, eps)
 
 
 def witness_at_level(
@@ -211,6 +217,7 @@ def witness_at_level(
     required step is explicit. slack is the pattern's max_slack result
     when the caller already has it; otherwise its LP is solved here.
     """
+    eps = check_eps(eps)
     res = max_slack(net, sigma, domain) if slack is None else slack
     if res.status == "infeasible":
         raise DomainEmptyError("domain is empty; no witness exists")

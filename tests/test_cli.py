@@ -59,6 +59,19 @@ class TestBounds:
             assert "finite and nonnegative" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_removed_flags_exit_1(self, capsys, ex1_path):
+        # only sample takes --seed, only bounds and curve --relax-ball-to-box
+        for command, *flag in (
+            ("bounds", "--seed", "3"),
+            ("curve", "--seed", "3"),
+            ("emit", "--seed", "3"),
+            ("emit", "--relax-ball-to-box"),
+            ("sample", "--relax-ball-to-box"),
+        ):
+            rc, _, err = run(capsys, command, "--net", ex1_path, "--p", "2", *flag)
+            assert rc == 1, (command, flag)
+            assert "unrecognized arguments" in err
+
     def test_empty_domain_exit_2(self, capsys, ex1_path, tmp_path):
         dom = tmp_path / "empty.json"
         dom.write_text('{"type":"polytope","A":[[1.0],[-1.0]],"b":[-3.0,2.0]}')
@@ -70,8 +83,7 @@ class TestBounds:
         blobs = []
         for _ in range(2):
             rc, _, _ = run(
-                capsys, "bounds", "--net", ex2_path, "--p", "2", "--eps", "0.4",
-                "--seed", "3", "--out", str(out),
+                capsys, "bounds", "--net", ex2_path, "--p", "2", "--eps", "0.4", "--out", str(out),
             )
             assert rc == 0
             blobs.append(out.read_bytes())

@@ -1,0 +1,118 @@
+"""Property tests: the eps-curve as a staircase, and the pruned search
+against the 2^n oracle on degenerate networks."""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from lipbound import AllSpace, Box, MlpNetwork, Polytope, compute_report, report_to_dict  # noqa: E402
+from lipbound.bounds import SearchStats, _aggregate  # noqa: E402
+from lipbound.regions import SlackResult, meets_level  # noqa: E402
+
+PS = (1, 2, math.inf)
+GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+# --- the curve -------------------------------------------------------------
+
+CURVE_NET = MlpNetwork.from_arrays([(np.ones((4, 1)), np.zeros(4)), (np.ones((1, 4)), [0.0])])
+
+slacks = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 1e-10, 0.25, 0.5, 1.0, math.inf, math.nan]),
+    st.floats(0.0, 2.0),
+)
+norms = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(slacks, norms), max_size=16))
+def test_curve_is_the_staircase_of_strict_points(points):
+    # distinct 4-bit patterns; a bounded result carries the lower witness
+    leaves = [
+        (s, v, tuple(int(b) for b in f"{i:04b}"), SlackResult("bounded", s, witness=np.zeros(1)))
+        for i, (s, v) in enumerate(points)
+    ]
+    report = _aggregate(CURVE_NET, None, 2, [], leaves, SearchStats())
+    strict = [(s, v) for s, v in points if meets_level(s, None)]
+
+    def best(e):
+        """The curve by definition: the best strict norm at depth >= e."""
+        return max((v for s, v in strict if s >= e), default=None)
+
+    # a segment ends where the value drops just after a strict depth
+    ends = sorted(
+        {s for s, _ in strict if s == math.inf or best(s) != best(np.nextafter(s, math.inf))}
+    )
+    curve = report.curve
+    assert curve[-1].empty is (math.inf not in ends)
+    if curve[-1].empty:
+        assert (curve[-1].eps_end, curve[-1].value) == (math.inf, 0.0)
+        assert best(np.nextafter(max(ends, default=0.0), math.inf)) is None
+        curve = curve[:-1]
+    assert [seg.eps_end for seg in curve] == ends
+    prev = 0.0
+    for seg in curve:
+        assert not seg.empty
+        # the value holds on all of (prev, end]: at both ends and at every
+        # strict depth inside
+        for e in [np.nextafter(prev, math.inf), seg.eps_end, *(s for s, _ in strict if prev < s)]:
+            if e <= seg.eps_end:
+                assert best(e) == seg.value, (e, seg)
+        prev = seg.eps_end
+
+
+# --- the search against the oracle -----------------------------------------
+
+
+def grid_values(n):
+    return st.lists(st.sampled_from(GRID), min_size=n, max_size=n)
+
+
+@st.composite
+def degenerate_cases(draw):
+    """A net of at most 8 hidden bits on a small weight grid, with zero
+    biases or duplicated, negated or zeroed neurons, plus a domain and p."""
+    n0 = draw(st.integers(1, 3))
+    hidden = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda w: sum(w) <= 8)
+    )
+    widths = [n0, *hidden, draw(st.integers(1, 2))]
+    zero_bias = draw(st.booleans())
+    layers = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        w = np.array(draw(grid_values(n_in * n_out))).reshape(n_out, n_in)
+        b = np.zeros(n_out) if zero_bias else np.array(draw(grid_values(n_out)))
+        for i in range(1, n_out):
+            j = draw(st.integers(0, i - 1))
+            edit = draw(st.sampled_from(("keep", "copy", "negate", "zero")))
+            if edit != "keep":
+                sign = {"copy": 1.0, "negate": -1.0, "zero": 0.0}[edit]
+                w[i], b[i] = sign * w[j], sign * b[j]
+        layers.append((w, b))
+    net = MlpNetwork.from_arrays(layers)
+    kind = draw(st.sampled_from(("box", "polytope", "all")))
+    if kind == "all":
+        domain = AllSpace()
+    elif kind == "box":
+        domain = Box(-np.ones(n0), np.ones(n0))
+    else:
+        cut = np.array(draw(grid_values(n0)))
+        domain = Polytope(
+            np.vstack([np.eye(n0), -np.eye(n0), cut]),
+            np.concatenate([np.ones(2 * n0), [draw(st.sampled_from((0.0, 0.5)))]]),
+        )
+    return net, domain, draw(st.sampled_from(PS))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(degenerate_cases())
+def test_bnb_report_equals_oracle_on_degenerate_nets(case):
+    net, domain, p = case
+    a = report_to_dict(compute_report(net, domain, p, [0.05, 0.3], mode="oracle"))
+    b = report_to_dict(compute_report(net, domain, p, [0.05, 0.3], mode="bnb"))
+    a.pop("stats")
+    b.pop("stats")
+    assert a == b

@@ -76,6 +76,19 @@ class TestRegionFeasible:
         assert not region_feasible(ex2, sigma, AllSpace(), 0.6)
 
 
+class TestLevelChecked:
+    @pytest.mark.parametrize("eps", [-3.0, math.nan, math.inf])
+    def test_negative_or_non_finite_eps_rejected(self, ex1, eps):
+        # the closed region misses this box (slack -1.25); a negative level
+        # must not pass it as feasible nor return a point outside it
+        sigma = ActivationPattern(((1, 1),))
+        box = Box([-2.0], [-1.5])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            region_feasible(ex1, sigma, box, eps)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            witness_at_level(ex1, sigma, box, eps)
+
+
 class TestMeetsLevel:
     # (slack, level, meets): level None is the open region, a float the
     # closed eps-margin set
