@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -43,6 +43,11 @@ CONTINUOUS = "continuous"
 BINARY = "binary"
 
 
+def _check_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{what} is not finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Variable:
     name: str
@@ -52,15 +57,9 @@ class Variable:
 
 
 @dataclass(frozen=True)
-class LinearConstraint:
-    cid: str
-    coeffs: tuple[tuple[str, float], ...]
-    rel: str
-    rhs: float
+class Constraint:
+    """sum(lin) + sum(quad) rel rhs; a linear constraint has quad == ()."""
 
-
-@dataclass(frozen=True)
-class QuadraticConstraint:
     cid: str
     quad: tuple[tuple[str, str, float], ...]  # (hi, lo, coef) with index(hi) >= index(lo)
     lin: tuple[tuple[str, float], ...]
@@ -84,12 +83,12 @@ class MiqcqpModel:
     big_m: Optional[float]
     groups: dict[str, tuple]
     variables: tuple[Variable, ...]
-    linear_constraints: tuple[LinearConstraint, ...]
-    quadratic_constraints: tuple[QuadraticConstraint, ...]
+    linear_constraints: tuple[Constraint, ...]
+    quadratic_constraints: tuple[Constraint, ...]
     objective: Objective
 
     def __post_init__(self):
-        index = {v.name: i for i, v in enumerate(self.variables)}
+        index = self.variable_index
         if len(index) != len(self.variables):
             raise ModelFormatError("duplicate variable names")
         for v in self.variables:
@@ -97,32 +96,42 @@ class MiqcqpModel:
                 raise ModelFormatError(f"variable {v.name}: unknown kind {v.kind!r}")
             if v.kind == BINARY and (v.lower, v.upper) != (0.0, 1.0):
                 raise ModelFormatError(f"binary variable {v.name} must carry bounds [0, 1]")
+            for bound in (v.lower, v.upper):
+                if bound is not None:
+                    _check_finite(f"variable {v.name}: bound", bound)
+        _check_finite("metadata: eps", self.eps)
+        if self.big_m is not None:
+            _check_finite("metadata: big_m", self.big_m)
 
-        def check_terms(cid, lin, quad=()):
-            for name, _ in lin:
+        def check_terms(cid, lin, quad):
+            for name, coef in lin:
                 if name not in index:
                     raise ModelFormatError(f"{cid}: unknown variable {name!r}")
-            for a, b, _ in quad:
-                if a not in index:
-                    raise ModelFormatError(f"{cid}: unknown variable {a!r}")
-                if b not in index:
-                    raise ModelFormatError(f"{cid}: unknown variable {b!r}")
-                if index[a] < index[b]:
+                if not -INF < coef < INF:
+                    raise ModelFormatError(f"{cid}: coefficient of {name} is not finite")
+            for a, b, coef in quad:
+                ia, ib = index.get(a), index.get(b)
+                if ia is None or ib is None:
+                    raise ModelFormatError(f"{cid}: unknown variable {a if ia is None else b!r}")
+                if ia < ib:
                     raise ModelFormatError(
                         f"{cid}: quadratic term ({a},{b}) is not lower-triangular"
                     )
+                if not -INF < coef < INF:
+                    raise ModelFormatError(f"{cid}: coefficient of {a}*{b} is not finite")
 
         for c in self.linear_constraints:
+            if c.quad:
+                raise ModelFormatError(f"{c.cid}: a linear constraint has quadratic terms")
+        for c in self.linear_constraints + self.quadratic_constraints:
             if c.rel not in (LE, GE, EQ):
                 raise ModelFormatError(f"{c.cid}: unknown relation {c.rel!r}")
-            check_terms(c.cid, c.coeffs)
-        for c in self.quadratic_constraints:
-            if c.rel not in (LE, GE, EQ):
-                raise ModelFormatError(f"{c.cid}: unknown relation {c.rel!r}")
+            _check_finite(f"{c.cid}: rhs", c.rhs)
             check_terms(c.cid, c.lin, c.quad)
         if self.objective.sense != "max":
             raise ModelFormatError(f"objective sense must be 'max', got {self.objective.sense!r}")
         check_terms("objective", self.objective.lin, self.objective.quad)
+        _check_finite("objective: constant", self.objective.constant)
 
     @property
     def variable_index(self) -> dict[str, int]:
@@ -165,8 +174,8 @@ class _Builder:
     def __init__(self):
         self.variables: list[Variable] = []
         self.index: dict[str, int] = {}
-        self.linear: list[LinearConstraint] = []
-        self.quadratic: list[QuadraticConstraint] = []
+        self.linear: list[Constraint] = []
+        self.quadratic: list[Constraint] = []
 
     def var(self, name, kind=CONTINUOUS, lower=None, upper=None) -> str:
         if name in self.index:
@@ -183,14 +192,22 @@ class _Builder:
             return (a, b, float(coef))
         return (b, a, float(coef))
 
-    def lin_con(self, cid, coeffs, rel, rhs):
-        coeffs = tuple((n, float(c)) for n, c in coeffs if c != 0.0)
-        self.linear.append(LinearConstraint(cid, coeffs, rel, float(rhs)))
-
-    def quad_con(self, cid, quad, lin, rel, rhs):
-        quad = tuple(t for t in quad if t[2] != 0.0)
+    def con(self, cid, lin, rel, rhs, quad=None):
+        """Add a constraint, quadratic when quad is given; zero terms are dropped."""
+        rows = self.linear if quad is None else self.quadratic
+        quad = tuple(t for t in quad or () if t[2] != 0.0)
         lin = tuple((n, float(c)) for n, c in lin if c != 0.0)
-        self.quadratic.append(QuadraticConstraint(cid, quad, lin, rel, float(rhs)))
+        rows.append(Constraint(cid, quad, lin, rel, float(rhs)))
+
+    def abs_block(self, tag, y, mag, neg, C):
+        """mag_i = |y_i| with neg_i = [y_i <= 0], valid while |y_i| <= C."""
+        for i, (yi, mi, ni) in enumerate(zip(y, mag, neg), 1):
+            self.con(f"{tag}_abs_lo1[{i}]", [(yi, 1.0), (mi, -1.0)], LE, 0.0)
+            self.con(f"{tag}_abs_lo2[{i}]", [(yi, -1.0), (mi, -1.0)], LE, 0.0)
+            self.con(f"{tag}_sign_hi[{i}]", [(yi, 1.0), (ni, C)], LE, C)
+            self.con(f"{tag}_sign_lo[{i}]", [(yi, 1.0), (ni, C)], GE, 0.0)
+            self.con(f"{tag}_abs_hi1[{i}]", [(mi, 1.0), (yi, 1.0), (ni, 2.0 * C)], LE, 2.0 * C)
+            self.con(f"{tag}_abs_hi2[{i}]", [(mi, 1.0), (yi, -1.0), (ni, -2.0 * C)], LE, 0.0)
 
 
 def build_model(
@@ -249,102 +266,64 @@ def build_model(
     M1 = net.layers[0].weights
     for i in range(widths[1]):
         coeffs = [(y[1][i], 1.0)] + [(y[0][j], -M1[i, j]) for j in range(n0)]
-        b.lin_con(f"yrec1[{i + 1}]", coeffs, EQ, 0.0)
+        b.con(f"yrec1[{i + 1}]", coeffs, EQ, 0.0)
     for k in range(2, L + 1):
         Mk = net.layers[k - 1].weights
         for i in range(widths[k]):
-            quad = [
-                b.tri(sigma[k - 2][j], y[k - 1][j], -Mk[i, j])
-                for j in range(widths[k - 1])
-                if Mk[i, j] != 0.0
-            ]
-            b.quad_con(f"yrec{k}[{i + 1}]", quad, [(y[k][i], 1.0)], EQ, 0.0)
+            quad = [b.tri(sigma[k - 2][j], y[k - 1][j], -Mk[i, j]) for j in range(widths[k - 1])]
+            b.con(f"yrec{k}[{i + 1}]", [(y[k][i], 1.0)], EQ, 0.0, quad)
 
     # x recursion and margin constraints for every hidden layer
     for k in range(1, L):
         Mk = net.layers[k - 1].weights
         bk = net.layers[k - 1].bias
         for i in range(widths[k]):
-            quad = [
-                b.tri(sigma[k - 1][i], x[k - 1][j], -Mk[i, j])
-                for j in range(widths[k - 1])
-                if Mk[i, j] != 0.0
-            ]
+            gated = [b.tri(sigma[k - 1][i], x[k - 1][j], Mk[i, j]) for j in range(widths[k - 1])]
             lin = [(x[k][i], 1.0), (sigma[k - 1][i], -bk[i])]
-            b.quad_con(f"xrec{k}[{i + 1}]", quad, lin, EQ, 0.0)
-            quad = [
-                b.tri(sigma[k - 1][i], x[k - 1][j], Mk[i, j])
-                for j in range(widths[k - 1])
-                if Mk[i, j] != 0.0
-            ]
+            b.con(f"xrec{k}[{i + 1}]", lin, EQ, 0.0, [(s, v, -c) for s, v, c in gated])
             lin = [(x[k - 1][j], -0.5 * Mk[i, j]) for j in range(widths[k - 1])]
             lin.append((sigma[k - 1][i], bk[i]))
-            b.quad_con(f"slack{k}[{i + 1}]", quad, lin, GE, eps + 0.5 * bk[i])
+            b.con(f"slack{k}[{i + 1}]", lin, GE, eps + 0.5 * bk[i], gated)
 
     # x0 in the domain
     if isinstance(domain, Box):
-        vars_ = list(b.variables)
         for j in range(n0):
-            vars_[j] = Variable(x[0][j], CONTINUOUS, float(domain.lower[j]), float(domain.upper[j]))
-        b.variables = vars_
+            b.variables[j] = Variable(
+                x[0][j], CONTINUOUS, float(domain.lower[j]), float(domain.upper[j])
+            )
     elif isinstance(domain, Polytope):
         for r in range(domain.A.shape[0]):
             coeffs = [(x[0][j], domain.A[r, j]) for j in range(n0)]
-            b.lin_con(f"dom[{r + 1}]", coeffs, LE, float(domain.b[r]))
+            b.con(f"dom[{r + 1}]", coeffs, LE, float(domain.b[r]))
     elif isinstance(domain, L2Ball):
         c = domain.center
         quad = [(x[0][j], x[0][j], 1.0) for j in range(n0)]
         lin = [(x[0][j], -2.0 * c[j]) for j in range(n0)]
-        rhs = float(domain.radius**2 - c @ c)
-        b.quad_con("dom_ball", quad, lin, LE, rhs)
+        b.con("dom_ball", lin, LE, float(domain.radius**2 - c @ c), quad)
     elif not isinstance(domain, AllSpace):
         raise TypeError(f"unknown domain {type(domain).__name__}")
 
     # per-p blocks
     if p == 2:
-        b.quad_con("ynorm", [(n, n, 1.0) for n in y[0]], [], LE, 1.0)
+        b.con("ynorm", [], LE, 1.0, [(n, n, 1.0) for n in y[0]])
         objective = Objective("max", tuple((n, n, 1.0) for n in y[L]), (), 0.0)
     elif p == 1:
-        C = big_m
-        for i in range(n0):
-            b.lin_con(f"u_abs_lo1[{i + 1}]", [(y[0][i], 1.0), (u[i], -1.0)], LE, 0.0)
-            b.lin_con(f"u_abs_lo2[{i + 1}]", [(y[0][i], -1.0), (u[i], -1.0)], LE, 0.0)
-            b.lin_con(f"u_sign_hi[{i + 1}]", [(y[0][i], 1.0), (nu[i], 1.0)], LE, 1.0)
-            b.lin_con(f"u_sign_lo[{i + 1}]", [(y[0][i], 1.0), (nu[i], 1.0)], GE, 0.0)
-            b.lin_con(
-                f"u_abs_hi1[{i + 1}]", [(u[i], 1.0), (y[0][i], 1.0), (nu[i], 2.0)], LE, 2.0
-            )
-            b.lin_con(
-                f"u_abs_hi2[{i + 1}]", [(u[i], 1.0), (y[0][i], -1.0), (nu[i], -2.0)], LE, 0.0
-            )
-        b.lin_con("u_budget", [(n, 1.0) for n in u], LE, 1.0)
-        for i in range(nL):
-            b.lin_con(f"w_abs_lo1[{i + 1}]", [(y[L][i], 1.0), (w[i], -1.0)], LE, 0.0)
-            b.lin_con(f"w_abs_lo2[{i + 1}]", [(y[L][i], -1.0), (w[i], -1.0)], LE, 0.0)
-            b.lin_con(f"w_sign_hi[{i + 1}]", [(y[L][i], 1.0), (mu[i], C)], LE, C)
-            b.lin_con(f"w_sign_lo[{i + 1}]", [(y[L][i], 1.0), (mu[i], C)], GE, 0.0)
-            b.lin_con(
-                f"w_abs_hi1[{i + 1}]", [(w[i], 1.0), (y[L][i], 1.0), (mu[i], 2.0 * C)], LE, 2.0 * C
-            )
-            b.lin_con(
-                f"w_abs_hi2[{i + 1}]", [(w[i], 1.0), (y[L][i], -1.0), (mu[i], -2.0 * C)], LE, 0.0
-            )
+        b.abs_block("u", y[0], u, nu, 1.0)
+        b.con("u_budget", [(n, 1.0) for n in u], LE, 1.0)
+        b.abs_block("w", y[L], w, mu, big_m)
         objective = Objective("max", (), tuple((n, 1.0) for n in w), 0.0)
     else:
         for i in range(nL):
-            quad = [b.tri(mu[i], y[L][i], -2.0)]
             lin = [(u[i], 1.0), (y[L][i], 1.0)]
-            b.quad_con(f"uabs[{i + 1}]", quad, lin, EQ, 0.0)
-        b.lin_con("selector", [(n, 1.0) for n in eta], EQ, 1.0)
+            b.con(f"uabs[{i + 1}]", lin, EQ, 0.0, [b.tri(mu[i], y[L][i], -2.0)])
+        b.con("selector", [(n, 1.0) for n in eta], EQ, 1.0)
         if linearize_inf_objective:
             C = big_m
             for i in range(nL):
-                b.lin_con(f"wlin_cap[{i + 1}]", [(w[i], 1.0), (eta[i], -C)], LE, 0.0)
-                b.lin_con(f"wlin_u[{i + 1}]", [(w[i], 1.0), (u[i], -1.0)], LE, 0.0)
-                b.lin_con(
-                    f"wlin_lo[{i + 1}]", [(w[i], 1.0), (u[i], -1.0), (eta[i], -C)], GE, -C
-                )
-                b.lin_con(f"wlin_pos[{i + 1}]", [(w[i], 1.0)], GE, 0.0)
+                b.con(f"wlin_cap[{i + 1}]", [(w[i], 1.0), (eta[i], -C)], LE, 0.0)
+                b.con(f"wlin_u[{i + 1}]", [(w[i], 1.0), (u[i], -1.0)], LE, 0.0)
+                b.con(f"wlin_lo[{i + 1}]", [(w[i], 1.0), (u[i], -1.0), (eta[i], -C)], GE, -C)
+                b.con(f"wlin_pos[{i + 1}]", [(w[i], 1.0)], GE, 0.0)
             objective = Objective("max", (), tuple((n, 1.0) for n in w), 0.0)
         else:
             objective = Objective(
@@ -380,8 +359,12 @@ def check_assignment(model: MiqcqpModel, assignment: dict, tol: float = 1e-7) ->
     """Evaluate every constraint, bound, and binary at the assignment.
 
     The returned violations are empty iff the assignment is feasible
-    within tol; the objective value is always reported.
+    within tol; the objective value is always reported. A NaN anywhere
+    (in a value or from an overflowing term) counts as a violation.
     """
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     values = {}
     for v in model.variables:
         if v.name not in assignment:
@@ -396,7 +379,7 @@ def check_assignment(model: MiqcqpModel, assignment: dict, tol: float = 1e-7) ->
             slack = lhs - rhs
         else:
             slack = -abs(lhs - rhs)
-        if slack < -tol:
+        if not slack >= -tol:  # a NaN slack fails this test too
             violations.append(Violation(cid, lhs, rhs, slack))
 
     for v in model.variables:
@@ -406,10 +389,8 @@ def check_assignment(model: MiqcqpModel, assignment: dict, tol: float = 1e-7) ->
         if v.upper is not None:
             judge(f"bound_hi[{v.name}]", val, LE, v.upper)
         if v.kind == BINARY:
-            judge(f"integrality[{v.name}]", -abs(val - round(val)), GE, 0.0)
-    for c in model.linear_constraints:
-        judge(c.cid, _eval_terms(c.coeffs, (), values), c.rel, c.rhs)
-    for c in model.quadratic_constraints:
+            judge(f"integrality[{v.name}]", -abs(val - float(np.rint(val))), GE, 0.0)
+    for c in model.linear_constraints + model.quadratic_constraints:
         judge(c.cid, _eval_terms(c.lin, c.quad, values), c.rel, c.rhs)
 
     obj = model.objective
@@ -465,10 +446,9 @@ def assignment_for_pattern(
 
     yL = np.atleast_1d(ys[L])
     if p == 1:
-        put("u", np.abs(ys[0]))
-        put("nu", np.where(np.atleast_1d(ys[0]) <= 0.0, 1.0, 0.0))
-        put("w", np.abs(yL))
-        put("mu", np.where(yL <= 0.0, 1.0, 0.0))
+        for mag, neg, vec in (("u", "nu", np.atleast_1d(ys[0])), ("w", "mu", yL)):
+            put(mag, np.abs(vec))
+            put(neg, np.where(vec <= 0.0, 1.0, 0.0))
     elif p == INF:
         put("u", np.abs(yL))
         put("mu", np.where(yL >= 0.0, 1.0, 0.0))
@@ -522,150 +502,148 @@ def _p_from_json(raw):
         raise ModelFormatError(f"metadata.p: {exc}") from exc
 
 
-def _groups_to_json(groups: dict) -> dict:
-    out = {}
-    for k, v in groups.items():
-        if k in ("x", "y", "sigma"):
-            out[k] = [list(layer) for layer in v]
-        else:
-            out[k] = list(v)
-    return out
-
-
 def emit_json(model: MiqcqpModel) -> str:
     """Serialize the model; parse_json(emit_json(m)) is structurally m."""
+    obj = model.objective
     doc = {
         "format_version": model.format_version,
         "metadata": {
             "p": _p_to_json(model.p),
             "eps": model.eps,
             "big_m": model.big_m,
-            "groups": _groups_to_json(model.groups),
+            "groups": model.groups,
         },
         "variables": [
             {"name": v.name, "kind": v.kind, "lower": v.lower, "upper": v.upper}
             for v in model.variables
         ],
         "linear_constraints": [
-            {"id": c.cid, "coeffs": [[n, co] for n, co in c.coeffs], "rel": c.rel, "rhs": c.rhs}
+            {"id": c.cid, "coeffs": c.lin, "rel": c.rel, "rhs": c.rhs}
             for c in model.linear_constraints
         ],
         "quadratic_constraints": [
-            {
-                "id": c.cid,
-                "quad": [[a, bb, co] for a, bb, co in c.quad],
-                "lin": [[n, co] for n, co in c.lin],
-                "rel": c.rel,
-                "rhs": c.rhs,
-            }
+            {"id": c.cid, "quad": c.quad, "lin": c.lin, "rel": c.rel, "rhs": c.rhs}
             for c in model.quadratic_constraints
         ],
         "objective": {
-            "sense": model.objective.sense,
-            "quad": [[a, bb, co] for a, bb, co in model.objective.quad],
-            "lin": [[n, co] for n, co in model.objective.lin],
-            "constant": model.objective.constant,
+            "sense": obj.sense, "quad": obj.quad, "lin": obj.lin, "constant": obj.constant
         },
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _require(doc, key, path):
-    if key not in doc:
-        raise ModelFormatError(f"{path}: missing {key!r}")
-    return doc[key]
+_REQUIRED = object()
+_TERM_SHAPES = {2: "linear term must be [name, coef]", 3: "quadratic term must be [a, b, coef]"}
+
+
+def _load(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"invalid JSON: {exc}") from exc
+
+
+def _get(doc, key, path, default=_REQUIRED):
+    try:
+        return doc[key]
+    except TypeError:
+        raise ModelFormatError(f"{path} must be an object") from None
+    except KeyError:
+        if default is _REQUIRED:
+            raise ModelFormatError(f"{path}: missing {key!r}") from None
+        return default
+
+
+def _check_version(doc) -> int:
+    version = _get(doc, "format_version", "$")
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported format_version {version}")
+    return version
+
+
+def _num(raw, what, nullable=False) -> Optional[float]:
+    if raw is None and nullable:
+        return None
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ModelFormatError(f"{what} is not a number") from None
+
+
+def _list(raw, what) -> list:
+    if not isinstance(raw, list):
+        raise ModelFormatError(f"{what} must be a list")
+    return raw
+
+
+def _terms(raw, path, width) -> tuple:
+    raw = _list(raw, f"{path}: terms")
+    try:
+        if set(map(type, raw)) <= {list}:  # a string like "z5" would unpack as a term
+            if width == 2:
+                return tuple([(str(n), float(c)) for n, c in raw])
+            return tuple([(str(a), str(b), float(c)) for a, b, c in raw])
+    except (TypeError, ValueError):
+        pass
+    raise ModelFormatError(f"{path}: {_TERM_SHAPES[width]}")
+
+
+def _tuples(raw):
+    return tuple(map(_tuples, raw)) if isinstance(raw, list) else raw
+
+
+def _variable(raw, path) -> Variable:
+    return Variable(
+        str(_get(raw, "name", path)),
+        str(_get(raw, "kind", path)),
+        _num(_get(raw, "lower", path, None), f"{path}: lower", nullable=True),
+        _num(_get(raw, "upper", path, None), f"{path}: upper", nullable=True),
+    )
+
+
+def _constraint(raw, path, linear) -> Constraint:
+    """A linear record carries "coeffs"; a quadratic one "quad" and "lin"."""
+    return Constraint(
+        str(_get(raw, "id", path)),
+        () if linear else _terms(_get(raw, "quad", path), path, 3),
+        _terms(_get(raw, "coeffs", path) if linear else _get(raw, "lin", path, []), path, 2),
+        str(_get(raw, "rel", path)),
+        _num(_get(raw, "rhs", path), f"{path}: rhs"),
+    )
 
 
 def parse_json(text: str) -> MiqcqpModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError("top level must be an object")
-    version = _require(doc, "format_version", "$")
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format_version {version}")
-    meta = _require(doc, "metadata", "$")
-    p = _p_from_json(_require(meta, "p", "metadata"))
-    eps = float(_require(meta, "eps", "metadata"))
-    big_m = meta.get("big_m")
-    raw_groups = meta.get("groups", {})
-    groups = {}
-    for k, v in raw_groups.items():
-        if k in ("x", "y", "sigma"):
-            groups[k] = tuple(tuple(g) for g in v)
-        else:
-            groups[k] = tuple(v)
-
-    variables = []
-    for i, v in enumerate(_require(doc, "variables", "$")):
-        path = f"variables[{i}]"
-        variables.append(
-            Variable(
-                str(_require(v, "name", path)),
-                str(_require(v, "kind", path)),
-                None if v.get("lower") is None else float(v["lower"]),
-                None if v.get("upper") is None else float(v["upper"]),
-            )
+    doc = _load(text)
+    version = _check_version(doc)
+    meta = _get(doc, "metadata", "$")
+    groups = _get(meta, "groups", "metadata", {})
+    if not isinstance(groups, dict):
+        raise ModelFormatError("metadata: groups must be an object")
+    constraints = {
+        key: tuple(
+            _constraint(c, f"{key}[{i}]", key == "linear_constraints")
+            for i, c in enumerate(_list(_get(doc, key, "$", []), key))
         )
-
-    def parse_lin(raw, path):
-        out = []
-        for t in raw:
-            if len(t) != 2:
-                raise ModelFormatError(f"{path}: linear term must be [name, coef]")
-            out.append((str(t[0]), float(t[1])))
-        return tuple(out)
-
-    def parse_quad(raw, path):
-        out = []
-        for t in raw:
-            if len(t) != 3:
-                raise ModelFormatError(f"{path}: quadratic term must be [a, b, coef]")
-            out.append((str(t[0]), str(t[1]), float(t[2])))
-        return tuple(out)
-
-    linear = []
-    for i, c in enumerate(doc.get("linear_constraints", [])):
-        path = f"linear_constraints[{i}]"
-        linear.append(
-            LinearConstraint(
-                str(_require(c, "id", path)),
-                parse_lin(_require(c, "coeffs", path), path),
-                str(_require(c, "rel", path)),
-                float(_require(c, "rhs", path)),
-            )
-        )
-    quadratic = []
-    for i, c in enumerate(doc.get("quadratic_constraints", [])):
-        path = f"quadratic_constraints[{i}]"
-        quadratic.append(
-            QuadraticConstraint(
-                str(_require(c, "id", path)),
-                parse_quad(_require(c, "quad", path), path),
-                parse_lin(c.get("lin", []), path),
-                str(_require(c, "rel", path)),
-                float(_require(c, "rhs", path)),
-            )
-        )
-    raw_obj = _require(doc, "objective", "$")
-    objective = Objective(
-        str(_require(raw_obj, "sense", "objective")),
-        parse_quad(raw_obj.get("quad", []), "objective"),
-        parse_lin(raw_obj.get("lin", []), "objective"),
-        float(raw_obj.get("constant", 0.0)),
-    )
+        for key in ("linear_constraints", "quadratic_constraints")
+    }
+    raw_obj = _get(doc, "objective", "$")
     return MiqcqpModel(
         format_version=version,
-        p=p,
-        eps=eps,
-        big_m=None if big_m is None else float(big_m),
-        groups=groups,
-        variables=tuple(variables),
-        linear_constraints=tuple(linear),
-        quadratic_constraints=tuple(quadratic),
-        objective=objective,
+        p=_p_from_json(_get(meta, "p", "metadata")),
+        eps=_num(_get(meta, "eps", "metadata"), "metadata: eps"),
+        big_m=_num(_get(meta, "big_m", "metadata", None), "metadata: big_m", nullable=True),
+        groups={k: _tuples(v) for k, v in groups.items()},
+        variables=tuple(
+            _variable(v, f"variables[{i}]")
+            for i, v in enumerate(_list(_get(doc, "variables", "$"), "variables"))
+        ),
+        **constraints,
+        objective=Objective(
+            str(_get(raw_obj, "sense", "objective")),
+            _terms(_get(raw_obj, "quad", "objective", []), "objective", 3),
+            _terms(_get(raw_obj, "lin", "objective", []), "objective", 2),
+            _num(_get(raw_obj, "constant", "objective", 0.0), "objective: constant"),
+        ),
     )
 
 
@@ -711,14 +689,14 @@ def emit_lp_text(model: MiqcqpModel) -> str:
         " obj: "
         + _render_terms(model.objective.quad, model.objective.lin, model.objective.constant),
     ]
-    if model.linear_constraints:
-        lines.append("Subject To")
-        for c in model.linear_constraints:
-            lines.append(f" {c.cid}: {_render_terms((), c.coeffs)} {c.rel} {_fmt(c.rhs)}")
-    if model.quadratic_constraints:
-        lines.append("Quadratic Constraints")
-        for c in model.quadratic_constraints:
-            lines.append(f" {c.cid}: {_render_terms(c.quad, c.lin)} {c.rel} {_fmt(c.rhs)}")
+    for header, rows in (
+        ("Subject To", model.linear_constraints),
+        ("Quadratic Constraints", model.quadratic_constraints),
+    ):
+        if rows:
+            lines.append(header)
+            for c in rows:
+                lines.append(f" {c.cid}: {_render_terms(c.quad, c.lin)} {c.rel} {_fmt(c.rhs)}")
     bound_lines = []
     for v in model.variables:
         if v.kind == BINARY:
@@ -754,19 +732,15 @@ def emit_assignment_json(assignment: dict) -> str:
 
 
 def parse_assignment_json(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc}") from exc
+    doc = _load(text)
     if not isinstance(doc, dict) or "values" not in doc:
         raise ModelFormatError('assignment file needs a "values" object')
+    _check_version(doc)
     values = doc["values"]
     if not isinstance(values, dict):
         raise ModelFormatError('"values" must map variable names to numbers')
     out = {}
     for k, v in values.items():
-        try:
-            out[str(k)] = float(v)
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"values[{k!r}]: not a number") from exc
+        out[str(k)] = _num(v, f"values[{k!r}]")
+        _check_finite(f"values[{k!r}]", out[str(k)])
     return out

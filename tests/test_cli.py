@@ -203,6 +203,86 @@ class TestEmitAndCheck:
         assert rc == 1
 
 
+def _nan_coefficient(doc):
+    doc["linear_constraints"][0]["coeffs"][0][1] = float("nan")
+
+
+def _set(*keys, value):
+    def mutate(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return mutate
+
+
+MALFORMED_MODELS = {
+    "eps-null": _set("metadata", "eps", value=None),
+    "big_m-inf": _set("metadata", "big_m", value=float("inf")),
+    "groups-list": _set("metadata", "groups", value=[]),
+    "rhs-null": _set("linear_constraints", 0, "rhs", value=None),
+    "rhs-string": _set("linear_constraints", 0, "rhs", value="five"),
+    "coeff-nan": _nan_coefficient,
+    "coeffs-number": _set("linear_constraints", 0, "coeffs", value=3),
+    "quad-term-number": _set("quadratic_constraints", 0, "quad", 0, value=3),
+    "variables-number": _set("variables", value=5),
+    "variable-entry-number": _set("variables", 0, value=5),
+    "bound-nan": _set("variables", 0, "lower", value=float("nan")),
+    "objective-number": _set("objective", value=5),
+}
+
+
+class TestCheckInputs:
+    @pytest.fixture
+    def files(self, capsys, ex2_path, tmp_path):
+        model_path, witness_path = tmp_path / "m.json", tmp_path / "w.json"
+        run(capsys, "emit", "--net", ex2_path, "--p", "1", "--eps", "0.4", "--out", str(model_path))
+        run(
+            capsys, "bounds", "--net", ex2_path, "--p", "1", "--eps", "0.4",
+            "--emit-witness", str(witness_path),
+        )
+        return model_path, witness_path
+
+    @pytest.mark.parametrize("mutation", list(MALFORMED_MODELS))
+    def test_malformed_model_exit_1(self, capsys, files, mutation):
+        model_path, witness_path = files
+        doc = json.loads(model_path.read_text())
+        MALFORMED_MODELS[mutation](doc)
+        model_path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "check", str(model_path), str(witness_path))
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exit_1(self, capsys, files, tol):
+        rc, _, err = run(capsys, "check", *map(str, files), "--tol", tol)
+        assert rc == 1
+        assert "tol must be finite and nonnegative" in err
+
+    def test_nan_assignment_value_exit_1(self, capsys, files):
+        model_path, witness_path = files
+        witness_path.write_text(witness_path.read_text().replace('"u_1": ', '"u_1": NaN, "_": '))
+        rc, _, err = run(capsys, "check", str(model_path), str(witness_path))
+        assert rc == 1
+        assert "not finite" in err
+
+    def test_nan_coefficient_handwritten_model_exit_1(self, capsys, tmp_path):
+        model_path, witness_path = tmp_path / "m.json", tmp_path / "w.json"
+        model_path.write_text(
+            '{"format_version": 1, "metadata": {"p": 1, "eps": 0.0, "big_m": null},'
+            ' "variables": [{"name": "z", "kind": "continuous", "lower": 0.0, "upper": null}],'
+            ' "linear_constraints": [{"id": "cap", "coeffs": [["z", NaN]], "rel": "<=", "rhs": 5.0}],'
+            ' "objective": {"sense": "max", "lin": [["z", 1.0]]}}'
+        )
+        witness_path.write_text('{"format_version": 1, "values": {"z": 10.0}}')
+        rc, out, err = run(capsys, "check", str(model_path), str(witness_path))
+        assert rc == 1
+        assert "cap: coefficient of z is not finite" in err
+        assert "feasible" not in out
+
+
 class TestSample:
     def test_example1(self, capsys, ex1_path):
         rc, out, _ = run(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from lipbound import (
     L2Ball,
     MlpNetwork,
     ModelFormatError,
+    Polytope,
     WitnessUnavailableError,
     assignment_for_pattern,
     brute_force_bounds,
@@ -21,15 +23,17 @@ from lipbound import (
     emit_lp_text,
     max_slack,
     parse_json,
+    pattern_of,
     witness_from_bounds,
 )
 from lipbound.miqcqp import (
     BINARY,
-    LinearConstraint,
+    Constraint,
     MiqcqpModel,
     Objective,
-    QuadraticConstraint,
     Variable,
+    emit_assignment_json,
+    parse_assignment_json,
 )
 
 from conftest import random_net, unit_box
@@ -170,11 +174,11 @@ class TestRoundTrip:
                 return tuple(out)
 
             lin_cons = tuple(
-                LinearConstraint(f"lc{i}", rand_lin(), ("<=", ">=", "=")[rng.integers(0, 3)], float(rng.normal()))
+                Constraint(f"lc{i}", (), rand_lin(), ("<=", ">=", "=")[rng.integers(0, 3)], float(rng.normal()))
                 for i in range(rng.integers(0, 4))
             )
             quad_cons = tuple(
-                QuadraticConstraint(f"qc{i}", rand_quad(), rand_lin(), "<=", float(rng.normal()))
+                Constraint(f"qc{i}", rand_quad(), rand_lin(), "<=", float(rng.normal()))
                 for i in range(rng.integers(0, 3))
             )
             model = MiqcqpModel(
@@ -197,7 +201,7 @@ class TestRoundTrip:
             MiqcqpModel(
                 1, 2, 0.0, None, {},
                 (Variable("a"),),
-                (LinearConstraint("row", (("a", 1.0),), "<=", 1.0),),
+                (Constraint("row", (), (("a", 1.0),), "<=", 1.0),),
                 (),
                 Objective("max", (), (("a", 1.0),), 0.0),
             )
@@ -221,6 +225,8 @@ class TestRoundTrip:
         model = parse_json(text)
         assert model.variables[0].name == "z"
         assert check_assignment(model, {"z": 5.0}).feasible
+        with pytest.raises(ModelFormatError, match=r"linear_constraints\[0\]: linear term must be"):
+            parse_json(text.replace('[["z", 1.0]], "rel"', '["z5"], "rel"'))
 
 
 class TestLpText:
@@ -233,7 +239,7 @@ class TestLpText:
         model = MiqcqpModel(
             1, 1, 0.0, None, {},
             (Variable("z", "continuous", 0.0, None),),
-            (LinearConstraint("cap", (("z", 1.0),), "<=", 5.0),),
+            (Constraint("cap", (), (("z", 1.0),), "<=", 5.0),),
             (),
             Objective("max", (), (("z", 1.0),), 0.0),
         )
@@ -243,6 +249,74 @@ class TestLpText:
         m = build_model(ex2, AllSpace(), math.inf, 0.1)
         assert emit_lp_text(m) == emit_lp_text(m)
         assert emit_json(m) == emit_json(m)
+
+
+PIN_DOMAINS = {
+    "all": AllSpace(),
+    "box": Box([-2.0], [3.0]),
+    "poly": Polytope([[1.0], [-1.0]], [2.5, 1.5]),
+    "ball": L2Ball([0.5], 2.0),
+}
+PIN_NORMS = {
+    "1": (1, False), "2": (2, False), "inf": (math.inf, False), "inf-lin": (math.inf, True)
+}
+
+# sha256 prefixes of emit_json, emit_lp_text and (except for the ball, which
+# emits the model only) emit_assignment_json at eps 0.1. Any change here is a
+# change of the file formats that solvers and stored files depend on.
+PINNED = {
+    "ex1-all-1": ('6c5b0d28dbf5f997', '36a77e0349826f9b', 'b100f318b6e3889b'),
+    "ex1-all-2": ('810e742f6f1cbd07', 'ec5e681ba84ed842', 'fbc1d950bfd66809'),
+    "ex1-all-inf": ('56bf2f798a246378', '812cf765b8e7427b', '059f3030197f49af'),
+    "ex1-all-inf-lin": ('9f1da10bb1d3aa5c', '0991e85743f4b305', '8db7f0812d90a71b'),
+    "ex1-box-1": ('764722e62a0a7d23', '23b62860b476a0c4', '6cadd9ed1e575e9c'),
+    "ex1-box-2": ('ac23018c28b38a9c', '6e17aba5fb773490', '15e977bce138482b'),
+    "ex1-box-inf": ('2a5ed20692c3e3b4', 'a76e3f61690e8330', '269cf00500e38404'),
+    "ex1-box-inf-lin": ('d4ee63ba209864ce', '57c152e0d88f8c3e', 'ab659d1d4ef75f55'),
+    "ex1-poly-1": ('fd9f79e843ea9592', '06408fa361f2f628', 'cbcb78650c71bfbb'),
+    "ex1-poly-2": ('b4e5cec855f0673c', 'e67c286305aac97e', '7f20c710dd27cd97'),
+    "ex1-poly-inf": ('9dab9da5c62c93d1', 'b3e7aa4541833091', 'e94a5785b4f702d2'),
+    "ex1-poly-inf-lin": ('cd3a15a4af1a225f', '182b21ebe5130ceb', 'b0bc9b84aa3f2364'),
+    "ex1-ball-1": ('f1e240745a95f20e', 'a30f7758dda9ce71'),
+    "ex1-ball-2": ('aa20fcd65ad34bb7', '617a09e125d9b3d9'),
+    "ex1-ball-inf": ('7407caa48afcaee7', '3df67ac38b93c5b8'),
+    "ex1-ball-inf-lin": ('df794b7b65b5f84f', '9018979cbd3c3d18'),
+    "ex2-all-1": ('0c5d073ea18fc44d', '7e6a40239e183b47', '7f138ebe218ac4e5'),
+    "ex2-all-2": ('cf875fc2d3a64794', 'fc6e7ac2d400f3ff', '64bac9690ef0e905'),
+    "ex2-all-inf": ('ecdfbf14bc461bef', '157e1c22d95a9931', 'a78a982e54c9b61e'),
+    "ex2-all-inf-lin": ('cbc5d271d30c8f4f', '7fb49ef70e1f755a', '5a591120408fad88'),
+    "ex2-box-1": ('ba5f5f7f12ae6caf', 'f74d0c8aec31cbff', '7f138ebe218ac4e5'),
+    "ex2-box-2": ('e8fdf7a99f0a9aed', 'e1f24d833b8effb6', '64bac9690ef0e905'),
+    "ex2-box-inf": ('074e3a21bee9b050', 'db648e91fa64f139', 'a78a982e54c9b61e'),
+    "ex2-box-inf-lin": ('6446588601185026', '2f3b87ea9e6ac86f', '5a591120408fad88'),
+    "ex2-poly-1": ('e672a5179a08f041', 'b6f68dbb1ecb6a23', '7f138ebe218ac4e5'),
+    "ex2-poly-2": ('e9a036c989e00a5a', '924a0634a2765e1f', '64bac9690ef0e905'),
+    "ex2-poly-inf": ('9917951b9616bf24', 'f4734885fc4f1816', 'a78a982e54c9b61e'),
+    "ex2-poly-inf-lin": ('0f12cb079a411134', 'a5f2a14926a4aaac', '5a591120408fad88'),
+    "ex2-ball-1": ('b31e55a38003605a', 'fe94bfc987e6ebf2'),
+    "ex2-ball-2": ('8ba1c494e28694f4', '6cea45f9c8a02ba2'),
+    "ex2-ball-inf": ('95174ef2890eb11a', '8a2387be9cd397ad'),
+    "ex2-ball-inf-lin": ('297b5725af041ed2', '87d3b1da0691eb29'),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_emitted_bytes_unchanged(self, case, ex1, ex2):
+        name, dom, norm = case.split("-", 2)
+        net, domain = {"ex1": ex1, "ex2": ex2}[name], PIN_DOMAINS[dom]
+        p, lin = PIN_NORMS[norm]
+        model = build_model(net, domain, p, 0.1, linearize_inf_objective=lin)
+        got = [_sha(emit_json(model)), _sha(emit_lp_text(model))]
+        if dom != "ball":
+            report = brute_force_bounds(net, domain, p, [0.1])
+            a = witness_from_bounds(net, domain, p, 0.1, report, linearize_inf_objective=lin)
+            got.append(_sha(emit_assignment_json(a)))
+        assert tuple(got) == PINNED[case]
 
 
 class TestCheckAssignment:
@@ -273,6 +347,65 @@ class TestCheckAssignment:
         model = build_model(ex1, AllSpace(), 2, 0.0)
         with pytest.raises(ModelFormatError, match="missing"):
             check_assignment(model, {"x0_1": 0.0})
+
+    @staticmethod
+    def _cap_model():
+        return MiqcqpModel(
+            1, 1, 0.0, None, {},
+            (Variable("z"), Variable("s", BINARY, 0.0, 1.0)),
+            (Constraint("cap", (), (("z", 1.0),), "<=", 5.0),),
+            (),
+            Objective("max", (), (("z", 1.0),), 0.0),
+        )
+
+    def test_nan_value_is_a_violation(self):
+        res = check_assignment(self._cap_model(), {"z": math.nan, "s": 0.0})
+        assert [v.cid for v in res.violations] == ["cap"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_binary_is_a_violation(self, bad):
+        res = check_assignment(self._cap_model(), {"z": 0.0, "s": bad})
+        assert "integrality[s]" in {v.cid for v in res.violations}
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            check_assignment(self._cap_model(), {"z": 0.0, "s": 0.0}, tol=tol)
+
+    @pytest.mark.parametrize("field", ["coeff", "rhs", "bound", "eps", "big_m", "objective"])
+    def test_non_finite_model_numbers_rejected(self, field):
+        z = Variable("z", "continuous", math.inf if field == "bound" else 0.0, None)
+        coef = math.nan if field == "coeff" else 1.0
+        with pytest.raises(ModelFormatError, match="not finite"):
+            MiqcqpModel(
+                1, 1, math.nan if field == "eps" else 0.0, math.inf if field == "big_m" else None,
+                {}, (z,),
+                (Constraint("cap", (), (("z", coef),), "<=", math.nan if field == "rhs" else 5.0),),
+                (),
+                Objective("max", (), (("z", math.inf if field == "objective" else 1.0),), 0.0),
+            )
+
+    def test_linear_constraint_with_quad_terms_rejected(self):
+        with pytest.raises(ModelFormatError, match="linear constraint"):
+            MiqcqpModel(
+                1, 2, 0.0, None, {}, (Variable("a"),),
+                (Constraint("row", (("a", "a", 1.0),), (), "<=", 1.0),),
+                (),
+                Objective("max", (), (), 0.0),
+            )
+
+
+class TestAssignmentFile:
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_rejected(self, raw):
+        text = '{"format_version": 1, "values": {"z": %s}}' % raw
+        with pytest.raises(ModelFormatError, match="not finite"):
+            parse_assignment_json(text)
+
+    @pytest.mark.parametrize("head", ['', '"format_version": 2, '])
+    def test_format_version_checked(self, head):
+        with pytest.raises(ModelFormatError, match="format_version"):
+            parse_assignment_json('{%s"values": {"z": 1.0}}' % head)
 
 
 class TestWitnessFromBounds:
@@ -326,27 +459,52 @@ class TestWitnessFromBounds:
                 assert best == pytest.approx(target, abs=1e-7)
 
 
-class TestLinearizationBlocks:
-    def test_absolute_value_identity(self):
-        rng = np.random.default_rng(31)
-        a = rng.normal(scale=3.0, size=10_000)
-        lam = (a >= 0).astype(float)
-        encoded = (2 * lam - 1) * a
-        assert np.array_equal(encoded, np.abs(a))
-        assert np.all(encoded >= 0)
+def _p1_witnesses():
+    """(model, assignment, depth) at one pattern of each of ten seeded nets, p=1."""
+    rng = np.random.default_rng(31)
+    for seed in range(10):
+        net = random_net(seed)
+        box = unit_box(net)
+        sigma = pattern_of(net, rng.uniform(-1.0, 1.0, net.input_dim))
+        yield build_model(net, box, 1, 0.0), assignment_for_pattern(net, box, 1, 0.0, sigma), net.depth
 
+
+def _violated(model, assignment, name, value):
+    return {v.cid for v in check_assignment(model, {**assignment, name: value}).violations}
+
+
+class TestLinearizationBlocks:
+    # The emitted u/nu (input) and w/mu (output) rows, evaluated by the checker.
+
+    @pytest.mark.filterwarnings("ignore:zero matrix")
+    def test_absolute_value_identity(self):
+        # mag = |y| holds all rows; any other mag breaks a named abs row
+        for model, a, depth in _p1_witnesses():
+            assert check_assignment(model, a).feasible
+            for tag, y in (("u", "y0"), ("w", f"y{depth}")):
+                for i in range(1, len(model.groups[tag]) + 1):
+                    mag = abs(a[f"{y}_{i}"])
+                    assert a[f"{tag}_{i}"] == mag
+                    hi = _violated(model, a, f"{tag}_{i}", mag + 0.5)
+                    assert hi & {f"{tag}_abs_hi1[{i}]", f"{tag}_abs_hi2[{i}]"}
+                    lo = _violated(model, a, f"{tag}_{i}", mag - 0.5)
+                    assert lo & {f"{tag}_abs_lo1[{i}]", f"{tag}_abs_lo2[{i}]"}
+
+    @pytest.mark.filterwarnings("ignore:zero matrix")
     def test_six_inequality_block_reproduces_abs(self):
-        rng = np.random.default_rng(37)
-        y = rng.uniform(-1, 1, size=10_000)
-        nu = (y <= 0).astype(float)
-        u = np.abs(y)
-        B = 1.0
-        assert np.all(y <= u + 1e-15)
-        assert np.all(-y <= u + 1e-15)
-        assert np.all(y <= B * (1 - nu) + 1e-15)
-        assert np.all(y >= -B * nu - 1e-15)
-        assert np.all(u <= -y + 2 * B * (1 - nu) + 1e-15)
-        assert np.all(u <= y + 2 * B * nu + 1e-15)
+        # the sign binary is [y <= 0]; flipping it at a nonzero y breaks a sign row
+        flipped = 0
+        for model, a, depth in _p1_witnesses():
+            for tag, neg, y in (("u", "nu", "y0"), ("w", "mu", f"y{depth}")):
+                for i in range(1, len(model.groups[neg]) + 1):
+                    yi, bit = a[f"{y}_{i}"], a[f"{neg}_{i}"]
+                    assert bit == float(yi <= 0.0)
+                    if abs(yi) < 1e-6:
+                        continue
+                    hit = _violated(model, a, f"{neg}_{i}", 1.0 - bit)
+                    assert hit & {f"{tag}_sign_hi[{i}]", f"{tag}_sign_lo[{i}]"}
+                    flipped += 1
+        assert flipped >= 10
 
     def test_linearized_inf_matches_bilinear_objective(self, ex2):
         report = brute_force_bounds(ex2, AllSpace(), math.inf, [0.2])
