@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 error or bad usage, 2 empty input domain,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -74,7 +75,10 @@ def _write_json(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's argument parser, built once; parse_args returns a fresh
+    Namespace on every call, so one parser serves every main() call."""
     parser = _Parser(prog="lipbound", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lipbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

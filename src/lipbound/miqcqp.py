@@ -496,6 +496,8 @@ def _p_to_json(p):
 
 
 def _p_from_json(raw):
+    if isinstance(raw, bool):
+        raise ModelFormatError(f"metadata.p: {raw!r} is not a norm order")
     try:
         return check_norm_kind(raw)
     except ValueError as exc:
@@ -556,18 +558,25 @@ def _get(doc, key, path, default=_REQUIRED):
 
 def _check_version(doc) -> int:
     version = _get(doc, "format_version", "$")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version}")
     return version
+
+
+# JSON numbers parse as int or float; true/false parse as bool, which
+# float() would take for 1.0/0.0, and float() would also read "5" as 5.0.
+_NUMBER_TYPES = {int, float}
 
 
 def _num(raw, what, nullable=False) -> Optional[float]:
     if raw is None and nullable:
         return None
+    if type(raw) not in _NUMBER_TYPES:
+        raise ModelFormatError(f"{what} is not a number")
     try:
         return float(raw)
-    except (TypeError, ValueError):
-        raise ModelFormatError(f"{what} is not a number") from None
+    except OverflowError:  # an integer literal beyond the float range
+        raise ModelFormatError(f"{what} is not finite") from None
 
 
 def _list(raw, what) -> list:
@@ -581,9 +590,12 @@ def _terms(raw, path, width) -> tuple:
     try:
         if set(map(type, raw)) <= {list}:  # a string like "z5" would unpack as a term
             if width == 2:
-                return tuple([(str(n), float(c)) for n, c in raw])
-            return tuple([(str(a), str(b), float(c)) for a, b, c in raw])
-    except (TypeError, ValueError):
+                terms = tuple([(str(n), float(c)) for n, c in raw])
+            else:
+                terms = tuple([(str(a), str(b), float(c)) for a, b, c in raw])
+            if {type(t[-1]) for t in raw} <= _NUMBER_TYPES:
+                return terms
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ModelFormatError(f"{path}: {_TERM_SHAPES[width]}")
 

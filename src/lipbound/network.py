@@ -331,21 +331,29 @@ def check_domain_dim(domain: InputDomain, n0: int) -> None:
 
 
 def forward(net: MlpNetwork, x: Sequence[float]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Evaluate the network at x.
+    """Evaluate the network at one point x of shape (n0,), or at each row of
+    a batch x of shape (m, n0).
 
     Returns (output, preactivations) where preactivations[k] is the hidden
-    layer k+1 value before its ReLU.
+    layer k+1 value before its ReLU; a batch gives (m, n_out) outputs and
+    (m, n_k) pre-activations. A batch row can differ from the single-point
+    result in the last ulps, because the matrix product rounds differently.
     """
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.shape != (net.input_dim,):
-        raise ValueError(f"input has shape {v.shape}, expected ({net.input_dim},)")
+    if v.ndim > 2 or v.shape[-1:] != (net.input_dim,):
+        raise ValueError(
+            f"input has shape {v.shape}, expected ({net.input_dim},) or (m, {net.input_dim})"
+        )
+
+    def affine(layer, v):
+        return (layer.weights @ v if v.ndim == 1 else v @ layer.weights.T) + layer.bias
+
     preacts = []
     for layer in net.layers[:-1]:
-        theta = layer.weights @ v + layer.bias
+        theta = affine(layer, v)
         preacts.append(theta)
         v = np.maximum(theta, 0.0)
-    last = net.layers[-1]
-    return last.weights @ v + last.bias, preacts
+    return affine(net.layers[-1], v), preacts
 
 
 def pattern_of(net: MlpNetwork, x: Sequence[float]) -> ActivationPattern:
@@ -401,10 +409,11 @@ def affine_preactivations(net: MlpNetwork, sigma: ActivationPattern) -> list[Aff
 
 
 def _jacobian_from_bits(net: MlpNetwork, bits: Sequence[Sequence[float]]) -> np.ndarray:
+    """Gated Jacobian; per-layer gates of shape (k, n_l) give a (k, n_L, n_0) stack."""
     J = net.layers[0].weights
     for k in range(1, net.depth):
         gate = np.asarray(bits[k - 1], dtype=float)
-        J = net.layers[k].weights @ (gate[:, None] * J)
+        J = net.layers[k].weights @ (gate[..., None] * J)
     return J
 
 

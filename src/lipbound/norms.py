@@ -38,17 +38,25 @@ def check_norm_kind(p) -> float:
     raise ValueError(f"unsupported norm order {p!r}; expected 1, 2, or inf")
 
 
-def operator_norm(A: Sequence, p) -> float:
-    """Induced p-norm of a dense matrix."""
+def operator_norms(A: Sequence, p) -> np.ndarray:
+    """Induced p-norms of a stack of dense matrices, shape (..., m, n) -> (...).
+
+    Each value is bit-identical to operator_norm of that matrix alone.
+    """
     p = check_norm_kind(p)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     if p == 1:
-        return float(np.abs(A).sum(axis=0).max())
+        return np.abs(A).sum(axis=-2).max(axis=-1)
     if p == INF:
-        return float(np.abs(A).sum(axis=1).max())
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+        return np.abs(A).sum(axis=-1).max(axis=-1)
+    return np.linalg.svd(A, compute_uv=False)[..., 0]
+
+
+def operator_norm(A: Sequence, p) -> float:
+    """Induced p-norm of a dense matrix."""
+    return float(operator_norms(np.atleast_2d(A), p))
 
 
 def pattern_norm(net: MlpNetwork, sigma: ActivationPattern, p) -> float:

@@ -1,5 +1,15 @@
 """Heuristic lower estimates by sampling: pattern norms at random inputs
 and pairwise difference quotients. Never part of a certified output.
+
+Each estimate is one batched pass. One forward over all samples gives the
+pre-activations, the boundary mask and the bit patterns together; the
+Jacobians of the distinct patterns are formed as one stack and normed in
+one call. The reported sample is the first one that reaches the maximum,
+and its value is recomputed on the single-point path (pattern_of,
+pattern_norm), so it is the same number a per-sample loop would give.
+The pairwise quotient comes from two batched forwards and row-wise
+norms; it can differ from a per-pair loop in the last ulps, because a
+batched matrix product and a row-wise norm round differently.
 """
 
 from __future__ import annotations
@@ -19,11 +29,12 @@ from .network import (
     L2Ball,
     MlpNetwork,
     Polytope,
+    _jacobian_from_bits,
     check_domain_dim,
     forward,
     pattern_of,
 )
-from .norms import INF, check_norm_kind, pattern_norm
+from .norms import INF, check_norm_kind, operator_norms, pattern_norm
 from .simplex import GE, LE, LinearProgram, lp_solve
 
 # Pre-activations must clear this margin for a sample to count: it keeps
@@ -32,13 +43,15 @@ BOUNDARY_MARGIN = 1e-6
 
 _HIT_AND_RUN_STEPS = 5
 _CHORD_CAP = 1e3  # truncation for unbounded chords; sampling is heuristic anyway
+_STACK_ENTRIES = 1 << 22  # bound on one Jacobian stack's intermediates (32 MB)
 
 
-def vector_norm(v: np.ndarray, p) -> float:
+def vector_norm(v: np.ndarray, p):
+    """p-norm of a vector, or of each row of a (m, n) array."""
     p = check_norm_kind(p)
     if p == INF:
-        return float(np.abs(v).max())
-    return float(np.abs(v).sum()) if p == 1 else float(np.linalg.norm(v))
+        return np.abs(v).max(axis=-1)
+    return np.abs(v).sum(axis=-1) if p == 1 else np.linalg.norm(v, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -79,12 +92,9 @@ def _hit_and_run(A, b, start, n_samples, rng):
             d /= np.linalg.norm(d)
             Ad = A @ d
             resid = b - A @ x
-            lo, hi = -_CHORD_CAP, _CHORD_CAP
-            for a, r in zip(Ad, resid):
-                if a > 1e-12:
-                    hi = min(hi, r / a)
-                elif a < -1e-12:
-                    lo = max(lo, r / a)
+            up, down = Ad > 1e-12, Ad < -1e-12
+            hi = np.min(resid[up] / Ad[up], initial=_CHORD_CAP)
+            lo = np.max(resid[down] / Ad[down], initial=-_CHORD_CAP)
             if hi <= lo:
                 continue  # numerically on the boundary; try another direction
             x = x + rng.uniform(lo, hi) * d
@@ -109,6 +119,17 @@ def sample_domain(domain: InputDomain, n0: int, n_samples: int, rng) -> np.ndarr
     raise TypeError(f"unknown domain {type(domain).__name__}")
 
 
+def _pattern_norms(net: MlpNetwork, patterns: np.ndarray, p) -> np.ndarray:
+    """operator_norm of the Jacobian of each row of flat bits, in stacks of
+    bounded size."""
+    cuts = np.cumsum(net.hidden_widths)[:-1]
+    step = max(1, _STACK_ENTRIES // (max(net.widths) * net.input_dim))
+    return np.concatenate([
+        operator_norms(_jacobian_from_bits(net, np.hsplit(patterns[i : i + step], cuts)), p)
+        for i in range(0, len(patterns), step)
+    ])
+
+
 def sampled_lower_bound(
     net: MlpNetwork,
     domain: InputDomain,
@@ -128,20 +149,20 @@ def sampled_lower_bound(
     check_domain_dim(domain, net.input_dim)
     rng = np.random.default_rng(seed)
     xs = sample_domain(domain, net.input_dim, n_samples, rng)
-    best = 0.0
-    best_x = None
-    best_pattern = None
-    n_valid = 0
-    for x in xs:
-        _, preacts = forward(net, x)
-        if min(float(np.abs(t).min()) for t in preacts) <= BOUNDARY_MARGIN:
-            continue
-        n_valid += 1
-        sigma = pattern_of(net, x)
-        value = pattern_norm(net, sigma, p)
-        if value > best:
-            best, best_x, best_pattern = value, np.array(x), sigma
-    return SampleEstimate(best, best_x, best_pattern, n_valid)
+    _, preacts = forward(net, xs)
+    theta = np.hstack(preacts)
+    valid = np.all(np.abs(theta) > BOUNDARY_MARGIN, axis=1)
+    n_valid = int(valid.sum())
+    if n_valid == 0:
+        return SampleEstimate(0.0, None, None, 0)
+    patterns, which = np.unique(theta[valid] > 0.0, axis=0, return_inverse=True)
+    values = _pattern_norms(net, patterns, p)[which.reshape(-1)]  # numpy 2.0.0 gives a column
+    first = int(values.argmax())  # argmax returns the first of tied maxima
+    if not values[first] > 0.0:
+        return SampleEstimate(0.0, None, None, n_valid)
+    best_x = np.array(xs[valid][first])
+    sigma = pattern_of(net, best_x)
+    return SampleEstimate(pattern_norm(net, sigma, p), best_x, sigma, n_valid)
 
 
 def pairwise_quotient_estimate(
@@ -159,12 +180,10 @@ def pairwise_quotient_estimate(
     rng = np.random.default_rng(seed)
     xs = sample_domain(domain, net.input_dim, n_pairs, rng)
     ys = sample_domain(domain, net.input_dim, n_pairs, rng)
-    best = 0.0
-    for x, y in zip(xs, ys):
-        gap = vector_norm(y - x, p)
-        if gap == 0.0:
-            continue  # coincident pair
-        fx, _ = forward(net, x)
-        fy, _ = forward(net, y)
-        best = max(best, vector_norm(fy - fx, p) / gap)
-    return best
+    gaps = vector_norm(ys - xs, p)
+    apart = gaps != 0.0  # coincident pairs are skipped
+    if not apart.any():
+        return 0.0
+    fx, _ = forward(net, xs[apart])
+    fy, _ = forward(net, ys[apart])
+    return float((vector_norm(fy - fx, p) / gaps[apart]).max())

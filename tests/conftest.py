@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from lipbound import Box, MlpNetwork
+from lipbound.network import forward, pattern_of
+from lipbound.norms import pattern_norm
+from lipbound.sampling import BOUNDARY_MARGIN, SampleEstimate, sample_domain
 
 
 @pytest.fixture
@@ -36,3 +39,56 @@ def random_net(seed, n_hidden_layers=None, max_width=4, bias_scale=0.5):
 def unit_box(net):
     n0 = net.input_dim
     return Box(-np.ones(n0), np.ones(n0))
+
+
+# --- per-sample references for the batched sampling pass ------------------
+
+
+def reference_sampled_lower_bound(net, domain, p, n_samples, seed):
+    """The per-sample loop that sampled_lower_bound's batched pass replaced:
+    the first sample to reach the largest pattern norm wins."""
+    xs = sample_domain(domain, net.input_dim, n_samples, np.random.default_rng(seed))
+    best, best_x, best_pattern, n_valid = 0.0, None, None, 0
+    for x in xs:
+        _, preacts = forward(net, x)
+        if min(float(np.abs(t).min()) for t in preacts) <= BOUNDARY_MARGIN:
+            continue
+        n_valid += 1
+        sigma = pattern_of(net, x)
+        value = pattern_norm(net, sigma, p)
+        if value > best:
+            best, best_x, best_pattern = value, np.array(x), sigma
+    return SampleEstimate(best, best_x, best_pattern, n_valid)
+
+
+def reference_vector_norm(v, p):
+    if p == np.inf:
+        return float(np.abs(v).max())
+    return float(np.abs(v).sum()) if p == 1 else float(np.linalg.norm(v))
+
+
+def reference_pairwise_quotient(net, domain, p, n_pairs, seed):
+    """The per-pair loop that pairwise_quotient_estimate's batched pass replaced."""
+    rng = np.random.default_rng(seed)
+    xs = sample_domain(domain, net.input_dim, n_pairs, rng)
+    ys = sample_domain(domain, net.input_dim, n_pairs, rng)
+    best = 0.0
+    for x, y in zip(xs, ys):
+        gap = reference_vector_norm(y - x, p)
+        if gap == 0.0:
+            continue
+        fx, _ = forward(net, x)
+        fy, _ = forward(net, y)
+        best = max(best, reference_vector_norm(fy - fx, p) / gap)
+    return best
+
+
+def assert_same_estimate(got, want):
+    """Bit-for-bit equality of two SampleEstimates."""
+    assert got.value == want.value
+    assert got.n_valid == want.n_valid
+    assert got.best_pattern == want.best_pattern
+    if want.best_x is None:
+        assert got.best_x is None
+    else:
+        assert np.array_equal(got.best_x, want.best_x)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from lipbound import parse_json
-from lipbound.cli import main
+from lipbound.cli import build_parser, main
 
 
 @pytest.fixture
@@ -230,6 +230,11 @@ MALFORMED_MODELS = {
     "variable-entry-number": _set("variables", 0, value=5),
     "bound-nan": _set("variables", 0, "lower", value=float("nan")),
     "objective-number": _set("objective", value=5),
+    "format_version-bool": _set("format_version", value=True),
+    "p-bool": _set("metadata", "p", value=True),
+    "eps-bool": _set("metadata", "eps", value=False),
+    "lower-bool": _set("variables", 0, "lower", value=True),
+    "rhs-numeric-string": _set("linear_constraints", 0, "rhs", value="5"),
 }
 
 
@@ -268,6 +273,15 @@ class TestCheckInputs:
         assert rc == 1
         assert "not finite" in err
 
+    @pytest.mark.parametrize("raw", ["true", '"5"'])
+    def test_non_number_assignment_value_exit_1(self, capsys, files, raw):
+        model_path, witness_path = files
+        witness_path.write_text(witness_path.read_text().replace('"u_1": ', f'"u_1": {raw}, "_": '))
+        rc, out, err = run(capsys, "check", str(model_path), str(witness_path))
+        assert rc == 1
+        assert "values['u_1'] is not a number" in err
+        assert out == ""
+
     def test_nan_coefficient_handwritten_model_exit_1(self, capsys, tmp_path):
         model_path, witness_path = tmp_path / "m.json", tmp_path / "w.json"
         model_path.write_text(
@@ -295,6 +309,30 @@ class TestSample:
     def test_zero_samples_usage_error(self, capsys, ex1_path):
         rc, _, err = run(capsys, "sample", "--net", ex1_path, "--p", "2", "--samples", "0")
         assert rc == 1
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--p", "1", "--eps", "0.1", "--eps", "0.4"],
+            ["curve", "--p", "inf"],
+            ["emit", "--p", "2", "--eps", "0.2"],
+            ["sample", "--p", "2", "--samples", "50", "--seed", "3"],
+        ],
+    )
+    def test_repeated_calls_identical(self, capsys, ex2_path, tmp_path, argv):
+        out_path = tmp_path / "out.json"
+        runs = []
+        for _ in range(2):
+            rc, out, err = run(capsys, *argv, "--net", ex2_path, "--out", str(out_path))
+            runs.append((rc, out, err, out_path.read_text()))
+            out_path.unlink()
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
 
 
 class TestBallRelaxation:

@@ -229,6 +229,51 @@ class TestRoundTrip:
             parse_json(text.replace('[["z", 1.0]], "rel"', '["z5"], "rel"'))
 
 
+class TestJsonNumbers:
+    """JSON true/false and numeric strings are not numbers: float() would
+    read true as 1.0 and "5" as 5.0."""
+
+    TEXT = (
+        '{"format_version": 1, "metadata": {"p": 1, "eps": 0.0, "big_m": null},'
+        ' "variables": [{"name": "z", "kind": "continuous", "lower": 0.0, "upper": null}],'
+        ' "linear_constraints": [{"id": "cap", "coeffs": [["z", 1.0]], "rel": "<=", "rhs": 5.0}],'
+        ' "objective": {"sense": "max", "lin": [["z", 1.0]], "constant": 0.0}}'
+    )
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"format_version": 1', '"format_version": true', "format_version True"),
+            ('"p": 1', '"p": true', r"metadata\.p: True"),
+            ('"eps": 0.0', '"eps": false', "metadata: eps is not a number"),
+            ('"big_m": null', '"big_m": "2"', "metadata: big_m is not a number"),
+            ('"lower": 0.0', '"lower": true', r"variables\[0\]: lower is not a number"),
+            ('"rhs": 5.0', '"rhs": "5"', r"linear_constraints\[0\]: rhs is not a number"),
+            ('[["z", 1.0]], "rel"', '[["z", true]], "rel"', r"linear_constraints\[0\]: linear term"),
+            ('"lin": [["z", 1.0]]', '"lin": [["z", "1"]]', "objective: linear term"),
+            ('"constant": 0.0', '"constant": false', "objective: constant is not a number"),
+            ('"constant": 0.0', '"constant": 1' + "0" * 400, "objective: constant is not finite"),
+        ],
+    )
+    def test_rejected_with_path(self, old, new, message):
+        assert parse_json(self.TEXT).linear_constraints[0].rhs == 5.0
+        with pytest.raises(ModelFormatError, match=message):
+            parse_json(self.TEXT.replace(old, new))
+
+    def test_integers_still_numbers(self):
+        model = parse_json(self.TEXT.replace('"rhs": 5.0', '"rhs": 5'))
+        assert model.linear_constraints[0].rhs == 5.0
+
+    @pytest.mark.parametrize("raw", ["true", "false", '"5"'])
+    def test_assignment_value_rejected(self, raw):
+        with pytest.raises(ModelFormatError, match=r"values\['z'\] is not a number"):
+            parse_assignment_json('{"format_version": 1, "values": {"z": %s}}' % raw)
+
+    def test_assignment_format_version_bool_rejected(self):
+        with pytest.raises(ModelFormatError, match="format_version"):
+            parse_assignment_json('{"format_version": true, "values": {"z": 1.0}}')
+
+
 class TestLpText:
     def test_squared_objective_term(self, ex1):
         text = emit_lp_text(build_model(ex1, AllSpace(), 2, 0.0))

@@ -13,6 +13,8 @@ from lipbound import (
     pattern_norm,
     relaxed_jacobian,
 )
+from lipbound.network import _jacobian_from_bits, jacobian
+from lipbound.norms import operator_norms
 from lipbound.sampling import vector_norm
 
 from conftest import random_net
@@ -97,6 +99,43 @@ class TestOperatorNorm:
         A = rng.normal(size=(3, 4))
         want = abs(c) * operator_norm(A, p)
         assert operator_norm(c * A, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+class TestStackedNorms:
+    @pytest.mark.parametrize("p", PS)
+    def test_each_value_bit_identical_to_one_matrix(self, p):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            k, m, n = (int(v) for v in rng.integers(1, 9, 3))
+            stack = rng.normal(size=(k, m, n)) * 10.0 ** rng.integers(-3, 4, (k, 1, 1))
+            got = operator_norms(stack, p)
+            assert got.shape == (k,)
+            for A, v in zip(stack, got):
+                # the formulas operator_norm applies to one matrix
+                one = {
+                    1: lambda: np.abs(A).sum(axis=0).max(),
+                    2: lambda: np.linalg.svd(A, compute_uv=False)[0],
+                    math.inf: lambda: np.abs(A).sum(axis=1).max(),
+                }[p]()
+                assert v == one == operator_norm(A, p)
+
+    def test_rejects_non_finite(self):
+        stack = np.ones((3, 2, 2))
+        stack[2, 1, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_norms(stack, 2)
+
+    def test_jacobian_stack_bit_identical_to_one_pattern(self):
+        rng = np.random.default_rng(14)
+        for seed in range(8):
+            net = random_net(seed, max_width=8)
+            flat = rng.integers(0, 2, size=(25, net.total_hidden_bits))
+            cuts = np.cumsum(net.hidden_widths)[:-1]
+            stack = _jacobian_from_bits(net, np.hsplit(flat, cuts))
+            assert stack.shape == (25, net.output_dim, net.input_dim)
+            for bits, J in zip(flat, stack):
+                sigma = ActivationPattern.from_flat(net.hidden_widths, tuple(bits))
+                assert np.array_equal(J, jacobian(net, sigma))
+
 
 class TestPatternNorm:
     @pytest.mark.parametrize("p", PS)

@@ -1,5 +1,6 @@
-"""Property tests: the eps-curve as a staircase, and the pruned search
-against the 2^n oracle on degenerate networks."""
+"""Property tests: the eps-curve as a staircase, the pruned search against
+the 2^n oracle on degenerate networks, and the batched sampling pass
+against the per-sample loop on the same networks."""
 
 import math
 
@@ -12,6 +13,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from lipbound import AllSpace, Box, MlpNetwork, Polytope, compute_report, report_to_dict  # noqa: E402
 from lipbound.bounds import SearchStats, _aggregate  # noqa: E402
 from lipbound.regions import SlackResult, meets_level  # noqa: E402
+from lipbound.sampling import pairwise_quotient_estimate, sampled_lower_bound  # noqa: E402
+
+from conftest import (  # noqa: E402
+    assert_same_estimate,
+    reference_pairwise_quotient,
+    reference_sampled_lower_bound,
+)
 
 PS = (1, 2, math.inf)
 GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -116,3 +124,17 @@ def test_bnb_report_equals_oracle_on_degenerate_nets(case):
     a.pop("stats")
     b.pop("stats")
     assert a == b
+
+
+# --- the batched sampling pass ---------------------------------------------
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(degenerate_cases(), st.integers(0, 2**32 - 1), st.integers(1, 60))
+def test_sampling_matches_per_sample_loop_on_degenerate_nets(case, seed, n):
+    # grid weights and copied neurons make exact ties and boundary samples common
+    net, domain, p = case
+    got = sampled_lower_bound(net, domain, p, n, seed)
+    assert_same_estimate(got, reference_sampled_lower_bound(net, domain, p, n, seed))
+    want = reference_pairwise_quotient(net, domain, p, n, seed)
+    assert pairwise_quotient_estimate(net, domain, p, n, seed) == pytest.approx(want, rel=1e-12, abs=0.0)
