@@ -243,13 +243,34 @@ def brute_force_bounds(
 # --- branch and bound ------------------------------------------------------
 
 
-def _layer_norm_suffix(net: MlpNetwork, p) -> list[float]:
-    """suffix[j] = product of ||M_k||_p over layers j..L (0-based j)."""
-    norms = [operator_norm(layer.weights, p) for layer in net.layers]
-    suffix = [1.0] * (len(norms) + 1)
-    for j in range(len(norms) - 1, -1, -1):
-        suffix[j] = norms[j] * suffix[j + 1]
-    return suffix
+def _sign_split(net: MlpNetwork) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W+, W-) = (max(W, 0), min(W, 0)) of every layer, input to output."""
+    return [(np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)) for layer in net.layers]
+
+
+def _node_bound(c: np.ndarray, fixed: Sequence[int], later: Sequence[tuple], p) -> float:
+    """Bound on the pattern-Jacobian norm of every completion of a prefix.
+
+    c holds the pre-activation coefficients of the hidden layer the prefix
+    ends in, under the fixed gates of the layers below; fixed gives the
+    gates of its first len(fixed) neurons, the rest are free in {0, 1}; later
+    is _sign_split of every layer above it, the output layer last. Each
+    Jacobian entry is bounded by an interval (Fast-Lip, Weng et al. 2018;
+    RecurJac, Zhang et al. 2019): a fixed gate g gives the row g*c exactly,
+    a free one [min(c, 0), max(c, 0)]; a layer maps [lo, hi] to
+    [W+ lo + W- hi, W+ hi + W- lo], and every later hidden gate widens it
+    to [min(lo, 0), max(hi, 0)]. The induced 1-, 2- and inf-norms are
+    monotone in the entrywise absolute value, so the norm of
+    max(-lo, hi) bounds them all.
+    """
+    k = len(fixed)
+    lo, hi = np.minimum(c, 0.0), np.maximum(c, 0.0)
+    lo[:k] = hi[:k] = np.asarray(fixed, dtype=float)[:, None] * c[:k]
+    for j, (pos, neg) in enumerate(later):
+        if j:
+            lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
+        lo, hi = pos @ lo + neg @ hi, pos @ hi + neg @ lo
+    return operator_norm(np.maximum(-lo, hi), p)
 
 
 def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStats) -> list:
@@ -261,12 +282,12 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     None). A prefix is dropped when its prefix slack (the LP over the margins
     of its fixed neurons, an upper bound on every completion's depth)
     misses the closed level. The one value prune runs before the LP: a
-    prefix goes when its norm bound over all completions is strictly below
-    the envelope at its parent's slack, as every completion then loses, on
-    every target, to a deeper point. Retesting at the prefix's own slack
-    after the LP would save no LP: a child's bound never exceeds its
-    parent's and the envelope only grows, so each child of such a prefix
-    fails its own pre-LP test. A child whose new margin is nonnegative at
+    prefix goes when its interval-Jacobian bound (_node_bound) on every
+    completion's norm is strictly below the envelope at its parent's slack,
+    as every completion then loses, on every target, to a deeper point.
+    Retesting at the prefix's own slack after the LP would save no LP: a
+    child's bound never exceeds its parent's and the envelope only grows,
+    so each child of such a prefix fails its own pre-LP test. A child whose new margin is nonnegative at
     the parent's LP witness (or grows along its unbounded ray) is
     closed-feasible without an LP and keeps the parent's slack as its upper
     bound. domain=None skips all feasibility work (the unconstrained
@@ -276,7 +297,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     nbits = sum(widths)
     starts = [0, *itertools.accumulate(widths)]  # flat index of each layer's first bit
     layer_of = [h for h, w in enumerate(widths) for _ in range(w)] + [len(widths)]
-    suffix = _layer_norm_suffix(net, p)
+    split = _sign_split(net)
     # coeff[h], offset[h]: affine pre-activation form of layer h under the
     # fixed gates of the layers below; coeff[-1] is the pattern Jacobian.
     coeff = [net.layers[0].weights] + [None] * (net.depth - 1)
@@ -288,9 +309,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     def bound(k: int, h: int) -> float:
         if k == nbits:
             return operator_norm(coeff[h], p)
-        gate = np.ones(widths[h])
-        gate[: k - starts[h]] = bits[starts[h] :]
-        return suffix[h + 1] * operator_norm(gate[:, None] * coeff[h], p)
+        return _node_bound(coeff[h], bits[starts[h] :], split[h + 1 :], p)
 
     def inherits(x, ray) -> bool:
         k = len(bits) - 1

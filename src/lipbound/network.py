@@ -357,12 +357,16 @@ def forward(net: MlpNetwork, x: Sequence[float]) -> tuple[np.ndarray, list[np.nd
 
 
 def pattern_of(net: MlpNetwork, x: Sequence[float]) -> ActivationPattern:
-    """Activation pattern at x: bit 1 iff the pre-activation is strictly positive.
+    """Activation pattern at one point x of shape (n0,): bit 1 iff the
+    pre-activation is strictly positive.
 
     Exact zeros map to bit 0; either bit is a valid subgradient selection
     there, and a fixed rule keeps results deterministic.
     """
-    _, preacts = forward(net, x)
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.shape != (net.input_dim,):
+        raise ValueError(f"input has shape {v.shape}, expected ({net.input_dim},)")
+    _, preacts = forward(net, v)
     return ActivationPattern(tuple(tuple(int(t > 0.0) for t in theta) for theta in preacts))
 
 

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from lipbound import Box, MlpNetwork
-from lipbound.network import forward, pattern_of
+from lipbound import ActivationPattern, Box, MlpNetwork
+from lipbound.bounds import _node_bound, _sign_split
+from lipbound.network import _affine_layers, forward, pattern_of
 from lipbound.norms import pattern_norm
 from lipbound.sampling import BOUNDARY_MARGIN, SampleEstimate, sample_domain
 
@@ -39,6 +42,28 @@ def random_net(seed, n_hidden_layers=None, max_width=4, bias_scale=0.5):
 def unit_box(net):
     n0 = net.input_dim
     return Box(-np.ones(n0), np.ones(n0))
+
+
+def assert_node_bound_sound(net, p):
+    """The search's bound at every prefix that ends inside the hidden layers
+    is at least the largest pattern norm of its completions, within a
+    relative 1e-12."""
+    widths = net.hidden_widths
+    nbits = sum(widths)
+    starts = [0, *itertools.accumulate(widths)]
+    split = _sign_split(net)
+    norms = {
+        flat: pattern_norm(net, ActivationPattern.from_flat(widths, flat), p)
+        for flat in itertools.product((0, 1), repeat=nbits)
+    }
+    for k in range(nbits):
+        h = max(h for h, start in enumerate(starts[:-1]) if start <= k)
+        for prefix in itertools.product((0, 1), repeat=k):
+            below = ActivationPattern.from_flat(widths, prefix + (0,) * (nbits - k)).bits
+            c = _affine_layers(net, below, upto=h + 1)[h][0]
+            got = _node_bound(c, prefix[starts[h] :], split[h + 1 :], p)
+            want = max(norms[prefix + rest] for rest in itertools.product((0, 1), repeat=nbits - k))
+            assert got >= want * (1.0 - 1e-12), (prefix, got, want)
 
 
 # --- per-sample references for the batched sampling pass ------------------

@@ -108,6 +108,12 @@ class TestPatternOf:
     def test_example2(self, ex2):
         assert pattern_of(ex2, [0.0]).bits == ((0, 1),)
 
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 1), (2,), (0,)])
+    def test_one_point_only(self, ex1, shape):
+        # forward takes a batch, but a pattern is the pattern of one point
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
+            pattern_of(ex1, np.zeros(shape))
+
 
 class TestAffinePreactivations:
     def test_example1_all_on(self, ex1):

@@ -1,6 +1,7 @@
 """Property tests: the eps-curve as a staircase, the pruned search against
-the 2^n oracle on degenerate networks, and the batched sampling pass
-against the per-sample loop on the same networks."""
+the 2^n oracle and its node bound against every completion on degenerate
+networks, and the batched sampling pass against the per-sample loop on the
+same networks."""
 
 import math
 
@@ -16,6 +17,7 @@ from lipbound.regions import SlackResult, meets_level  # noqa: E402
 from lipbound.sampling import pairwise_quotient_estimate, sampled_lower_bound  # noqa: E402
 
 from conftest import (  # noqa: E402
+    assert_node_bound_sound,
     assert_same_estimate,
     reference_pairwise_quotient,
     reference_sampled_lower_bound,
@@ -124,6 +126,13 @@ def test_bnb_report_equals_oracle_on_degenerate_nets(case):
     a.pop("stats")
     b.pop("stats")
     assert a == b
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(degenerate_cases())
+def test_node_bound_covers_every_completion_on_degenerate_nets(case):
+    net, _, p = case
+    assert_node_bound_sound(net, p)
 
 
 # --- the batched sampling pass ---------------------------------------------
