@@ -10,8 +10,12 @@ of the points, with breakpoints at the region depths themselves) off one
 set of points. The enumeration oracle feeds it all 2^n patterns; the
 branch-and-bound feeds it the leaves of one depth-first search that
 checks the prefix slack LP after every fixed bit and prunes only
-closed-infeasible or strictly dominated prefixes. Both give identical
-reports; only the statistics differ.
+closed-infeasible or strictly dominated prefixes. Each prefix LP is warm
+started from its parent's final tableau with one margin row appended,
+and the dual simplex that re-optimizes it stops as soon as its upper
+bound on the prefix slack misses the closed level. Leaves solve their
+full LP from scratch. Both give identical reports; only the statistics
+differ.
 """
 
 from __future__ import annotations
@@ -27,12 +31,24 @@ import numpy as np
 from .errors import DomainEmptyError, EnumerationGuardError
 from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _jacobian_from_bits
 from .norms import check_norm_kind, operator_norm
-from .regions import SlackResult, check_eps, domain_nonempty, max_slack, meets_level, witness_at_level
+from .regions import (
+    SlackResult,
+    check_eps,
+    domain_nonempty,
+    margin_rows,
+    max_slack,
+    meets_level,
+    slack_lp,
+    slack_result,
+    witness_at_level,
+)
+from .simplex import append_row, dual_simplex, lp_tableau
 
 INF = math.inf
 
 # A prefix is value-pruned only when it cannot even tie the envelope.
 _PRUNE_MARGIN = 1e-12
+
 
 # Brute-force enumeration refuses beyond this many hidden bits.
 ENUMERATION_GUARD_BITS = 24
@@ -44,12 +60,14 @@ class SearchStats:
 
     nodes_explored counts every prefix visited, those pruned by value
     before their LP included; lp_calls counts every LP solved, the domain
-    probe included when it solves one; pivots sums the simplex pivots of
-    the region slack LPs.
+    probe included when it solves one; warm_lps counts those of them
+    re-optimized from a parent tableau; pivots sums the simplex pivots of
+    the region slack LPs, warm ones included.
     """
 
     nodes_explored: int = 0
     lp_calls: int = 0
+    warm_lps: int = 0
     pivots: int = 0
     patterns_feasible: int = 0
 
@@ -278,20 +296,31 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
 
     Returns (region depth, norm, flat bits, slack result) for every leaf it
     reaches whose closed region meets the domain; each leaf's depth and
-    result come from its full slack LP (the result is None when domain is
-    None). A prefix is dropped when its prefix slack (the LP over the margins
-    of its fixed neurons, an upper bound on every completion's depth)
-    misses the closed level. The one value prune runs before the LP: a
-    prefix goes when its interval-Jacobian bound (_node_bound) on every
+    result come from its full slack LP, max_slack (the result is None when
+    domain is None). A prefix is dropped when its prefix slack (the LP over
+    the margins of its fixed neurons, an upper bound on every completion's
+    depth) misses the closed level. The one value prune runs before the LP:
+    a prefix goes when its interval-Jacobian bound (_node_bound) on every
     completion's norm is strictly below the envelope at its parent's slack,
     as every completion then loses, on every target, to a deeper point.
     Retesting at the prefix's own slack after the LP would save no LP: a
     child's bound never exceeds its parent's and the envelope only grows,
-    so each child of such a prefix fails its own pre-LP test. A child whose new margin is nonnegative at
-    the parent's LP witness (or grows along its unbounded ray) is
-    closed-feasible without an LP and keeps the parent's slack as its upper
-    bound. domain=None skips all feasibility work (the unconstrained
-    problem; every depth is +inf).
+    so each child of such a prefix fails its own pre-LP test. A child whose
+    new margin is nonnegative at the parent's LP witness (or grows along
+    its unbounded ray) is closed-feasible without an LP and keeps the
+    parent's slack as its upper bound. domain=None skips all feasibility
+    work (the unconstrained problem; every depth is +inf).
+
+    Prefix LPs are warm-started. The search keeps the <= margin rows of the
+    path, and each node carries its parent's final, dual-feasible tableau.
+    A node that needs an LP appends its margin row and re-optimizes with
+    the dual simplex, which stops as soon as its objective, an upper bound
+    on the prefix slack, misses the closed level, so a closed-infeasible
+    prefix is pruned before its optimum is reached. A node that inherits
+    its parent's witness appends its row without pivoting, so its
+    descendants still start from a dual-feasible basis. Only where there is
+    no such basis (the root's children, and below an unbounded parent) is
+    the prefix LP solved cold, from the domain rows and the path's rows.
     """
     widths = net.hidden_widths
     nbits = sum(widths)
@@ -300,11 +329,14 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     split = _sign_split(net)
     # coeff[h], offset[h]: affine pre-activation form of layer h under the
     # fixed gates of the layers below; coeff[-1] is the pattern Jacobian.
+    # rows[h][b]: the margin rows (A, b) of layer h's neurons with gate b.
     coeff = [net.layers[0].weights] + [None] * (net.depth - 1)
     offset = [net.layers[0].bias] + [None] * (net.depth - 1)
+    rows: list = [None] * len(widths)
     env = _Envelope()
     points: list = []
     bits: list[int] = []
+    path: list = []  # margin rows of the fixed bits above the current node
 
     def bound(k: int, h: int) -> float:
         if k == nbits:
@@ -319,39 +351,70 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             return sgn * float(coeff[h][i] @ ray) > 0.0
         return x is not None and sgn * (float(coeff[h][i] @ x) + offset[h][i]) >= 0.0
 
-    def visit(s: float, x, ray) -> None:
+    def prefix_slack(a, b, tab):
+        """The prefix LP: warm from tab when there is one, else cold."""
+        stats.lp_calls += 1
+        if tab is None:
+            A = np.array([r for r, _ in path] + [a])
+            rhs = np.array([o for _, o in path] + [b])
+            sol, tab = lp_tableau(slack_lp(domain, net.input_dim, A, rhs))
+        else:
+            stats.warm_lps += 1
+            tab = append_row(tab, a, b)
+            sol = dual_simplex(tab, lambda bound: meets_level(bound, 0.0))
+        stats.pivots += sol.pivots
+        return slack_result(sol), tab
+
+    def visit(s: float, x, ray, tab) -> None:
         """Expand the prefix `bits`; s bounds its depth, x or ray certifies it."""
         stats.nodes_explored += 1
         res = None
         k = len(bits)
         h = layer_of[k]
-        if k == starts[h] and h > 0:
-            gate = np.asarray(bits[starts[h - 1] :], dtype=float)
-            layer = net.layers[h]
-            coeff[h] = layer.weights @ (gate[:, None] * coeff[h - 1])
-            offset[h] = layer.weights @ (gate * offset[h - 1]) + layer.bias
+        if k == starts[h]:
+            if h > 0:
+                gate = np.asarray(bits[starts[h - 1] :], dtype=float)
+                layer = net.layers[h]
+                coeff[h] = layer.weights @ (gate[:, None] * coeff[h - 1])
+                offset[h] = layer.weights @ (gate * offset[h - 1]) + layer.bias
+            if domain is not None and h < len(widths):
+                half = np.full(widths[h], 0.5)
+                rows[h] = (margin_rows(-half, coeff[h], offset[h]), margin_rows(half, coeff[h], offset[h]))
         best = env.at(s)
         ub = bound(k, h) if k == nbits or best > -INF else None
         if ub is not None and ub < best - _PRUNE_MARGIN:
             return
-        if domain is not None and k and (k == nbits or not inherits(x, ray)):
-            stats.lp_calls += 1
-            sigma = ActivationPattern.from_flat(widths, tuple(bits) + (0,) * (nbits - k))
-            res = max_slack(net, sigma, domain, neurons=k)
-            stats.pivots += res.pivots
-            if not meets_level(res.slack, 0.0):
-                return
-            s, x, ray = res.slack, res.witness, res.ray
+        if domain is not None and k:
+            if k == nbits:
+                stats.lp_calls += 1
+                res = max_slack(net, ActivationPattern.from_flat(widths, tuple(bits)), domain)
+                stats.pivots += res.pivots
+            else:
+                hk = layer_of[k - 1]
+                A, rhs = rows[hk][bits[-1]]
+                row = (A[k - 1 - starts[hk]], rhs[k - 1 - starts[hk]])
+                if inherits(x, ray):
+                    tab = None if tab is None else append_row(tab, *row)
+                else:
+                    res, tab = prefix_slack(*row, tab)
+            if res is not None:
+                if not meets_level(res.slack, 0.0):
+                    return
+                s, x, ray = res.slack, res.witness, res.ray
         if k == nbits:
             points.append((s, ub, tuple(bits), res))
             env.add(s, ub)
             return
+        if k and domain is not None:
+            path.append(row)
         for b in (1, 0):
             bits.append(b)
-            visit(s, x, ray)
+            visit(s, x, ray, tab)
             bits.pop()
+        if k and domain is not None:
+            path.pop()
 
-    visit(INF, None, None)
+    visit(INF, None, None, None)
     return points
 
 
@@ -444,6 +507,7 @@ def report_to_dict(report: BoundsReport, version: str | None = None, config=None
         "stats": {
             "nodes_explored": report.stats.nodes_explored,
             "lp_calls": report.stats.lp_calls,
+            "warm_lps": report.stats.warm_lps,
             "pivots": report.stats.pivots,
             "patterns_feasible": report.stats.patterns_feasible,
         },

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -46,6 +46,7 @@ class MlpNetwork:
     """
 
     layers: tuple[Layer, ...]
+    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)  # (n_0, n_1, ..., n_L)
 
     def __post_init__(self):
         if len(self.layers) < 2:
@@ -74,6 +75,8 @@ class MlpNetwork:
             prev_out = w.shape[0]
             clean.append(Layer(_readonly(w), _readonly(b)))
         object.__setattr__(self, "layers", tuple(clean))
+        widths = (clean[0].weights.shape[1],) + tuple(layer.weights.shape[0] for layer in clean)
+        object.__setattr__(self, "widths", widths)
 
     @classmethod
     def from_arrays(cls, layers: Sequence[tuple[Sequence, Sequence]]) -> "MlpNetwork":
@@ -83,13 +86,6 @@ class MlpNetwork:
     def depth(self) -> int:
         """Number of affine maps L."""
         return len(self.layers)
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        """(n_0, n_1, ..., n_L)."""
-        return (self.layers[0].weights.shape[1],) + tuple(
-            layer.weights.shape[0] for layer in self.layers
-        )
 
     @property
     def hidden_widths(self) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from .network import (
     check_domain_dim,
     forward,
 )
-from .simplex import GE, LE, LinearProgram, LpSolution, lp_solve
+from .simplex import LE, LinearProgram, LpSolution, lp_solve
 
 # The two tolerances of meets_level, the one rule that turns a slack into a
 # feasibility decision: the open region needs a slack above TAU_STRICT, the
@@ -67,9 +67,10 @@ class SlackResult:
     """Outcome of the maximal-slack LP for one pattern.
 
     status is "bounded" (slack attained at witness), "unbounded" (slack
-    grows without bound along ray; slack is +inf), or "infeasible" (the
+    grows without bound along ray; slack is +inf), "infeasible" (the
     domain itself is empty, impossible otherwise since t is free; slack is
-    NaN, so it meets no level).
+    NaN, so it meets no level), or "stopped" (a warm re-solve quit once
+    its upper bound on the slack, kept in slack, missed the closed level).
     """
 
     status: str
@@ -117,31 +118,49 @@ def domain_nonempty(domain: InputDomain, n0: int) -> bool:
     return sol.status != "infeasible"
 
 
-def _slack_lp(
-    forms: Sequence[tuple[np.ndarray, np.ndarray]],
-    bits: Sequence[Sequence[int]],
-    domain: InputDomain,
-    n0: int,
-) -> LpSolution:
-    """Build and solve max t s.t. (sigma-1/2)*theta >= t, x in domain.
+def margin_rows(sgn: np.ndarray, coeff: np.ndarray, offset: np.ndarray):
+    """(A, b): the <= rows of the slack LP over (x, t) for neuron forms coeff x + offset.
 
-    Variables are (x, t); the domain rows come first, then one margin row
-    per neuron.
+    A neuron with sign s = sigma - 1/2 gives [-s*coeff, 1] (x, t) <= s*offset,
+    that is t <= s*(coeff.x + offset).
+    """
+    A = np.empty((sgn.size, coeff.shape[1] + 1))
+    A[:, :-1] = -sgn[:, None] * coeff
+    A[:, -1] = 1.0
+    return A, sgn * offset
+
+
+def slack_lp(domain: InputDomain, n0: int, A: np.ndarray, b: np.ndarray) -> LinearProgram:
+    """max t subject to the margin rows A (x, t) <= b and x in the domain.
+
+    Variables are (x, t); the domain rows come first, then the margin rows.
     """
     A_dom, b_dom, xb = _domain_rows_bounds(domain, n0)
-    sgn = np.concatenate([np.asarray(layer_bits, dtype=float) for layer_bits in bits]) - 0.5
-    coeff = np.vstack([c for c, _ in forms])
-    offset = np.concatenate([o for _, o in forms])
-    A = np.zeros((b_dom.size + sgn.size, n0 + 1))
-    A[: b_dom.size, :n0] = A_dom
-    A[b_dom.size :, :n0] = sgn[:, None] * coeff
-    A[b_dom.size :, n0] = -1.0
-    b = np.concatenate([b_dom, -sgn * offset])
-    rel = np.full(b.size, GE, dtype=object)
-    rel[: b_dom.size] = LE
+    rows = np.zeros((b_dom.size + b.size, n0 + 1))
+    rows[: b_dom.size, :n0] = A_dom
+    rows[b_dom.size :] = A
     objective = np.zeros(n0 + 1)
     objective[-1] = 1.0
-    return lp_solve(LinearProgram(objective, A, rel, b, xb + [(None, None)]))
+    rhs = np.concatenate([b_dom, b])
+    return LinearProgram(objective, rows, np.full(rhs.size, LE, dtype=object), rhs, xb + [(None, None)])
+
+
+def slack_result(sol: LpSolution) -> SlackResult:
+    """The SlackResult of a solved slack LP over (x, t)."""
+    if sol.status == "optimal":
+        return SlackResult("bounded", float(sol.value), witness=sol.x[:-1], pivots=sol.pivots)
+    if sol.status == "unbounded":
+        return SlackResult(
+            "unbounded",
+            math.inf,
+            witness=sol.x[:-1],
+            ray=sol.ray[:-1],
+            ray_slack_rate=float(sol.ray[-1]),
+            pivots=sol.pivots,
+        )
+    if sol.status == "stopped":
+        return SlackResult("stopped", sol.value, pivots=sol.pivots)
+    return SlackResult("infeasible", math.nan, pivots=sol.pivots)
 
 
 def max_slack(
@@ -172,19 +191,9 @@ def max_slack(
     bits = list(sigma.bits[:upto])
     coeff, offset = forms[-1]
     forms[-1], bits[-1] = (coeff[: k - start], offset[: k - start]), bits[-1][: k - start]
-    sol = _slack_lp(forms, bits, domain, net.input_dim)
-    if sol.status == "infeasible":
-        return SlackResult("infeasible", math.nan, pivots=sol.pivots)
-    if sol.status == "unbounded":
-        return SlackResult(
-            "unbounded",
-            math.inf,
-            witness=sol.x[:-1],
-            ray=sol.ray[:-1],
-            ray_slack_rate=float(sol.ray[-1]),
-            pivots=sol.pivots,
-        )
-    return SlackResult("bounded", float(sol.value), witness=sol.x[:-1], pivots=sol.pivots)
+    sgn = np.concatenate([np.asarray(layer_bits, dtype=float) for layer_bits in bits]) - 0.5
+    A, b = margin_rows(sgn, np.vstack([c for c, _ in forms]), np.concatenate([o for _, o in forms]))
+    return slack_result(lp_solve(slack_lp(domain, net.input_dim, A, b)))
 
 
 def region_feasible(

@@ -18,12 +18,21 @@ basis (its row is dropped if it has no other nonzero entry) and phase 2
 maximizes the objective. Everything is floating point with fixed
 tolerances; no exact arithmetic. Unbounded problems report an improving
 ray together with the basic feasible point it emanates from.
+
+Warm starts (Chvatal 1983, ch. 10; Koberstein 2005, PhD thesis, TU
+Berlin). lp_tableau is lp_solve that also keeps an optimal final tableau.
+append_row adds one more <= row to a kept tableau, with its slack basic,
+so the basis stays dual feasible, and dual_simplex re-optimizes it in
+place: the leaving row is the infeasible one with the lowest basic index,
+the entering column the lowest index of least ratio. Every basis it
+visits is dual feasible, so its objective bounds the optimum from above,
+and the caller's keep(bound) test can stop it before optimality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -87,11 +96,39 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "unbounded" | "infeasible"
-    value: Optional[float]
+    status: str  # "optimal" | "unbounded" | "infeasible" | "stopped" (dual_simplex only)
+    value: Optional[float]  # the optimum, or for "stopped" the upper bound keep rejected
     x: Optional[np.ndarray]  # optimum, or the feasible point a ray emanates from
     ray: Optional[np.ndarray]  # improving direction when unbounded
-    pivots: int = 0  # simplex pivots, phase 1 and phase 2
+    pivots: int = 0  # simplex pivots: phase 1 and phase 2, or the dual simplex's
+
+
+@dataclass(frozen=True)
+class Tableau:
+    """A dual-feasible tableau kept for warm starts.
+
+    T holds one row per basic variable and the reduced-cost row last; its
+    first `width` columns can pivot and its last one is the right-hand
+    side (a cold tableau still has phase 1's auxiliary column between
+    them). x = x0 + M s maps the columns back to the LP's variables.
+    """
+
+    T: np.ndarray
+    basis: np.ndarray
+    width: int
+    M: np.ndarray
+    x0: np.ndarray
+    objective: np.ndarray
+
+    def point(self) -> np.ndarray:
+        """The basic point of the current basis, in the LP's variables."""
+        s = np.zeros(self.width)
+        s[self.basis] = np.maximum(self.T[:-1, -1], 0.0)
+        return self.x0 + self.M @ s[: self.M.shape[1]]
+
+    def solution(self, pivots: int) -> LpSolution:
+        x = self.point()
+        return LpSolution("optimal", float(self.objective @ x), x, None, pivots)
 
 
 def _pivot(T: np.ndarray, r: int, c: int) -> None:
@@ -124,6 +161,11 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP. Returned points satisfy every constraint within 1e-8."""
+    return lp_tableau(lp)[0]
+
+
+def lp_tableau(lp: LinearProgram) -> tuple[LpSolution, Optional[Tableau]]:
+    """lp_solve, also returning the final tableau when the LP is optimal."""
     n = lp.n
     has_lo, has_up = np.isfinite(lp.lo), np.isfinite(lp.up)
     free = ~(has_lo | has_up)
@@ -167,7 +209,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         if status != "optimal":
             raise SimplexBreakdownError("phase 1 reported unbounded; the auxiliary is bounded below")
         if -T[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, None, None, pivots)
+            return LpSolution("infeasible", None, None, None, pivots), None
         if (basis == aux).any():
             r = int((basis == aux).argmax())
             choices = (np.abs(T[r, :aux]) > PIVOT_MIN).nonzero()[0]
@@ -185,13 +227,62 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     status, enter, it = _run_simplex(T, basis, aux)
     pivots += it
 
-    s = np.zeros(aux)
-    s[basis] = np.maximum(T[:-1, -1], 0.0)
-    x = x0 + M @ s[:ns]
+    tab = Tableau(T, basis, aux, M, x0, lp.objective)
     if status == "unbounded":
         ray_s = np.zeros(aux)
         ray_s[enter] = 1.0
         ray_s[basis] = -T[:-1, enter]
         ray_s[np.abs(ray_s) <= PIVOT_MIN] = 0.0
-        return LpSolution("unbounded", None, x, M @ ray_s[:ns], pivots)
-    return LpSolution("optimal", float(lp.objective @ x), x, None, pivots)
+        return LpSolution("unbounded", None, tab.point(), M @ ray_s[:ns], pivots), None
+    return tab.solution(pivots), tab
+
+
+def append_row(tab: Tableau, a: np.ndarray, b: float) -> Tableau:
+    """A new tableau: tab plus the row a.x <= b, its slack basic.
+
+    The row is rewritten in the current basis, and phase 1's auxiliary
+    column is dropped. Reduced costs do not change, so the basis stays
+    dual feasible; the new row's right-hand side is negative when tab's
+    point violates it. tab itself is left as it was.
+    """
+    old, m, w = tab.T, tab.basis.size, tab.width
+    T = np.zeros((m + 2, w + 2))
+    T[:m, :w], T[:m, -1] = old[:m, :w], old[:m, -1]
+    T[-1, :w], T[-1, -1] = old[-1, :w], old[-1, -1]
+    row = T[m]
+    row[: tab.M.shape[1]] = a @ tab.M
+    row[w] = 1.0
+    row[-1] = b - a @ tab.x0
+    row -= row[tab.basis] @ T[:m]
+    return Tableau(T, np.append(tab.basis, w), w + 1, tab.M, tab.x0, tab.objective)
+
+
+def dual_simplex(tab: Tableau, keep: Callable[[float], bool]) -> LpSolution:
+    """Re-optimize a dual-feasible tableau in place, as left by append_row.
+
+    Before each pivot the objective at the current basis, an upper bound
+    on the optimum, goes to keep; when keep rejects it the solve stops
+    with status "stopped" and that bound as its value. A row that stays
+    negative with no negative entry to pivot on proves the LP infeasible.
+    """
+    T, basis, w = tab.T, tab.basis, tab.width
+    const = float(tab.objective @ tab.x0)
+    for it in range(_MAX_ITERS):
+        bound = const + float(T[-1, -1])
+        if not keep(bound):
+            return LpSolution("stopped", bound, None, None, it)
+        short = (T[:-1, -1] < -FEAS_TOL).nonzero()[0]
+        if short.size == 0:
+            return tab.solution(it)
+        r = int(short[basis[short].argmin()])  # Bland: lowest basic index
+        row = T[r, :w]
+        eligible = (row < -PIVOT_TOL).nonzero()[0]
+        if eligible.size == 0:
+            eligible = (row < -PIVOT_MIN).nonzero()[0]
+            if eligible.size == 0:
+                return LpSolution("infeasible", None, None, None, it)
+        ratios = T[-1, eligible] / -row[eligible]
+        c = int(eligible[(ratios <= ratios.min() + 1e-12).argmax()])  # Bland: lowest index
+        _pivot(T, r, c)
+        basis[r] = c
+    raise SimplexBreakdownError(f"dual simplex did not finish within {_MAX_ITERS} iterations")

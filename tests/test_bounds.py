@@ -309,8 +309,11 @@ class TestOneSearch:
         net = _seeded_net(3, (4, 10, 1))
         r = compute_report(net, unit_box(net), 2, [0.05], mode="bnb")
         # the interval-Jacobian node bound needs exactly 201 LPs here, so a
-        # looser prune shows as a failure
+        # looser prune shows as a failure; warm-started prefix LPs need 983
+        # pivots (1,480 when each is solved cold), so a lost warm start fails too
         assert r.stats.lp_calls <= 201
+        assert r.stats.pivots <= 983
+        assert 0 < r.stats.warm_lps < r.stats.lp_calls
         oracle = compute_report(net, unit_box(net), 2, [0.05], mode="oracle")
         assert oracle.stats.lp_calls == 2**10
 

@@ -1,9 +1,11 @@
 """Property tests: the eps-curve as a staircase, the pruned search against
-the 2^n oracle and its node bound against every completion on degenerate
-networks, and the batched sampling pass against the per-sample loop on the
-same networks."""
+the 2^n oracle, its warm prefix LPs against cold ones and its node bound
+against every completion on degenerate networks, and the batched sampling
+pass against the per-sample loop on the same networks."""
 
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +13,19 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from lipbound import AllSpace, Box, MlpNetwork, Polytope, compute_report, report_to_dict  # noqa: E402
+import lipbound.bounds as bounds_module  # noqa: E402
+from lipbound import (  # noqa: E402
+    ActivationPattern,
+    AllSpace,
+    Box,
+    MlpNetwork,
+    Polytope,
+    compute_report,
+    report_to_dict,
+)
 from lipbound.bounds import SearchStats, _aggregate  # noqa: E402
-from lipbound.regions import SlackResult, meets_level  # noqa: E402
+from lipbound.regions import SlackResult, max_slack, meets_level  # noqa: E402
+from lipbound.simplex import dual_simplex  # noqa: E402
 from lipbound.sampling import pairwise_quotient_estimate, sampled_lower_bound  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -126,6 +138,35 @@ def test_bnb_report_equals_oracle_on_degenerate_nets(case):
     a.pop("stats")
     b.pop("stats")
     assert a == b
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(degenerate_cases())
+def test_warm_prefix_slacks_equal_cold_max_slack(case):
+    # every prefix LP the search re-optimizes warm, against the cold prefix
+    # LP of max_slack(neurons=k); the prefix is read off the search's frame
+    net, domain, p = case
+    widths, nbits = net.hidden_widths, net.total_hidden_bits
+    seen = []
+
+    def spy(tab, keep):
+        sol = dual_simplex(tab, keep)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "visit":
+            frame = frame.f_back
+        seen.append((tuple(frame.f_locals["bits"]), sol))
+        return sol
+
+    with mock.patch.object(bounds_module, "dual_simplex", spy):
+        bounds_module.compute_report(net, domain, p)
+    for prefix, sol in seen:
+        sigma = ActivationPattern.from_flat(widths, prefix + (0,) * (nbits - len(prefix)))
+        cold = max_slack(net, sigma, domain, neurons=len(prefix)).slack
+        if sol.status == "optimal":
+            assert sol.value == pytest.approx(cold, abs=1e-9), prefix
+        else:
+            assert sol.status == "stopped", prefix
+            assert cold <= sol.value + 1e-9 and not meets_level(cold, 0.0), prefix
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from lipbound import LinearProgram, lp_solve
-from lipbound.simplex import EQ, GE, LE
+from lipbound.simplex import EQ, GE, LE, append_row, dual_simplex, lp_tableau
 
 
 def stacked(rows, n):
@@ -288,3 +288,144 @@ class TestAgainstScipy:
                 assert probe.status == 2
         # the generator must actually exercise all three outcomes
         assert min(statuses.values()) > 5
+
+
+# --- warm starts: append a row, re-optimize with the dual simplex ----------
+
+
+def le_lp(c, A, b, bounds):
+    """max c.x subject to A x <= b and the bounds."""
+    rel = np.full(len(b), LE, dtype=object)
+    return LinearProgram(np.asarray(c, float), np.asarray(A, float), rel, np.asarray(b, float), bounds)
+
+
+def highs(c, A, b, bounds):
+    """The same LP solved by HiGHS, as a minimization of -c.x."""
+    return linprog(-np.asarray(c), A_ub=np.asarray(A), b_ub=np.asarray(b), bounds=bounds, method="highs")
+
+
+def random_bounds(rng, n):
+    """Free, lower-only, upper-only or boxed, one kind per variable."""
+    bounds = []
+    for _ in range(n):
+        kind = rng.integers(0, 4)
+        lo = float(rng.uniform(-3, 0)) if kind in (1, 3) else None
+        up = float(rng.uniform(0, 3)) if kind in (2, 3) else None
+        bounds.append((lo, up))
+    return bounds
+
+
+def random_case(rng):
+    n = int(rng.integers(1, 6))
+    k = int(rng.integers(1, 7))
+    A, b = rng.normal(size=(k + 1, n)), rng.normal(size=k + 1)
+    return rng.normal(size=n), A, b, random_bounds(rng, n)
+
+
+def degenerate_case(rng):
+    # small integer grid: ties in both ratio tests, zero right-hand sides and
+    # repeated or scaled copies of earlier rows, the appended one included
+    n = int(rng.integers(1, 5))
+    k = int(rng.integers(1, 7))
+    A = rng.integers(-1, 2, size=(k + 1, n)).astype(float)
+    b = rng.integers(0, 2, size=k + 1).astype(float)
+    for i in range(1, k + 1):
+        if rng.random() < 0.3:
+            j = int(rng.integers(0, i))
+            scale = float(rng.choice([1.0, 2.0]))
+            A[i], b[i] = scale * A[j], scale * b[j] - float(rng.integers(0, 2))
+    return rng.integers(-1, 2, size=n).astype(float), A, b, random_bounds(rng, n)
+
+
+def free_case(rng):
+    # free variables, as in the slack LPs on AllSpace; the +-x_j <= 1 rows keep
+    # the first k rows bounded
+    n = int(rng.integers(1, 5))
+    extra = int(rng.integers(0, 4))
+    A = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(extra + 1, n))])
+    b = np.concatenate([np.ones(2 * n), rng.normal(size=extra + 1)])
+    return rng.normal(size=n), A, b, [(None, None)] * n
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("make", [random_case, degenerate_case, free_case])
+    def test_append_matches_cold_and_highs(self, make):
+        rng = np.random.default_rng(7)
+        outcomes = {"optimal": 0, "infeasible": 0}
+        for _ in range(300):
+            c, A, b, bounds = make(rng)
+            first, tab = lp_tableau(le_lp(c, A[:-1], b[:-1], bounds))
+            if tab is None:
+                assert first.status != "optimal"
+                continue
+            before = tab.T.copy()
+            child = append_row(tab, A[-1], b[-1])
+            warm = dual_simplex(child, lambda bound: True)
+            assert np.array_equal(tab.T, before)  # the parent tableau is untouched
+            cold = lp_solve(le_lp(c, A, b, bounds))
+            assert warm.status == cold.status
+            outcomes[warm.status] += 1
+            ref = highs(c, A, b, bounds)
+            if cold.status == "optimal":
+                assert warm.value == pytest.approx(cold.value, abs=1e-9)
+                assert warm.value == pytest.approx(-ref.fun, abs=1e-7)
+                assert np.all(A @ warm.x <= b + 1e-8)
+            else:
+                assert ref.status == 2
+        assert outcomes["optimal"] > 50 and outcomes["infeasible"] > 0, outcomes
+
+    def test_rows_appended_one_at_a_time(self):
+        # a path of appends, each re-optimized from the last tableau
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            A = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(6, n))])
+            b = np.concatenate([np.ones(2 * n), rng.normal(size=6) + 0.5])
+            c, bounds = rng.normal(size=n), [(None, None)] * n
+            sol, tab = lp_tableau(le_lp(c, A[: 2 * n], b[: 2 * n], bounds))
+            for m in range(2 * n + 1, A.shape[0] + 1):
+                tab = append_row(tab, A[m - 1], b[m - 1])
+                sol = dual_simplex(tab, lambda bound: True)
+                cold = lp_solve(le_lp(c, A[:m], b[:m], bounds))
+                assert sol.status == cold.status
+                if cold.status != "optimal":
+                    break
+                assert sol.value == pytest.approx(cold.value, abs=1e-9)
+
+    @pytest.mark.parametrize("make", [random_case, degenerate_case, free_case])
+    def test_early_stop(self, make):
+        # below the cold optimum the stop never fires; above it, it always
+        # does, with an upper bound on the optimum
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(300):
+            c, A, b, bounds = make(rng)
+            _, tab = lp_tableau(le_lp(c, A[:-1], b[:-1], bounds))
+            cold = lp_solve(le_lp(c, A, b, bounds))
+            if tab is None or cold.status != "optimal":
+                continue
+            checked += 1
+            for level in (cold.value - 1e-9, cold.value - 1.0):
+                sol = dual_simplex(append_row(tab, A[-1], b[-1]), lambda bound: bound >= level)
+                assert sol.status == "optimal" and sol.value == pytest.approx(cold.value, abs=1e-9)
+            level = cold.value + 0.5
+            sol = dual_simplex(append_row(tab, A[-1], b[-1]), lambda bound: bound >= level)
+            assert sol.status == "stopped" and cold.value - 1e-9 <= sol.value < level
+        assert checked > 100
+
+    def test_infeasible_append(self):
+        _, tab = lp_tableau(le_lp([1.0], [[1.0]], [1.0], [(None, None)]))
+        sol = dual_simplex(append_row(tab, np.array([-1.0]), -2.0), lambda bound: True)
+        assert sol.status == "infeasible"
+
+    def test_lp_solve_is_lp_tableau(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            c, A, b, bounds = random_case(rng)
+            lp = le_lp(c, A, b, bounds)
+            sol, tab = lp_tableau(lp)
+            assert (tab is not None) == (sol.status == "optimal")
+            again = lp_solve(lp)
+            assert again.status == sol.status and again.pivots == sol.pivots
+            if sol.status == "optimal":
+                assert again.value == sol.value and np.array_equal(again.x, sol.x)
