@@ -504,38 +504,130 @@ def _p_from_json(raw):
         raise ModelFormatError(f"metadata.p: {exc}") from exc
 
 
+_enc = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+
+
+def _number(x) -> str:
+    """A JSON number, null or boolean as json.dumps writes it.
+
+    Floats go through float.__repr__, so an np.float64 prints as 1.5 and
+    not as np.float64(1.5); ints stay ints.
+    """
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x == INF or x == -INF:
+        return "Infinity" if x > 0 else "-Infinity"
+    return _float_repr(x)
+
+
+def _value(v, pad: str) -> str:
+    """Any JSON value whose opening line is indented by pad."""
+    if isinstance(v, str):
+        return _enc(v)
+    inner = pad + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        items = ",\n".join([inner + _value(x, inner) for x in v])
+        return f"[\n{items}\n{pad}]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = ",\n".join([f"{inner}{_enc(k)}: {_value(x, inner)}" for k, x in v.items()])
+        return f"{{\n{items}\n{pad}}}"
+    return _number(v)
+
+
+# A model's coefficients are finite (checked at construction), so an exact
+# float needs no NaN or infinity spelling and goes straight to float repr.
+def _lin_json(lin, pad: str) -> str:
+    """[name, coef] terms as a list whose items are indented by pad."""
+    if not lin:
+        return "[]"
+    inner = pad + "  "
+    items = ",\n".join([
+        f"{pad}[\n{inner}{_enc(n)},\n"
+        f"{inner}{_float_repr(c) if type(c) is float else _number(c)}\n{pad}]"
+        for n, c in lin
+    ])
+    return f"[\n{items}\n{pad[:-2]}]"
+
+
+def _quad_json(quad, pad: str) -> str:
+    """[a, b, coef] terms as a list whose items are indented by pad."""
+    if not quad:
+        return "[]"
+    inner = pad + "  "
+    items = ",\n".join([
+        f"{pad}[\n{inner}{_enc(a)},\n{inner}{_enc(b)},\n"
+        f"{inner}{_float_repr(c) if type(c) is float else _number(c)}\n{pad}]"
+        for a, b, c in quad
+    ])
+    return f"[\n{items}\n{pad[:-2]}]"
+
+
+def _records_json(records) -> str:
+    """A top-level list of already written records."""
+    if not records:
+        return "[]"
+    items = ",\n".join(records)
+    return f"[\n{items}\n  ]"
+
+
 def emit_json(model: MiqcqpModel) -> str:
-    """Serialize the model; parse_json(emit_json(m)) is structurally m."""
+    """Serialize the model; parse_json(emit_json(m)) is structurally m.
+
+    The text is byte-identical to json.dumps(doc, indent=2) + "\\n" of the
+    document {"format_version", "metadata": {"p", "eps", "big_m", "groups"},
+    "variables", "linear_constraints", "quadratic_constraints",
+    "objective"}, in that key order, but written from the schema: one
+    f-string per variable, record and term instead of the stdlib's
+    pure-Python indenting encoder.
+    """
+    variables = [
+        f'    {{\n      "name": {_enc(v.name)},\n      "kind": {_enc(v.kind)},\n'
+        f'      "lower": {_number(v.lower)},\n      "upper": {_number(v.upper)}\n    }}'
+        for v in model.variables
+    ]
+    linear = [
+        f'    {{\n      "id": {_enc(c.cid)},\n      "coeffs": {_lin_json(c.lin, " " * 8)},\n'
+        f'      "rel": {_enc(c.rel)},\n      "rhs": {_number(c.rhs)}\n    }}'
+        for c in model.linear_constraints
+    ]
+    quadratic = [
+        f'    {{\n      "id": {_enc(c.cid)},\n      "quad": {_quad_json(c.quad, " " * 8)},\n'
+        f'      "lin": {_lin_json(c.lin, " " * 8)},\n      "rel": {_enc(c.rel)},\n'
+        f'      "rhs": {_number(c.rhs)}\n    }}'
+        for c in model.quadratic_constraints
+    ]
     obj = model.objective
-    doc = {
-        "format_version": model.format_version,
-        "metadata": {
-            "p": _p_to_json(model.p),
-            "eps": model.eps,
-            "big_m": model.big_m,
-            "groups": model.groups,
-        },
-        "variables": [
-            {"name": v.name, "kind": v.kind, "lower": v.lower, "upper": v.upper}
-            for v in model.variables
-        ],
-        "linear_constraints": [
-            {"id": c.cid, "coeffs": c.lin, "rel": c.rel, "rhs": c.rhs}
-            for c in model.linear_constraints
-        ],
-        "quadratic_constraints": [
-            {"id": c.cid, "quad": c.quad, "lin": c.lin, "rel": c.rel, "rhs": c.rhs}
-            for c in model.quadratic_constraints
-        ],
-        "objective": {
-            "sense": obj.sense, "quad": obj.quad, "lin": obj.lin, "constant": obj.constant
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return (
+        f'{{\n  "format_version": {_number(model.format_version)},\n'
+        f'  "metadata": {{\n    "p": {_value(_p_to_json(model.p), "    ")},\n'
+        f'    "eps": {_number(model.eps)},\n    "big_m": {_number(model.big_m)},\n'
+        f'    "groups": {_value(model.groups, "    ")}\n  }},\n'
+        f'  "variables": {_records_json(variables)},\n'
+        f'  "linear_constraints": {_records_json(linear)},\n'
+        f'  "quadratic_constraints": {_records_json(quadratic)},\n'
+        f'  "objective": {{\n    "sense": {_enc(obj.sense)},\n'
+        f'    "quad": {_quad_json(obj.quad, " " * 6)},\n'
+        f'    "lin": {_lin_json(obj.lin, " " * 6)},\n'
+        f'    "constant": {_number(obj.constant)}\n  }}\n}}\n'
+    )
 
 
 _REQUIRED = object()
-_TERM_SHAPES = {2: "linear term must be [name, coef]", 3: "quadratic term must be [a, b, coef]"}
+_TERM_SHAPES = {
+    2: 'linear term must be ["name", coef]',
+    3: 'quadratic term must be ["a", "b", coef]',
+}
 
 
 def _load(text: str):
@@ -566,6 +658,12 @@ def _check_version(doc) -> int:
 # JSON numbers parse as int or float; true/false parse as bool, which
 # float() would take for 1.0/0.0, and float() would also read "5" as 5.0.
 _NUMBER_TYPES = {int, float}
+# (name types..., coefficient type) of a well-formed term; str() would read
+# a name 7 as "7".
+_TERM_TYPES = {
+    2: {(str, t) for t in _NUMBER_TYPES},
+    3: {(str, str, t) for t in _NUMBER_TYPES},
+}
 
 
 def _num(raw, what, nullable=False) -> Optional[float]:
@@ -590,14 +688,30 @@ def _terms(raw, path, width) -> tuple:
     try:
         if set(map(type, raw)) <= {list}:  # a string like "z5" would unpack as a term
             if width == 2:
-                terms = tuple([(str(n), float(c)) for n, c in raw])
+                terms = tuple([(n, float(c)) for n, c in raw])
+                types = {(type(n), type(c)) for n, c in raw}
             else:
-                terms = tuple([(str(a), str(b), float(c)) for a, b, c in raw])
-            if {type(t[-1]) for t in raw} <= _NUMBER_TYPES:
+                terms = tuple([(a, b, float(c)) for a, b, c in raw])
+                types = {(type(a), type(b), type(c)) for a, b, c in raw}
+            if types <= _TERM_TYPES[width]:
                 return terms
     except (TypeError, ValueError, OverflowError):
         pass
     raise ModelFormatError(f"{path}: {_TERM_SHAPES[width]}")
+
+
+def _check_strings(records, path, fields) -> None:
+    """Each (attribute, key) field of each record was a JSON string.
+
+    One type-set test covers the list; str() would have read 7 as "7" and
+    null as "None". On failure the first offender is named.
+    """
+    if {type(getattr(r, attr)) for r in records for attr, _ in fields} <= {str}:
+        return
+    for i, r in enumerate(records):
+        for attr, key in fields:
+            if type(getattr(r, attr)) is not str:
+                raise ModelFormatError(f"{path}[{i}]: {key} is not a string")
 
 
 def _tuples(raw):
@@ -606,8 +720,8 @@ def _tuples(raw):
 
 def _variable(raw, path) -> Variable:
     return Variable(
-        str(_get(raw, "name", path)),
-        str(_get(raw, "kind", path)),
+        _get(raw, "name", path),
+        _get(raw, "kind", path),
         _num(_get(raw, "lower", path, None), f"{path}: lower", nullable=True),
         _num(_get(raw, "upper", path, None), f"{path}: upper", nullable=True),
     )
@@ -616,42 +730,48 @@ def _variable(raw, path) -> Variable:
 def _constraint(raw, path, linear) -> Constraint:
     """A linear record carries "coeffs"; a quadratic one "quad" and "lin"."""
     return Constraint(
-        str(_get(raw, "id", path)),
+        _get(raw, "id", path),
         () if linear else _terms(_get(raw, "quad", path), path, 3),
         _terms(_get(raw, "coeffs", path) if linear else _get(raw, "lin", path, []), path, 2),
-        str(_get(raw, "rel", path)),
+        _get(raw, "rel", path),
         _num(_get(raw, "rhs", path), f"{path}: rhs"),
     )
 
 
 def parse_json(text: str) -> MiqcqpModel:
+    """Read a model file; names, ids, kind, rel and sense must be JSON strings."""
     doc = _load(text)
     version = _check_version(doc)
     meta = _get(doc, "metadata", "$")
     groups = _get(meta, "groups", "metadata", {})
     if not isinstance(groups, dict):
         raise ModelFormatError("metadata: groups must be an object")
-    constraints = {
-        key: tuple(
+    variables = tuple(
+        _variable(v, f"variables[{i}]")
+        for i, v in enumerate(_list(_get(doc, "variables", "$"), "variables"))
+    )
+    _check_strings(variables, "variables", (("name", "name"), ("kind", "kind")))
+    constraints = {}
+    for key in ("linear_constraints", "quadratic_constraints"):
+        constraints[key] = tuple(
             _constraint(c, f"{key}[{i}]", key == "linear_constraints")
             for i, c in enumerate(_list(_get(doc, key, "$", []), key))
         )
-        for key in ("linear_constraints", "quadratic_constraints")
-    }
+        _check_strings(constraints[key], key, (("cid", "id"), ("rel", "rel")))
     raw_obj = _get(doc, "objective", "$")
+    sense = _get(raw_obj, "sense", "objective")
+    if type(sense) is not str:
+        raise ModelFormatError("objective: sense is not a string")
     return MiqcqpModel(
         format_version=version,
         p=_p_from_json(_get(meta, "p", "metadata")),
         eps=_num(_get(meta, "eps", "metadata"), "metadata: eps"),
         big_m=_num(_get(meta, "big_m", "metadata", None), "metadata: big_m", nullable=True),
         groups={k: _tuples(v) for k, v in groups.items()},
-        variables=tuple(
-            _variable(v, f"variables[{i}]")
-            for i, v in enumerate(_list(_get(doc, "variables", "$"), "variables"))
-        ),
+        variables=variables,
         **constraints,
         objective=Objective(
-            str(_get(raw_obj, "sense", "objective")),
+            sense,
             _terms(_get(raw_obj, "quad", "objective", []), "objective", 3),
             _terms(_get(raw_obj, "lin", "objective", []), "objective", 2),
             _num(_get(raw_obj, "constant", "objective", 0.0), "objective: constant"),
@@ -669,26 +789,21 @@ def _fmt(x: float) -> str:
 
 
 def _render_terms(quad, lin, constant=0.0) -> str:
-    parts = []
-
-    def push(coef, body):
-        if coef == 0.0:
-            return
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        text = body if mag == 1.0 and body else (f"{_fmt(mag)} {body}".strip())
-        if not parts:
-            parts.append(text if sign == "+" else f"- {text}")
-        else:
-            parts.append(f"{sign} {text}")
-
-    for name, coef in lin:
-        push(coef, name)
-    for a, bb, coef in quad:
-        push(coef, f"{a} ^ 2" if a == bb else f"{a} * {bb}")
+    terms = list(lin)
+    terms += [(f"{a} ^ 2" if a == bb else f"{a} * {bb}", coef) for a, bb, coef in quad]
     if constant:
-        push(constant, "")
-    return " ".join(parts) if parts else "0"
+        terms.append(("", constant))
+    parts = []
+    for body, coef in terms:
+        if coef != 0.0:
+            mag = abs(coef)
+            text = body if mag == 1.0 and body else f"{_fmt(mag)} {body}".strip()
+            parts.append(f"- {text}" if coef < 0 else f"+ {text}")
+    if not parts:
+        return "0"
+    if parts[0][0] == "+":
+        parts[0] = parts[0][2:]
+    return " ".join(parts)
 
 
 def emit_lp_text(model: MiqcqpModel) -> str:

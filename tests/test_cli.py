@@ -235,6 +235,14 @@ MALFORMED_MODELS = {
     "eps-bool": _set("metadata", "eps", value=False),
     "lower-bool": _set("variables", 0, "lower", value=True),
     "rhs-numeric-string": _set("linear_constraints", 0, "rhs", value="5"),
+    "name-number": _set("variables", 0, "name", value=7),
+    "kind-null": _set("variables", 0, "kind", value=None),
+    "id-number": _set("linear_constraints", 0, "id", value=12),
+    "quadratic-id-number": _set("quadratic_constraints", 0, "id", value=12),
+    "rel-number": _set("linear_constraints", 0, "rel", value=1),
+    "sense-null": _set("objective", "sense", value=None),
+    "term-name-number": _set("linear_constraints", 0, "coeffs", 0, 0, value=7),
+    "quad-term-name-number": _set("quadratic_constraints", 0, "quad", 0, 1, value=7),
 }
 
 

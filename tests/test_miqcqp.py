@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -290,6 +291,20 @@ class TestLpText:
         )
         assert "Quadratic Constraints" not in emit_lp_text(model)
 
+    def test_term_signs_units_and_constant(self):
+        quad, lin = (("b", "a", -1.0), ("a", "a", 0.5)), (("a", 0.0), ("b", -2.5), ("a", 1.0))
+        model = MiqcqpModel(
+            1, 2, 0.0, None, {},
+            (Variable("a"), Variable("b")),
+            (Constraint("zero", (), (("a", 0.0),), "<=", 1.0),),
+            (Constraint("q", quad, lin, "<=", 1.0),),
+            Objective("max", quad, lin, -3.0),
+        )
+        lines = emit_lp_text(model).splitlines()
+        assert " obj: - 2.5 b + a - b * a + 0.5 a ^ 2 - 3" in lines
+        assert " q: - 2.5 b + a - b * a + 0.5 a ^ 2 <= 1" in lines
+        assert " zero: 0 <= 1" in lines
+
     def test_byte_deterministic(self, ex2):
         m = build_model(ex2, AllSpace(), math.inf, 0.1)
         assert emit_lp_text(m) == emit_lp_text(m)
@@ -362,6 +377,198 @@ class TestPinnedBytes:
             a = witness_from_bounds(net, domain, p, 0.1, report, linearize_inf_objective=lin)
             got.append(_sha(emit_assignment_json(a)))
         assert tuple(got) == PINNED[case]
+
+
+def _large_net():
+    """A seeded net of the size the large-net benchmark exports."""
+    rng = np.random.default_rng(12)
+    widths = (12, 20, 20, 4)
+    return MlpNetwork.from_arrays([
+        (rng.normal(size=(m, n)) / math.sqrt(n), 0.5 * rng.normal(size=m))
+        for n, m in zip(widths, widths[1:])
+    ])
+
+
+LARGE_DOMAINS = {"box": Box(-np.ones(12), np.ones(12)), "all": AllSpace()}
+
+# sha256 prefixes of emit_json and emit_lp_text at eps 0.1 for _large_net;
+# each JSON file is 270-295 kB.
+PINNED_LARGE = {
+    "box-1": ('9a079a25f6cdc990', '950706b719d3dbb5'),
+    "box-2": ('7dd632fe29f25917', 'ac3b885e59b6acf1'),
+    "box-inf": ('f6ebe92273ce9721', 'ec29ce8fa595f9bc'),
+    "box-inf-lin": ('356b07e64592a9a2', 'c17896f06b325bca'),
+    "all-1": ('fc3a3f36ee3cd4ac', 'ad02a1769b010997'),
+    "all-2": ('8a6d9c4629b96a0e', '6a5758b944773e3d'),
+    "all-inf": ('7a7ac5bbbe45be3c', 'c49187f2680eb659'),
+    "all-inf-lin": ('3d6e679dc5e5dc5f', '1418de8299656fdf'),
+}
+
+
+@pytest.fixture(scope="module")
+def large_models():
+    net = _large_net()
+    models = {}
+    for case in PINNED_LARGE:
+        dom, norm = case.split("-", 1)
+        p, lin = PIN_NORMS[norm]
+        models[case] = build_model(net, LARGE_DOMAINS[dom], p, 0.1, linearize_inf_objective=lin)
+    return models
+
+
+class TestLargeModels:
+    @pytest.mark.parametrize("case", list(PINNED_LARGE))
+    def test_emitted_bytes_unchanged(self, case, large_models):
+        model = large_models[case]
+        assert (_sha(emit_json(model)), _sha(emit_lp_text(model))) == PINNED_LARGE[case]
+
+    @pytest.mark.parametrize("case", list(PINNED_LARGE))
+    def test_round_trip_is_byte_stable(self, case, large_models):
+        model = large_models[case]
+        text = emit_json(model)
+        back = parse_json(text)
+        assert back == model
+        assert emit_json(back) == text
+        assert emit_lp_text(back) == emit_lp_text(model)
+
+
+def _stdlib_json(model):
+    """The referee: the model document, written by json.dumps."""
+    obj = model.objective
+    doc = {
+        "format_version": model.format_version,
+        "metadata": {
+            "p": "inf" if model.p == math.inf else model.p,
+            "eps": model.eps,
+            "big_m": model.big_m,
+            "groups": model.groups,
+        },
+        "variables": [
+            {"name": v.name, "kind": v.kind, "lower": v.lower, "upper": v.upper}
+            for v in model.variables
+        ],
+        "linear_constraints": [
+            {"id": c.cid, "coeffs": c.lin, "rel": c.rel, "rhs": c.rhs}
+            for c in model.linear_constraints
+        ],
+        "quadratic_constraints": [
+            {"id": c.cid, "quad": c.quad, "lin": c.lin, "rel": c.rel, "rhs": c.rhs}
+            for c in model.quadratic_constraints
+        ],
+        "objective": {
+            "sense": obj.sense, "quad": obj.quad, "lin": obj.lin, "constant": obj.constant
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _hand_model(p=2, big_m=None, names=("a", "b"), groups=None, lin=(), quad=(), obj_lin=(),
+                obj_quad=(), lower=None, upper=None, eps=0.0, rhs=1.0, constant=0.0,
+                with_rows=True):
+    """Continuous a and binary b, with one linear and one quadratic row
+    unless with_rows is False."""
+    a, b = names
+    rows = (Constraint(f"row {a}", (), lin or ((a, 1.0),), "<=", rhs),) if with_rows else ()
+    qrows = (Constraint(f"q {b}", quad or ((b, a, 1.0),), lin, ">=", rhs),) if with_rows else ()
+    return MiqcqpModel(
+        1, p, eps, big_m, {"x": ((a,), (b,))} if groups is None else groups,
+        (Variable(a, "continuous", lower, upper), Variable(b, BINARY, 0.0, 1.0)),
+        rows, qrows, Objective("max", obj_quad, obj_lin, constant),
+    )
+
+
+class TestWriterAgainstStdlib:
+    """emit_json writes exactly what json.dumps(doc, indent=2) wrote."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_built_models(self, seed):
+        net = random_net(seed, max_width=3)
+        n0 = net.input_dim
+        domains = (
+            unit_box(net),
+            Polytope(np.vstack([np.eye(n0), -np.eye(n0)]), np.ones(2 * n0)),
+            AllSpace(),
+            L2Ball(np.full(n0, 0.25), 1.5),
+        )
+        for domain in domains:
+            for p, lin in PIN_NORMS.values():
+                m = build_model(net, domain, p, 0.125 * seed, linearize_inf_objective=lin)
+                assert emit_json(m) == _stdlib_json(m)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            _hand_model(with_rows=False),
+            _hand_model(p=1, big_m=3.0, obj_lin=(("a", 1.0),)),
+            _hand_model(p=math.inf, obj_quad=(("b", "a", 2.0),), constant=-0.0),
+            _hand_model(lin=(("a", -0.0), ("b", 5e-324)), rhs=1e308, lower=-1e308),
+            _hand_model(lin=(("a", 3),), quad=(("b", "b", -2),), rhs=7, lower=0, upper=2),
+            _hand_model(
+                lin=(("a", np.float64(1.5)),), quad=(("b", "a", np.float64(-0.1)),),
+                eps=np.float64(0.25), big_m=np.float64(2.0), rhs=np.float64(1e-17),
+                lower=np.float64(-2.0), constant=np.float64(0.5), obj_lin=(("a", np.float64(3.0)),),
+            ),
+            _hand_model(groups={}),
+            _hand_model(groups={"u": (), "odd": ((), (("a",),), 1, 2.5, None, True, math.nan)}),
+        ],
+        ids=["no-rows", "p1-big_m", "pinf-neg-zero", "extremes", "ints", "np-float64",
+             "no-groups", "odd-groups"],
+    )
+    def test_hand_built_models(self, model):
+        assert emit_json(model) == _stdlib_json(model)
+
+    @pytest.mark.parametrize("names", [('q"1', "back\\slash"), ("\u00e9t\u00e9", "\U0001d465"),
+                                       ("ctl\x01", "tab\tnew\nline")])
+    def test_names_that_need_escapes(self, names):
+        model = _hand_model(names=names, obj_lin=((names[0], 1.0),),
+                            groups={names[1]: (names[0],)})
+        text = emit_json(model)
+        assert text == _stdlib_json(model)
+        assert text.isascii()
+        assert parse_json(text) == model
+
+
+class TestJsonStrings:
+    """Names, ids, kind, rel and sense must be JSON strings: str() would
+    read a name 7 as "7", and the model would no longer emit its own bytes."""
+
+    def _doc(self, ex2):
+        return json.loads(emit_json(build_model(ex2, AllSpace(), 1, 0.1)))
+
+    @pytest.mark.parametrize("value", [7, None])
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("variables", 0, "name"), r"variables\[0\]: name is not a string"),
+            (("variables", 2, "kind"), r"variables\[2\]: kind is not a string"),
+            (("linear_constraints", 1, "id"), r"linear_constraints\[1\]: id is not a string"),
+            (("linear_constraints", 0, "rel"), r"linear_constraints\[0\]: rel is not a string"),
+            (("quadratic_constraints", 0, "id"), r"quadratic_constraints\[0\]: id is not"),
+            (("quadratic_constraints", 2, "rel"), r"quadratic_constraints\[2\]: rel is not"),
+            (("objective", "sense"), "objective: sense is not a string"),
+            (("linear_constraints", 0, "coeffs", 0, 0), r"linear_constraints\[0\]: linear term"),
+            (("quadratic_constraints", 1, "quad", 0, 0), r"quadratic_constraints\[1\]: quadratic"),
+            (("quadratic_constraints", 1, "quad", 0, 1), r"quadratic_constraints\[1\]: quadratic"),
+            (("quadratic_constraints", 0, "lin", 0, 0), r"quadratic_constraints\[0\]: linear term"),
+            (("objective", "lin", 0, 0), "objective: linear term"),
+        ],
+    )
+    def test_rejected_with_path(self, ex2, keys, message, value):
+        doc = self._doc(ex2)
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(ModelFormatError, match=message):
+            parse_json(json.dumps(doc))
+
+    def test_numeric_variable_name(self, ex1):
+        """A variable named 7, referenced as 7, used to parse as "7"."""
+        doc = json.loads(emit_json(build_model(ex1, AllSpace(), 2, 0.0)))
+        text = json.dumps(doc).replace('"x0_1"', "7")
+        with pytest.raises(ModelFormatError, match=r"variables\[0\]: name is not a string"):
+            parse_json(text)
+        assert parse_json(json.dumps(doc).replace('"x0_1"', '"7"')).variables[0].name == "7"
 
 
 class TestCheckAssignment:
