@@ -7,7 +7,9 @@ at least eps. All of them are one maximization over (region depth, norm)
 points with different depth thresholds, so one aggregator reads every
 bound, every eps value and the exact eps-curve (the decreasing envelope
 of the points, with breakpoints at the region depths themselves) off one
-set of points. The enumeration oracle feeds it all 2^n patterns; the
+set of points. The enumeration oracle feeds it all 2^n patterns, their
+slack LPs solved in stacks by one lockstep simplex and their Jacobians
+normed a stack at a time, bit-identical to one pattern at a time; the
 branch-and-bound feeds it the leaves of one depth-first search that
 checks the prefix slack LP after every fixed bit and prunes only
 closed-infeasible or strictly dominated prefixes. Each prefix LP is warm
@@ -30,13 +32,14 @@ import numpy as np
 
 from .errors import DomainEmptyError, EnumerationGuardError
 from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _jacobian_from_bits
-from .norms import check_norm_kind, operator_norm
+from .norms import check_norm_kind, operator_norm, operator_norms
 from .regions import (
     SlackResult,
     check_eps,
     domain_nonempty,
     margin_rows,
     max_slack,
+    max_slacks,
     meets_level,
     slack_lp,
     slack_result,
@@ -53,6 +56,9 @@ _PRUNE_MARGIN = 1e-12
 # Brute-force enumeration refuses beyond this many hidden bits.
 ENUMERATION_GUARD_BITS = 24
 
+# Bound on the tableau entries of one stack of the oracle's slack LPs.
+_STACK_ENTRIES = 1 << 15
+
 
 @dataclass
 class SearchStats:
@@ -62,7 +68,10 @@ class SearchStats:
     before their LP included; lp_calls counts every LP solved, the domain
     probe included when it solves one; warm_lps counts those of them
     re-optimized from a parent tableau; pivots sums the simplex pivots of
-    the region slack LPs, warm ones included.
+    the region slack LPs, warm ones included. For the oracle, nodes_explored
+    is 2^n; lp_calls is the 2^n pattern LPs, plus the domain probe, plus
+    the lower argmax's witness LP; pivots sums the pattern LPs' pivots over
+    every stack, plus the witness LP's.
     """
 
     nodes_explored: int = 0
@@ -183,7 +192,10 @@ def _aggregate(net, domain, p, eps_list, points, stats) -> BoundsReport:
     A target keeps the points whose slack meets its level: upper the closed
     level (eps 0), lower the open one (None), each eps value its own. The
     curve is the envelope of the strictly feasible points. The lower argmax's
-    witness comes from its point's slack result, so no LP is solved here.
+    witness comes from its point's slack result. A point without one (the
+    oracle's, from a stack) gets it from one max_slack call, counted in
+    stats, and that pattern's slack and norm, solved alone as the search's
+    leaf solves them, must equal the stacked ones bit for bit.
     """
     widths = net.hidden_widths
     levels = {"upper": 0.0, "lower": None, **{e: e for e in eps_list}}
@@ -209,7 +221,14 @@ def _aggregate(net, domain, p, eps_list, points, stats) -> BoundsReport:
     report.lower = 0.0 if lo.value is None else lo.value
     report.argmax_lower = pattern(lo)
     if lo.flat is not None:
-        res = next(r for _, _, flat, r in points if flat == lo.flat)
+        slack, _, _, res = next(point for point in points if point[2] == lo.flat)
+        if res is None:  # an oracle point: solve it alone, as the search's leaf does
+            sigma = report.argmax_lower
+            res = max_slack(net, sigma, domain)
+            stats.lp_calls += 1
+            stats.pivots += res.pivots
+            if res.slack != slack or operator_norm(_jacobian_from_bits(net, sigma.bits), p) != lo.value:
+                raise AssertionError("a stacked slack or norm differs from its pattern's own")
         report.witness_x_lower = _lower_witness(net, lo.flat, widths, domain, res)
     for e in eps_list:
         b = best[e]
@@ -228,14 +247,29 @@ def _aggregate(net, domain, p, eps_list, points, stats) -> BoundsReport:
 # --- brute-force oracle ----------------------------------------------------
 
 
+def _lp_entries(net: MlpNetwork, domain: InputDomain) -> int:
+    """A bound on the tableau entries of one pattern's slack LP: one row per
+    margin, box bound and polytope row, plus the cost row; two columns per
+    variable, one slack per row, the auxiliary and the right-hand side."""
+    n0 = net.input_dim
+    rows = net.total_hidden_bits + n0 + (domain.A.shape[0] if isinstance(domain, Polytope) else 0)
+    return (rows + 1) * (2 * (n0 + 1) + rows + 2)
+
+
 def brute_force_bounds(
     net: MlpNetwork, domain: InputDomain, p, eps_list: Sequence[float] = ()
 ) -> BoundsReport:
     """Enumerate every pattern, solve its slack LP, and aggregate all bounds.
 
     The oracle for the branch-and-bound: one full LP per pattern and no
-    pruning. Refuses networks with more than ENUMERATION_GUARD_BITS hidden
-    neurons.
+    pruning. The patterns go in itertools.product order, in stacks of at
+    most _STACK_ENTRIES tableau entries; each stack's LPs are solved by one
+    lockstep simplex (max_slacks) and its Jacobians normed by one
+    operator_norms call, both bit-identical to one pattern at a time.
+    lp_calls counts the 2^n pattern LPs, the domain probe when it solves an
+    LP, and the lower argmax's max_slack, which gives its witness; pivots
+    sums the pivots of the pattern LPs and of that last one. Refuses
+    networks with more than ENUMERATION_GUARD_BITS hidden neurons.
     """
     p = check_norm_kind(p)
     eps_list = _eps_values(eps_list)
@@ -245,14 +279,16 @@ def brute_force_bounds(
             f"{nbits} hidden bits exceed the enumeration guard ({ENUMERATION_GUARD_BITS})"
         )
     stats = SearchStats(lp_calls=_check_domain(net, domain))
-    widths = net.hidden_widths
+    cuts = np.cumsum(net.hidden_widths)[:-1]
+    shifts = np.arange(nbits - 1, -1, -1)
+    step = max(1, _STACK_ENTRIES // _lp_entries(net, domain))
     points = []
-    for flat in itertools.product((0, 1), repeat=nbits):
-        sigma = ActivationPattern.from_flat(widths, flat)
-        res = max_slack(net, sigma, domain)
-        stats.pivots += res.pivots
-        norm = operator_norm(_jacobian_from_bits(net, sigma.bits), p)
-        points.append((res.slack, norm, flat, res))
+    for start in range(0, 1 << nbits, step):
+        flats = (np.arange(start, min(start + step, 1 << nbits))[:, None] >> shifts) & 1
+        slacks, pivots = max_slacks(net, flats, domain)
+        norms = operator_norms(_jacobian_from_bits(net, np.hsplit(flats, cuts)), p)
+        stats.pivots += int(pivots.sum())
+        points += zip(slacks.tolist(), norms.tolist(), map(tuple, flats.tolist()), itertools.repeat(None))
     stats.nodes_explored = len(points)
     stats.lp_calls += len(points)
     return _aggregate(net, domain, p, eps_list, points, stats)

@@ -373,7 +373,8 @@ def _affine_layers(
     the given gating bits, for hidden layers 1..upto.
 
     Layer k's pre-activation form only consumes bits of layers 1..k-1, so a
-    prefix of bits suffices for a prefix of layers.
+    prefix of bits suffices for a prefix of layers. Per-layer gates of
+    shape (k, n_l) give a stack: coeff (k, n_l, n_0) and offset (k, n_l).
     """
     n_hidden = net.depth - 1
     upto = n_hidden if upto is None else upto
@@ -385,11 +386,11 @@ def _affine_layers(
     for k in range(upto):
         layer = net.layers[k]
         c = layer.weights @ coeff
-        o = layer.weights @ offset + layer.bias
+        o = (layer.weights @ offset[..., None])[..., 0] + layer.bias
         out.append((c, o))
         if k + 1 < upto:
             gate = np.asarray(bits[k], dtype=float)
-            coeff = gate[:, None] * c
+            coeff = gate[..., None] * c
             offset = gate * o
     return out
 

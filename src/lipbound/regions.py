@@ -33,7 +33,7 @@ from .network import (
     check_domain_dim,
     forward,
 )
-from .simplex import LE, LinearProgram, LpSolution, lp_solve
+from .simplex import LE, LinearProgram, LpSolution, lp_solve, lp_stack
 
 # The two tolerances of meets_level, the one rule that turns a slack into a
 # feasibility decision: the open region needs a slack above TAU_STRICT, the
@@ -122,11 +122,12 @@ def margin_rows(sgn: np.ndarray, coeff: np.ndarray, offset: np.ndarray):
     """(A, b): the <= rows of the slack LP over (x, t) for neuron forms coeff x + offset.
 
     A neuron with sign s = sigma - 1/2 gives [-s*coeff, 1] (x, t) <= s*offset,
-    that is t <= s*(coeff.x + offset).
+    that is t <= s*(coeff.x + offset). Leading axes of sgn, coeff and offset
+    make a stack of row sets.
     """
-    A = np.empty((sgn.size, coeff.shape[1] + 1))
-    A[:, :-1] = -sgn[:, None] * coeff
-    A[:, -1] = 1.0
+    A = np.empty((*sgn.shape, coeff.shape[-1] + 1))
+    A[..., :-1] = -sgn[..., None] * coeff
+    A[..., -1] = 1.0
     return A, sgn * offset
 
 
@@ -134,15 +135,19 @@ def slack_lp(domain: InputDomain, n0: int, A: np.ndarray, b: np.ndarray) -> Line
     """max t subject to the margin rows A (x, t) <= b and x in the domain.
 
     Variables are (x, t); the domain rows come first, then the margin rows.
+    A of shape (k, m, n0 + 1) and b of shape (k, m) give a stack of k LPs.
     """
     A_dom, b_dom, xb = _domain_rows_bounds(domain, n0)
-    rows = np.zeros((b_dom.size + b.size, n0 + 1))
-    rows[: b_dom.size, :n0] = A_dom
-    rows[b_dom.size :] = A
+    stack = b.shape[:-1]
+    rows = np.zeros((*stack, b_dom.size + b.shape[-1], n0 + 1))
+    rows[..., : b_dom.size, :n0] = A_dom
+    rows[..., b_dom.size :, :] = A
     objective = np.zeros(n0 + 1)
     objective[-1] = 1.0
-    rhs = np.concatenate([b_dom, b])
-    return LinearProgram(objective, rows, np.full(rhs.size, LE, dtype=object), rhs, xb + [(None, None)])
+    rhs = np.empty(rows.shape[:-1])
+    rhs[..., : b_dom.size] = b_dom
+    rhs[..., b_dom.size :] = b
+    return LinearProgram(objective, rows, np.full(rhs.shape[-1], LE, dtype=object), rhs, xb + [(None, None)])
 
 
 def slack_result(sol: LpSolution) -> SlackResult:
@@ -194,6 +199,26 @@ def max_slack(
     sgn = np.concatenate([np.asarray(layer_bits, dtype=float) for layer_bits in bits]) - 0.5
     A, b = margin_rows(sgn, np.vstack([c for c, _ in forms]), np.concatenate([o for _, o in forms]))
     return slack_result(lp_solve(slack_lp(domain, net.input_dim, A, b)))
+
+
+def max_slacks(net: MlpNetwork, flats: np.ndarray, domain: InputDomain) -> tuple[np.ndarray, np.ndarray]:
+    """max_slack's slack and pivot count for each row of flat pattern bits.
+
+    flats has shape (k, total hidden bits). The k slack LPs are built as
+    one stack and solved by one lp_stack call, so each slack and pivot
+    count is bit-identical to max_slack's for that pattern alone: +inf
+    for an unbounded slack, NaN for an empty domain.
+    """
+    check_domain_dim(domain, net.input_dim)
+    flats = np.asarray(flats)
+    forms = _affine_layers(net, np.hsplit(flats, np.cumsum(net.hidden_widths)[:-1]))
+    k = flats.shape[0]
+    coeff = np.concatenate([np.broadcast_to(c, (k, *c.shape[-2:])) for c, _ in forms], axis=-2)
+    offset = np.concatenate([np.broadcast_to(o, (k, o.shape[-1])) for _, o in forms], axis=-1)
+    A, b = margin_rows(flats - 0.5, coeff, offset)
+    status, value, pivots = lp_stack(slack_lp(domain, net.input_dim, A, b))
+    slacks = np.where(status == "unbounded", math.inf, value)
+    return slacks, pivots
 
 
 def region_feasible(

@@ -27,6 +27,15 @@ place: the leaving row is the infeasible one with the lowest basic index,
 the entering column the lowest index of least ratio. Every basis it
 visits is dual feasible, so its objective bounds the optimum from above,
 and the caller's keep(bound) test can stop it before optimality.
+
+Stacks. lp_stack solves k LPs that share the objective, the relations and
+the bounds, and differ only in their rows, as one array of k tableaus.
+One builder (_tableau) makes the tableaus of one LP or of a stack. The
+lockstep loop (_run_stack) pivots every unfinished tableau once per pass,
+each by the same Bland rules and in the same floating-point operations
+as the one-LP loop, and drops a tableau from the pass once it is done;
+so each LP's status, optimum and pivot count are bit-identical to
+lp_solve's. The 2^n enumeration oracle solves its slack LPs this way.
 """
 
 from __future__ import annotations
@@ -52,7 +61,9 @@ class LinearProgram:
 
     bounds: per-variable (lower, upper) with None meaning unbounded on that
     side, kept as lo and up with None as -inf and +inf. Construction checks
-    the shapes, the relations and that every entry is finite.
+    the shapes, the relations and that every entry is finite. A of shape
+    (k, m, n) and b of shape (k, m) make a stack of k LPs for lp_stack,
+    sharing the objective, the relations and the bounds.
     """
 
     def __init__(self, objective, A, rel, b, bounds):
@@ -60,11 +71,12 @@ class LinearProgram:
         A = np.asarray(A, dtype=float)
         rel, b = np.asarray(rel, dtype=object), np.asarray(b, dtype=float)
         n = objective.shape[0]
-        if A.ndim != 2 or A.shape[1] != n:
+        if A.ndim not in (2, 3) or A.shape[-1] != n:
             raise ValueError(f"row 0: {A.shape[-1]} coefficients for {n} variables")
-        m = A.shape[0]
-        if rel.shape != (m,) or b.shape != (m,):
-            raise ValueError(f"{m} rows, {rel.size} relations, {b.size} right-hand sides")
+        m = A.shape[-2]
+        if rel.shape != (m,) or b.shape != A.shape[:-1]:
+            rhs = b.shape[-1] if b.ndim else b.size
+            raise ValueError(f"{m} rows, {rel.size} relations, {rhs} right-hand sides")
         if len(bounds) != n:
             raise ValueError(f"{len(bounds)} bounds for {n} variables")
         if not np.isfinite(objective).all():
@@ -72,9 +84,9 @@ class LinearProgram:
         bad = [i for i, r in enumerate(rel.tolist()) if r not in (LE, GE, EQ)]
         if bad:
             raise ValueError(f"row {bad[0]}: unknown relation {rel[bad[0]]!r}")
-        bad = ~(np.isfinite(A).all(axis=1) & np.isfinite(b))
+        bad = ~(np.isfinite(A).all(axis=-1) & np.isfinite(b))
         if bad.any():
-            raise ValueError(f"row {int(bad.argmax())}: non-finite entry")
+            raise ValueError(f"row {int(np.argwhere(bad)[0, -1])}: non-finite entry")
         lo = np.array([-np.inf if bd[0] is None else bd[0] for bd in bounds], dtype=float)
         up = np.array([np.inf if bd[1] is None else bd[1] for bd in bounds], dtype=float)
         bad = lo > up
@@ -159,13 +171,66 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
     raise SimplexBreakdownError(f"simplex did not finish within {_MAX_ITERS} iterations")
 
 
+def _pivot_stack(T: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
+    """_pivot on every tableau of a stack, tableau i on (r[i], c[i])."""
+    i = np.arange(T.shape[0])
+    row = T[i, r] / T[i, r, c][:, None]
+    T -= T[i, :, c][:, :, None] * row[:, None, :]
+    T[i, r] = row
+
+
+def _run_stack(T: np.ndarray, basis: np.ndarray, ncols: int):
+    """_run_simplex on a stack of tableaus in lockstep, each by its own pivots.
+
+    Every pass pivots each unfinished tableau once by the same Bland rules,
+    so each ends exactly as _run_simplex would leave it. T and basis are
+    updated in place. Returns (unbounded mask, pivots per tableau).
+    """
+    k = T.shape[0]
+    unbounded = np.zeros(k, dtype=bool)
+    pivots = np.zeros(k, dtype=int)
+    live = np.arange(k)  # the unfinished tableaus; Tw and bw hold them
+    Tw, bw = T, basis
+    for it in range(_MAX_ITERS):
+        i = np.arange(live.size)
+        negative = Tw[:, -1, :ncols] < -OPT_TOL
+        c = negative.argmax(axis=1)  # Bland: lowest index
+        col = Tw[i, :-1, c]
+        eligible = col > PIVOT_TOL
+        short = ~eligible.any(axis=1)
+        eligible[short] = col[short] > PIVOT_MIN
+        optimal = ~negative[i, c]
+        ray = ~optimal & ~eligible.any(axis=1)
+        done = optimal | ray
+        if done.any():
+            T[live[done]], basis[live[done]] = Tw[done], bw[done]
+            unbounded[live[ray]] = True
+            pivots[live[done]] = it
+            go = ~done
+            if not go.any():
+                return unbounded, pivots
+            live, Tw, bw = live[go], Tw[go], bw[go]
+            i, c, col, eligible = i[: live.size], c[go], col[go], eligible[go]
+        ratios = np.divide(Tw[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=eligible)
+        ties = eligible & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
+        r = np.where(ties, bw, T.shape[-1]).argmin(axis=1)  # Bland: lowest basic index
+        _pivot_stack(Tw, r, c)
+        bw[i, r] = c
+    raise SimplexBreakdownError(f"simplex did not finish within {_MAX_ITERS} iterations")
+
+
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP. Returned points satisfy every constraint within 1e-8."""
     return lp_tableau(lp)[0]
 
 
-def lp_tableau(lp: LinearProgram) -> tuple[LpSolution, Optional[Tableau]]:
-    """lp_solve, also returning the final tableau when the LP is optimal."""
+def _tableau(lp: LinearProgram):
+    """Standard form and starting tableau of lp, or of a stack of LPs.
+
+    lp.A has shape (..., m, n) and lp.b (..., m); the objective, relations
+    and bounds are shared, so x = x0 + M s is too. Returns (T, basis, M,
+    x0) with T of shape (..., m' + 1, width + 2) and the slack basis.
+    """
     n = lp.n
     has_lo, has_up = np.isfinite(lp.lo), np.isfinite(lp.up)
     free = ~(has_lo | has_up)
@@ -184,17 +249,37 @@ def lp_tableau(lp: LinearProgram) -> tuple[LpSolution, Optional[Tableau]]:
     boxed = (has_lo & has_up).nonzero()[0]
     A_s = lp.A @ M
     b_s = lp.b - lp.A @ x0
-    A = np.vstack([sign[:, None] * A_s, -A_s[eq], M[boxed]])
-    b = np.concatenate([sign * b_s, -b_s[eq], (lp.up - lp.lo)[boxed]])
+    m1, m2 = sign.size, sign.size + eq.size
+    m = m2 + boxed.size
 
     # Tableau: structural columns, one slack per row, the auxiliary, the rhs.
-    m = A.shape[0]
     aux = ns + m
-    T = np.zeros((m + 1, aux + 2))
-    T[:m, :ns] = A
-    T[:m, ns:aux] = np.eye(m)
-    T[:m, -1] = b
-    basis = np.arange(ns, aux)
+    T = np.zeros((*lp.b.shape[:-1], m + 1, aux + 2))
+    T[..., :m1, :ns] = sign[:, None] * A_s
+    T[..., m1:m2, :ns] = -A_s[..., eq, :]
+    T[..., m2:m, :ns] = M[boxed]
+    T[..., :m, ns:aux] = np.eye(m)
+    T[..., :m1, -1] = sign * b_s
+    T[..., m1:m2, -1] = -b_s[..., eq]
+    T[..., m2:m, -1] = (lp.up - lp.lo)[boxed]
+    basis = np.empty(T.shape[:-2] + (m,), dtype=int)
+    basis[...] = np.arange(ns, aux)
+    return T, basis, M, x0
+
+
+def lp_tableau(lp: LinearProgram) -> tuple[LpSolution, Optional[Tableau]]:
+    """lp_solve, also returning the final tableau when the LP is optimal."""
+    if lp.A.ndim != 2:
+        raise ValueError("lp_tableau solves one LP; lp_stack solves a stack")
+    return _solve(*_tableau(lp), lp.objective)
+
+
+def _solve(T, basis, M, x0, objective) -> tuple[LpSolution, Optional[Tableau]]:
+    """Both phases on one starting tableau from _tableau."""
+    m = basis.size
+    ns = M.shape[1]
+    aux = ns + m
+    b = T[:m, -1]
     pivots = 0
 
     violated = b < 0
@@ -222,12 +307,12 @@ def lp_tableau(lp: LinearProgram) -> tuple[LpSolution, Optional[Tableau]]:
 
     # Phase 2: minimize -c.x over the columns before the auxiliary, which stays at 0.
     T[-1] = 0.0
-    T[-1, :ns] = -(lp.objective @ M)
+    T[-1, :ns] = -(objective @ M)
     T[-1] -= T[-1, basis] @ T[:-1]
     status, enter, it = _run_simplex(T, basis, aux)
     pivots += it
 
-    tab = Tableau(T, basis, aux, M, x0, lp.objective)
+    tab = Tableau(T, basis, aux, M, x0, objective)
     if status == "unbounded":
         ray_s = np.zeros(aux)
         ray_s[enter] = 1.0
@@ -235,6 +320,81 @@ def lp_tableau(lp: LinearProgram) -> tuple[LpSolution, Optional[Tableau]]:
         ray_s[np.abs(ray_s) <= PIVOT_MIN] = 0.0
         return LpSolution("unbounded", None, tab.point(), M @ ray_s[:ns], pivots), None
     return tab.solution(pivots), tab
+
+
+def lp_stack(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a stack of LPs, lp.A of shape (k, m, n), by one lockstep simplex.
+
+    Returns (status, value, pivots), one entry per LP: status as lp_solve
+    reports it, the optimum (NaN unless optimal) and the pivot count. Each
+    LP takes the same pivots in the same arithmetic as lp_solve, so every
+    entry is bit-identical to lp_solve's. An LP whose phase-1 auxiliary
+    stays basic on a row with no other nonzero, a row lp_solve deletes, is
+    solved on its own by lp_solve's loop instead.
+    """
+    if lp.A.ndim != 3:
+        raise ValueError("lp_stack solves a stack of LPs, with rows of shape (k, m, n)")
+    T, basis, M, x0 = _tableau(lp)
+    k, m = basis.shape
+    ns = M.shape[1]
+    aux = ns + m
+    status = np.full(k, "optimal", dtype=object)
+    value = np.full(k, np.nan)
+    pivots = np.zeros(k, dtype=int)
+    phase2 = np.ones(k, dtype=bool)
+
+    b = T[:, :m, -1]
+    violated = b < 0
+    one = violated.any(axis=1).nonzero()[0]
+    if one.size:
+        T1, b1 = T[one], basis[one]
+        i = np.arange(one.size)
+        T1[:, :m, aux] = np.where(violated[one], -1.0, 0.0)
+        T1[:, -1, aux] = 1.0  # phase-1 cost: minimize the auxiliary
+        r = b[one].argmin(axis=1)
+        _pivot_stack(T1, r, np.full(one.size, aux))
+        b1[i, r] = aux
+        unbounded, its = _run_stack(T1, b1, aux + 1)
+        if unbounded.any():
+            raise SimplexBreakdownError("phase 1 reported unbounded; the auxiliary is bounded below")
+        pivots[one] = 1 + its
+        infeasible = -T1[:, -1, -1] > FEAS_TOL
+        status[one[infeasible]] = "infeasible"
+        phase2[one[infeasible]] = False
+        stuck = ((b1 == aux).any(axis=1) & ~infeasible).nonzero()[0]
+        if stuck.size:
+            r = (b1[stuck] == aux).argmax(axis=1)
+            choices = np.abs(T1[stuck, r, :aux]) > PIVOT_MIN
+            out = choices.any(axis=1)
+            for j in stuck[~out]:  # lp_solve deletes the row: solve it that way
+                sol, _ = _solve(T[one[j]].copy(), basis[one[j]].copy(), M, x0, lp.objective)
+                status[one[j]], pivots[one[j]] = sol.status, sol.pivots
+                value[one[j]] = np.nan if sol.value is None else sol.value
+                phase2[one[j]] = False
+            stuck, r, c = stuck[out], r[out], choices[out].argmax(axis=1)
+            Ts = T1[stuck]
+            _pivot_stack(Ts, r, c)
+            T1[stuck] = Ts
+            b1[stuck, r] = c
+            pivots[one[stuck]] += 1
+        T[one], basis[one] = T1, b1
+
+    # Phase 2: minimize -c.x over the columns before the auxiliary, which stays at 0.
+    two = phase2.nonzero()[0]
+    if two.size:
+        T2, b2 = T[two], basis[two]
+        i = np.arange(two.size)
+        T2[:, -1] = 0.0
+        T2[:, -1, :ns] = -(lp.objective @ M)
+        T2[:, -1] -= (T2[i[:, None], -1, b2][:, None, :] @ T2[:, :-1])[:, 0]
+        unbounded, its = _run_stack(T2, b2, aux)
+        pivots[two] += its
+        status[two[unbounded]] = "unbounded"
+        s = np.zeros((two.size, aux))
+        s[i[:, None], b2] = np.maximum(T2[:, :-1, -1], 0.0)
+        x = x0 + (M @ s[:, :ns, None])[..., 0]
+        value[two] = np.where(unbounded, np.nan, (x[:, None, :] @ lp.objective[:, None])[:, 0, 0])
+    return status, value, pivots
 
 
 def append_row(tab: Tableau, a: np.ndarray, b: float) -> Tableau:

@@ -315,7 +315,8 @@ class TestOneSearch:
         assert r.stats.pivots <= 983
         assert 0 < r.stats.warm_lps < r.stats.lp_calls
         oracle = compute_report(net, unit_box(net), 2, [0.05], mode="oracle")
-        assert oracle.stats.lp_calls == 2**10
+        # one LP per pattern, plus the lower argmax's max_slack for its witness
+        assert oracle.stats.lp_calls == 2**10 + 1
 
     def test_one_search_per_report(self, monkeypatch):
         import lipbound.bounds as bounds_module
@@ -332,6 +333,64 @@ class TestOneSearch:
         r = compute_report(net, unit_box(net), 2, [0.05, 0.2], mode="bnb")
         assert len(calls) == 1
         assert set(r.eps_values) == {0.05, 0.2}
+
+
+class TestOracleStacks:
+    def test_partial_last_stack(self, monkeypatch):
+        # stacks of 3 over 1,024 patterns leave a last stack of 1; the
+        # report, stats included, is the one of the default stacks
+        import lipbound.bounds as bounds_module
+
+        net = _seeded_net(3, (4, 10, 1))
+        box = unit_box(net)
+        want = report_to_dict(brute_force_bounds(net, box, 2, [0.05]))
+        sizes = []
+        stack_slacks = bounds_module.max_slacks
+        monkeypatch.setattr(
+            bounds_module, "max_slacks", lambda n, flats, d: sizes.append(len(flats)) or stack_slacks(n, flats, d)
+        )
+        monkeypatch.setattr(bounds_module, "_STACK_ENTRIES", 3 * bounds_module._lp_entries(net, box))
+        got = report_to_dict(brute_force_bounds(net, box, 2, [0.05]))
+        assert sizes == [3] * 341 + [1]
+        assert got == want
+
+    @pytest.mark.parametrize("name", ["max_slacks", "operator_norms"])
+    def test_stacked_values_rechecked(self, monkeypatch, name):
+        # the lower argmax is solved and normed again on its own; a stacked
+        # value one ulp off fails the report
+        import lipbound.bounds as bounds_module
+
+        stacked = getattr(bounds_module, name)
+
+        def off_by_one_ulp(*args):
+            out = stacked(*args)
+            values = out[0] if name == "max_slacks" else out
+            values[:] = np.nextafter(values, np.inf)
+            return out
+
+        monkeypatch.setattr(bounds_module, name, off_by_one_ulp)
+        net = _seeded_net(11, (2, 6, 1))
+        with pytest.raises(AssertionError, match="differs from its pattern's own"):
+            brute_force_bounds(net, unit_box(net), 2, [])
+
+    @pytest.mark.parametrize(
+        "net, domain, p",
+        [
+            (_seeded_net(31, (3, 7, 7, 1)), "box", 2),
+            (_degenerate(_seeded_net(32, (3, 7, 7, 1)), negate=True), "all", math.inf),
+        ],
+    )
+    def test_fourteen_bits(self, net, domain, p):
+        # beyond the benchmark zoo's 12 bits: the same report as the search,
+        # from 2^14 pattern LPs plus the lower argmax's witness LP
+        domain = unit_box(net) if domain == "box" else AllSpace()
+        oracle = report_to_dict(compute_report(net, domain, p, [0.05], mode="oracle"))
+        bnb = report_to_dict(compute_report(net, domain, p, [0.05], mode="bnb"))
+        stats = oracle.pop("stats")
+        bnb.pop("stats")
+        assert oracle == bnb
+        assert stats["nodes_explored"] == 2**14
+        assert stats["lp_calls"] == 2**14 + 1
 
 
 NODE_BOUND_NETS = [

@@ -10,6 +10,7 @@ from lipbound import (
     AllSpace,
     Box,
     DomainEmptyError,
+    DomainFormatError,
     L2Ball,
     MlpNetwork,
     NonPolyhedralDomainError,
@@ -21,7 +22,9 @@ from lipbound import (
     region_feasible,
     witness_at_level,
 )
-from lipbound.regions import TAU_CLOSED, TAU_STRICT, SlackResult, domain_nonempty, meets_level
+import lipbound.regions as regions
+from lipbound.regions import TAU_CLOSED, TAU_STRICT, SlackResult, domain_nonempty, max_slacks, meets_level
+from lipbound.simplex import LinearProgram, lp_solve
 
 from conftest import random_net, unit_box
 
@@ -245,6 +248,78 @@ class TestNeuronPrefix:
         for k in (0, 3):
             with pytest.raises(ValueError):
                 max_slack(ex1, sigma, AllSpace(), neurons=k)
+
+
+def zoo_style_nets():
+    """Seeded nets of the benchmark zoo's four classes: one hidden layer of
+    width 7-8, two of width 3-4, three of width 2-3, and degenerate nets
+    (zero biases, a duplicated or negated first-layer neuron) whose closed
+    regions touch and whose slack cones are unbounded on all of space."""
+    def net(seed, widths, degenerate=None):
+        rng = np.random.default_rng(seed)
+        layers = [
+            (rng.normal(size=(widths[k + 1], widths[k])) / np.sqrt(widths[k]), 0.5 * rng.normal(size=widths[k + 1]))
+            for k in range(len(widths) - 1)
+        ]
+        if degenerate is not None:
+            layers = [(w, np.zeros_like(b)) for w, b in layers]
+            layers[0][0][1] = -layers[0][0][0] if degenerate else layers[0][0][0]
+        return MlpNetwork.from_arrays(layers)
+
+    return [
+        net(41, (3, 7, 1)),
+        net(42, (2, 8, 2)),
+        net(43, (3, 4, 3, 1)),
+        net(44, (2, 3, 2, 3, 1)),
+        net(45, (3, 5, 3, 1), degenerate=False),
+        net(46, (2, 4, 3, 2), degenerate=True),
+    ]
+
+
+def zoo_style_domains(net, seed):
+    n0 = net.input_dim
+    cuts = np.random.default_rng(seed).normal(size=(2, n0))
+    polytope = Polytope(np.vstack([np.eye(n0), -np.eye(n0), cuts]), np.concatenate([np.ones(2 * n0), [0.3, 0.3]]))
+    return unit_box(net), polytope, AllSpace()
+
+
+def all_flats(net):
+    n = net.total_hidden_bits
+    return np.array(list(itertools.product((0, 1), repeat=n)))
+
+
+class TestMaxSlacks:
+    def test_every_slack_lp_of_zoo_style_nets(self, monkeypatch):
+        # the stack's status, optimum and pivots equal lp_solve's on each of
+        # its slack LPs, and max_slacks equals max_slack, bit for bit
+        stacks = []
+        stack_solve = regions.lp_stack
+        monkeypatch.setattr(regions, "lp_stack", lambda lp: stacks.append((lp, stack_solve(lp))) or stacks[-1][1])
+        seen = {"optimal": 0, "unbounded": 0}
+        for seed, net in enumerate(zoo_style_nets()):
+            flats = all_flats(net)
+            for domain in zoo_style_domains(net, seed):
+                slacks, pivots = max_slacks(net, flats, domain)
+                lp, (status, value, lp_pivots) = stacks[-1]
+                bounds = [(None if np.isinf(a) else a, None if np.isinf(b) else b) for a, b in zip(lp.lo, lp.up)]
+                for j, flat in enumerate(flats):
+                    one = lp_solve(LinearProgram(lp.objective, lp.A[j], lp.rel, lp.b[j], bounds))
+                    assert (status[j], lp_pivots[j]) == (one.status, one.pivots)
+                    assert np.float64(value[j]).tobytes() == np.float64(np.nan if one.value is None else one.value).tobytes()
+                    seen[one.status] += 1
+                    res = max_slack(net, ActivationPattern.from_flat(net.hidden_widths, tuple(flat)), domain)
+                    assert np.float64(slacks[j]).tobytes() == np.float64(res.slack).tobytes()
+                    assert pivots[j] == res.pivots
+        assert min(seen.values()) > 100, seen
+
+    def test_one_pattern_and_checks(self, ex2):
+        slacks, pivots = max_slacks(ex2, np.array([[0, 1], [1, 1]]), AllSpace())
+        assert slacks[0] == pytest.approx(0.5, abs=1e-9)
+        assert slacks[1] == max_slack(ex2, ActivationPattern(((1, 1),)), AllSpace()).slack
+        with pytest.raises(DomainFormatError):
+            max_slacks(ex2, np.array([[0, 1]]), Box([-1.0, -1.0], [1.0, 1.0]))
+        with pytest.raises(NonPolyhedralDomainError):
+            max_slacks(ex2, np.array([[0, 1]]), L2Ball([0.0], 1.0))
 
 
 def scipy_slack(net, sigma, domain):

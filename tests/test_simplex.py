@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import linprog
 
 from lipbound import LinearProgram, lp_solve
-from lipbound.simplex import EQ, GE, LE, append_row, dual_simplex, lp_tableau
+import lipbound.simplex as simplex
+from lipbound.simplex import EQ, GE, LE, append_row, dual_simplex, lp_stack, lp_tableau
 
 
 def stacked(rows, n):
@@ -429,3 +430,123 @@ class TestWarmStart:
             assert again.status == sol.status and again.pivots == sol.pivots
             if sol.status == "optimal":
                 assert again.value == sol.value and np.array_equal(again.x, sol.x)
+
+
+# --- stacks: many LPs in one lockstep simplex -------------------------------
+
+
+def stack_lp(objective, rels, rows, rhs, bounds):
+    """One LinearProgram holding a stack of LPs: rows (k, m, n), rhs (k, m)."""
+    return LinearProgram(
+        np.asarray(objective, float),
+        np.asarray(rows, float).reshape(len(rhs), len(rels), len(objective)),
+        np.array(rels, dtype=object),
+        np.asarray(rhs, float).reshape(len(rhs), len(rels)),
+        bounds,
+    )
+
+
+def bits(v):
+    return np.float64(np.nan if v is None else v).tobytes()
+
+
+def assert_stack_is_lp_solve(lp):
+    """lp_stack agrees with lp_solve on every LP of the stack, bit for bit:
+    status, optimum (NaN unless optimal) and pivot count. Returns the statuses."""
+    status, value, pivots = lp_stack(lp)
+    bounds = [(None if np.isinf(lo) else lo, None if np.isinf(up) else up) for lo, up in zip(lp.lo, lp.up)]
+    for j in range(lp.A.shape[0]):
+        one = lp_solve(LinearProgram(lp.objective, lp.A[j], lp.rel, lp.b[j], bounds))
+        assert (status[j], pivots[j]) == (one.status, one.pivots), j
+        assert bits(value[j]) == bits(one.value), (j, value[j], one.value)
+    return list(status)
+
+
+class TestStack:
+    @pytest.mark.parametrize("pivot_tol", [simplex.PIVOT_TOL, 0.5])
+    def test_random_stacks(self, monkeypatch, pivot_tol):
+        # PIVOT_TOL at 0.5 sends many ratio tests to their PIVOT_MIN fallback
+        monkeypatch.setattr(simplex, "PIVOT_TOL", pivot_tol)
+        rng = np.random.default_rng(0)
+        seen = {"optimal": 0, "unbounded": 0, "infeasible": 0}
+        for _ in range(300):
+            n, m, k = (int(v) for v in rng.integers(1, [6, 7, 9]))
+            rels = [(LE, GE, EQ)[i] for i in rng.integers(0, 3, size=m)]
+            if rng.random() < 0.3:  # integer grid: ties and degenerate vertices
+                rows = rng.integers(-1, 2, size=(k, m, n))
+                rhs = rng.integers(-1, 2, size=(k, m))
+            else:
+                rows, rhs = rng.normal(size=(k, m, n)), rng.normal(size=(k, m))
+            lp = stack_lp(rng.normal(size=n), rels, rows, rhs, random_bounds(rng, n))
+            for st in assert_stack_is_lp_solve(lp):
+                seen[st] += 1
+        assert min(seen.values()) > 100, seen
+
+    def test_mixed_outcomes_in_one_stack(self):
+        # max x, x >= 0, rows x >= b0 and a x <= b1: the auxiliary ending
+        # basic at zero (3 pivots), a feasible start, an infeasible LP, an
+        # unbounded one and a phase-1 start, all in one stack
+        rows = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
+        rhs = [[1.0, 1.0], [-1.0, 2.0], [2.0, 1.0], [1.0, 0.0], [0.5, 3.0]]
+        lp = stack_lp([1.0], [GE, LE], rows, rhs, [(0.0, None)])
+        assert assert_stack_is_lp_solve(lp) == ["optimal", "optimal", "infeasible", "unbounded", "optimal"]
+        assert list(lp_stack(lp)[2])[0] == 3
+
+    @pytest.mark.parametrize(
+        "objective, rels, rows, rhs, bounds",
+        [
+            # duplicated and scaled equality rows; the last LP is infeasible
+            ([1.0, 0.0], [EQ, EQ, EQ], [[1, 1, 1, 1, 2, 2]] * 4,
+             [[2, 2, 4], [1, 1, 2], [3, 3, 6], [2, 2, 5]], [(0.0, None)] * 2),
+            ([1.0, 2.0], [EQ, EQ, EQ], [[1, 1, 2, 2, 1, -1]] * 3,
+             [[2, 4, 0], [2, 4, 1], [1, 2, 0]], [(0.0, None)] * 2),
+            # every row violated at the start, infeasible or not
+            ([0.0], [LE, GE], [[1, 1]] * 3, [[-1, 1], [1, -1], [-1, -2]], [(None, None)]),
+            ([-1.0, -1.0], [GE, GE, GE], [[1, 0, 0, 1, 1, 1], [1, 0, 0, 1, 2, 1]],
+             [[1, 2, 4], [1, 2, 2]], [(0.0, None)] * 2),
+            # a feasible start, phase 2 only
+            ([1.0, 1.0], [LE, LE], [[1, 2, 3, 1], [2, 1, 1, 3]], [[4, 6], [4, 6]], [(0.0, None)] * 2),
+            # unbounded along a free direction
+            ([1.0, -1.0], [GE], [[1, -1], [1, 1], [-1, 1]], [[1], [1], [0]], [(None, None)] * 2),
+            # boxed and one-sided bounds, no rows at all
+            ([1.0, -1.0], [], np.zeros((3, 0, 2)), np.zeros((3, 0)), [(0.0, 2.0), (-1.0, 3.0)]),
+            ([1.0, -1.0], [], np.zeros((2, 0, 2)), np.zeros((2, 0)), [(None, 2.0), (-1.0, None)]),
+            # a fixed variable and a boxed one under a row
+            ([1.0, 1.0], [LE], [[1, 1], [1, 2], [2, 1]], [[10], [4], [-10]], [(3.0, 3.0), (0.0, 5.0)]),
+            # many ties at a degenerate optimum
+            ([1.0, 1.0], [LE, LE, LE, LE], [[1, 1, 1, 0, 0, 1, 2, 2]] * 3,
+             [[1, 1, 1, 2], [0, 0, 0, 0], [1, 0, 1, 2]], [(0.0, None)] * 2),
+        ],
+    )
+    def test_hand_written_cases(self, objective, rels, rows, rhs, bounds):
+        assert_stack_is_lp_solve(stack_lp(objective, rels, rows, rhs, bounds))
+
+    def test_deleted_auxiliary_row(self, monkeypatch):
+        # lp_solve deletes the row of an auxiliary that ends phase 1 basic
+        # with no other entry above PIVOT_MIN. In exact arithmetic that row
+        # cannot arise (its slack entries would all be zero, and so would its
+        # auxiliary entry), so PIVOT_MIN is raised to force it: the stack must
+        # then hand exactly those LPs to lp_solve's loop.
+        monkeypatch.setattr(simplex, "PIVOT_MIN", 10.0)
+        # the first, third and fourth LPs pin x with a >= and a <= row
+        rows = [[1.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [1.0, 1.0], [1.0, 2.0]]
+        rhs = [[1.0, 1.0], [2.0, 3.0], [2.0, 1.0], [1.0, 2.0], [-1.0, 2.0], [3.0, 1.0]]
+        lp = stack_lp([1.0], [GE, LE], rows, rhs, [(0.0, None)])
+        calls = []
+        solve_one = simplex._solve
+        monkeypatch.setattr(simplex, "_solve", lambda *a: calls.append(1) or solve_one(*a))
+        lp_stack(lp)
+        assert len(calls) == 3
+        assert assert_stack_is_lp_solve(lp) == ["optimal"] * 5 + ["infeasible"]
+
+    def test_shapes_checked(self):
+        lp = LinearProgram([1.0], [[1.0]], [LE], [1.0], [(0.0, None)])
+        with pytest.raises(ValueError, match="stack"):
+            lp_stack(lp)
+        stacked = stack_lp([1.0], [LE], [[1.0], [2.0]], [[1.0], [1.0]], [(0.0, None)])
+        with pytest.raises(ValueError, match="one LP"):
+            lp_tableau(stacked)
+        with pytest.raises(ValueError, match="1 rows, 1 relations, 2 right-hand sides"):
+            LinearProgram([1.0], np.ones((2, 1, 1)), [LE], np.ones((2, 2)), [(0.0, None)])
+        with pytest.raises(ValueError, match="row 1: non-finite"):
+            LinearProgram([1.0], np.ones((2, 2, 1)), [LE, LE], [[1.0, 1.0], [1.0, np.inf]], [(0.0, None)])
