@@ -15,9 +15,10 @@ checks the prefix slack LP after every fixed bit and prunes only
 closed-infeasible or strictly dominated prefixes. Each prefix LP is warm
 started from its parent's final tableau with one margin row appended,
 and the dual simplex that re-optimizes it stops as soon as its upper
-bound on the prefix slack misses the closed level. Leaves solve their
-full LP from scratch. Both give identical reports; only the statistics
-differ.
+bound on the prefix slack misses the closed level. Leaves are decided the
+same way, and the full slack LPs of the kept ones are then solved again in
+stacks, as the oracle solves its own, so both modes hand the aggregator
+exact slacks. Both give identical reports; only the statistics differ.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import DomainEmptyError, EnumerationGuardError
 from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _jacobian_from_bits
 from .norms import check_norm_kind, operator_norm, operator_norms
 from .regions import (
-    SlackResult,
     check_eps,
     domain_nonempty,
     margin_rows,
@@ -65,12 +65,14 @@ class SearchStats:
     """Deterministic counters of one report's search.
 
     nodes_explored counts every prefix visited, those pruned by value
-    before their LP included; lp_calls counts every LP solved, the domain
-    probe included when it solves one; warm_lps counts those of them
-    re-optimized from a parent tableau; pivots sums the simplex pivots of
-    the region slack LPs, warm ones included. For the oracle, nodes_explored
-    is 2^n; lp_calls is the 2^n pattern LPs, plus the domain probe, plus
-    the lower argmax's witness LP; pivots sums the pattern LPs' pivots over
+    before their LP included. For the branch-and-bound, lp_calls counts
+    the warm and cold LPs of prefixes and leaves, the stacked exact LP of
+    every kept leaf (so a kept leaf that had an LP counts two), the domain
+    probe when it solves one and the lower argmax's witness LP; warm_lps
+    counts the prefix and leaf LPs re-optimized from a parent tableau;
+    pivots sums the pivots of all these LPs but the probe. For the oracle,
+    nodes_explored is 2^n; lp_calls is the 2^n pattern LPs, plus the domain
+    probe, plus the witness LP; pivots sums the pattern LPs' pivots over
     every stack, plus the witness LP's.
     """
 
@@ -120,21 +122,6 @@ class BoundsReport:
 # --- shared aggregation ----------------------------------------------------
 
 
-class _Best:
-    """Running maximum with lexicographic tie-break on the pattern bits."""
-
-    __slots__ = ("value", "flat")
-
-    def __init__(self):
-        self.value: Optional[float] = None
-        self.flat: Optional[tuple[int, ...]] = None
-
-    def offer(self, value: float, flat: tuple[int, ...]) -> None:
-        if self.value is None or value > self.value or (value == self.value and flat < self.flat):
-            self.value = value
-            self.flat = flat
-
-
 class _Envelope:
     """Best norm among collected points of region depth >= s, as a staircase.
 
@@ -166,11 +153,20 @@ class _Envelope:
         self.norms[j:end] = [norm]
 
 
-def _lower_witness(net, flat, widths, domain, res: SlackResult) -> np.ndarray:
-    """A point of the lower argmax's open region, from its slack LP result."""
+def _lower_witness(net, domain, p, sigma, slack: float, norm: float, stats) -> np.ndarray:
+    """A point of the lower argmax's open region, from its slack LP solved alone.
+
+    That one max_slack call is counted in stats, and the pattern's slack and
+    norm, each computed alone, must equal those it was aggregated with, bit
+    for bit.
+    """
+    res = max_slack(net, sigma, domain)
+    stats.lp_calls += 1
+    stats.pivots += res.pivots
+    if res.slack != slack or operator_norm(_jacobian_from_bits(net, sigma.bits), p) != norm:
+        raise AssertionError("a stacked slack or norm differs from its pattern's own")
     if res.status == "bounded":
         return np.array(res.witness)
-    sigma = ActivationPattern.from_flat(widths, flat)
     return witness_at_level(net, sigma, domain, 1.0, slack=res)
 
 
@@ -185,58 +181,49 @@ def _check_domain(net: MlpNetwork, domain: InputDomain) -> int:
     return int(isinstance(domain, Polytope) and domain.A.shape[0] > 0)  # no LP otherwise
 
 
-def _aggregate(net, domain, p, eps_list, points, stats) -> BoundsReport:
-    """Every bound, argmax, eps value and the curve from (slack, norm, flat,
-    slack result) points.
+def _aggregate(net, domain, p, eps_list, slacks, norms, flats, stats) -> BoundsReport:
+    """Every bound, argmax, eps value and the curve from points given as
+    arrays: slacks (k,), norms (k,) and flat pattern bits (k, n).
 
     A target keeps the points whose slack meets its level: upper the closed
-    level (eps 0), lower the open one (None), each eps value its own. The
-    curve is the envelope of the strictly feasible points. The lower argmax's
-    witness comes from its point's slack result. A point without one (the
-    oracle's, from a stack) gets it from one max_slack call, counted in
-    stats, and that pattern's slack and norm, solved alone as the search's
-    leaf solves them, must equal the stacked ones bit for bit.
+    level (eps 0), lower the open one (None), each eps value its own. Its
+    value is their largest norm, its argmax the lowest flat among the points
+    that reach it. The curve is the envelope of the strictly feasible points.
+    The lower argmax's witness comes from _lower_witness.
     """
     widths = net.hidden_widths
-    levels = {"upper": 0.0, "lower": None, **{e: e for e in eps_list}}
-    best = {t: _Best() for t in levels}
-    env = _Envelope()
-    for slack, norm, flat, _ in points:
-        for t, level in levels.items():
-            if meets_level(slack, level):
-                best[t].offer(norm, flat)
-        if meets_level(slack, 0.0):
-            stats.patterns_feasible += 1
-        if meets_level(slack, None):
-            env.add(slack, norm)
 
-    def pattern(b: _Best):
-        return None if b.flat is None else ActivationPattern.from_flat(widths, b.flat)
+    def best(level) -> Optional[int]:
+        """Index of the target's argmax at level, or None when no point meets it."""
+        tied = meets_level(slacks, level)
+        if not tied.any():
+            return None
+        tied = np.flatnonzero(tied & (norms == norms[tied].max()))
+        return tied[np.lexsort(flats[tied].T[::-1])[0]]  # the lowest flat: column 0 leads
+
+    def pattern(i: int) -> ActivationPattern:
+        return ActivationPattern.from_flat(widths, tuple(flats[i].tolist()))
 
     report = BoundsReport(p=p, stats=stats)
-    report.upper = best["upper"].value
-    report.argmax_upper = pattern(best["upper"])
-    lo = best["lower"]
-    report.lower_empty = lo.value is None
-    report.lower = 0.0 if lo.value is None else lo.value
-    report.argmax_lower = pattern(lo)
-    if lo.flat is not None:
-        slack, _, _, res = next(point for point in points if point[2] == lo.flat)
-        if res is None:  # an oracle point: solve it alone, as the search's leaf does
-            sigma = report.argmax_lower
-            res = max_slack(net, sigma, domain)
-            stats.lp_calls += 1
-            stats.pivots += res.pivots
-            if res.slack != slack or operator_norm(_jacobian_from_bits(net, sigma.bits), p) != lo.value:
-                raise AssertionError("a stacked slack or norm differs from its pattern's own")
-        report.witness_x_lower = _lower_witness(net, lo.flat, widths, domain, res)
+    up, lo = best(0.0), best(None)
+    if up is not None:
+        report.upper, report.argmax_upper = float(norms[up]), pattern(up)
+    report.lower_empty = lo is None
+    report.lower = 0.0 if lo is None else float(norms[lo])
+    if lo is not None:
+        sigma = report.argmax_lower = pattern(lo)
+        report.witness_x_lower = _lower_witness(net, domain, p, sigma, slacks[lo], norms[lo], stats)
     for e in eps_list:
-        b = best[e]
-        report.eps_values[e] = 0.0 if b.value is None else b.value
-        if b.value is None:
+        i = best(e)
+        report.eps_values[e] = 0.0 if i is None else float(norms[i])
+        if i is None:
             report.eps_empty.add(e)
         else:
-            report.eps_argmax[e] = pattern(b)
+            report.eps_argmax[e] = pattern(i)
+    env = _Envelope()
+    strict = meets_level(slacks, None)
+    for s, v in zip(slacks[strict].tolist(), norms[strict].tolist()):
+        env.add(s, v)
     report.curve = [CurveSegment(s, v) for s, v in zip(env.slacks, env.norms)]
     if not env.slacks or env.slacks[-1] != INF:
         report.curve.append(CurveSegment(INF, 0.0, empty=True))
@@ -256,20 +243,43 @@ def _lp_entries(net: MlpNetwork, domain: InputDomain) -> int:
     return (rows + 1) * (2 * (n0 + 1) + rows + 2)
 
 
+def _closed_points(net: MlpNetwork, domain: InputDomain, count: int, stack, stats: SearchStats):
+    """(slacks, norms, flats) of those of patterns 0..count-1 whose closed
+    region meets the domain, by the slack of each one's own full LP.
+
+    stack(i, j) gives the flat bits (j - i, n) and the norms (j - i,) of
+    patterns i..j-1. They go to max_slacks in stacks of at most
+    _STACK_ENTRIES tableau entries, so each slack and pivot count is
+    max_slack's for that pattern alone, whatever the stack. lp_calls and
+    pivots count these LPs, and patterns_feasible the patterns kept.
+    """
+    step = max(1, _STACK_ENTRIES // _lp_entries(net, domain))
+    parts = [(np.empty(0), np.empty(0), np.empty((0, net.total_hidden_bits), dtype=int))]
+    for i in range(0, count, step):
+        flats, norms = stack(i, min(i + step, count))
+        slacks, pivots = max_slacks(net, flats, domain)
+        stats.pivots += int(pivots.sum())
+        keep = meets_level(slacks, 0.0)
+        stats.patterns_feasible += int(keep.sum())
+        parts.append((slacks[keep], norms[keep], flats[keep]))
+    stats.lp_calls += count
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
 def brute_force_bounds(
     net: MlpNetwork, domain: InputDomain, p, eps_list: Sequence[float] = ()
 ) -> BoundsReport:
     """Enumerate every pattern, solve its slack LP, and aggregate all bounds.
 
     The oracle for the branch-and-bound: one full LP per pattern and no
-    pruning. The patterns go in itertools.product order, in stacks of at
-    most _STACK_ENTRIES tableau entries; each stack's LPs are solved by one
-    lockstep simplex (max_slacks) and its Jacobians normed by one
-    operator_norms call, both bit-identical to one pattern at a time.
-    lp_calls counts the 2^n pattern LPs, the domain probe when it solves an
-    LP, and the lower argmax's max_slack, which gives its witness; pivots
-    sums the pivots of the pattern LPs and of that last one. Refuses
-    networks with more than ENUMERATION_GUARD_BITS hidden neurons.
+    pruning. The patterns go in itertools.product order through
+    _closed_points, which solves their LPs a stack at a time; each stack's
+    Jacobians are normed by one operator_norms call, bit-identical to one
+    pattern at a time. lp_calls counts the 2^n pattern LPs, the domain
+    probe when it solves an LP, and the lower argmax's max_slack, which
+    gives its witness; pivots sums the pivots of the pattern LPs and of that
+    last one. Refuses networks with more than ENUMERATION_GUARD_BITS hidden
+    neurons.
     """
     p = check_norm_kind(p)
     eps_list = _eps_values(eps_list)
@@ -278,20 +288,16 @@ def brute_force_bounds(
         raise EnumerationGuardError(
             f"{nbits} hidden bits exceed the enumeration guard ({ENUMERATION_GUARD_BITS})"
         )
-    stats = SearchStats(lp_calls=_check_domain(net, domain))
+    stats = SearchStats(lp_calls=_check_domain(net, domain), nodes_explored=1 << nbits)
     cuts = np.cumsum(net.hidden_widths)[:-1]
     shifts = np.arange(nbits - 1, -1, -1)
-    step = max(1, _STACK_ENTRIES // _lp_entries(net, domain))
-    points = []
-    for start in range(0, 1 << nbits, step):
-        flats = (np.arange(start, min(start + step, 1 << nbits))[:, None] >> shifts) & 1
-        slacks, pivots = max_slacks(net, flats, domain)
-        norms = operator_norms(_jacobian_from_bits(net, np.hsplit(flats, cuts)), p)
-        stats.pivots += int(pivots.sum())
-        points += zip(slacks.tolist(), norms.tolist(), map(tuple, flats.tolist()), itertools.repeat(None))
-    stats.nodes_explored = len(points)
-    stats.lp_calls += len(points)
-    return _aggregate(net, domain, p, eps_list, points, stats)
+
+    def stack(i: int, j: int):
+        flats = (np.arange(i, j)[:, None] >> shifts) & 1
+        return flats, operator_norms(_jacobian_from_bits(net, np.hsplit(flats, cuts)), p)
+
+    points = _closed_points(net, domain, 1 << nbits, stack, stats)
+    return _aggregate(net, domain, p, eps_list, *points, stats)
 
 
 # --- branch and bound ------------------------------------------------------
@@ -327,13 +333,11 @@ def _node_bound(c: np.ndarray, fixed: Sequence[int], later: Sequence[tuple], p) 
     return operator_norm(np.maximum(-lo, hi), p)
 
 
-def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStats) -> list:
+def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStats):
     """Depth-first search over patterns, bit 1 before bit 0, one bit per node.
 
-    Returns (region depth, norm, flat bits, slack result) for every leaf it
-    reaches whose closed region meets the domain; each leaf's depth and
-    result come from its full slack LP, max_slack (the result is None when
-    domain is None). A prefix is dropped when its prefix slack (the LP over
+    Returns the flat bits (k, n) and the norms (k,) of the leaves it keeps.
+    A prefix, a leaf included, is dropped when its prefix slack (the LP over
     the margins of its fixed neurons, an upper bound on every completion's
     depth) misses the closed level. The one value prune runs before the LP:
     a prefix goes when its interval-Jacobian bound (_node_bound) on every
@@ -344,8 +348,13 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     so each child of such a prefix fails its own pre-LP test. A child whose
     new margin is nonnegative at the parent's LP witness (or grows along
     its unbounded ray) is closed-feasible without an LP and keeps the
-    parent's slack as its upper bound. domain=None skips all feasibility
-    work (the unconstrained problem; every depth is +inf).
+    parent's slack as its upper bound. A leaf keeps it only along a ray,
+    where it is exact: the ray, scaled down in t, is a ray of the leaf's
+    LP, so its slack is +inf. A kept leaf joins the envelope at the slack
+    its search LP gave, which can differ from max_slack's in the last bits,
+    so the caller takes the exact slacks from _closed_points. domain=None
+    skips all feasibility work (the unconstrained problem; every depth is
+    +inf).
 
     Prefix LPs are warm-started. The search keeps the <= margin rows of the
     path, and each node carries its parent's final, dual-feasible tableau.
@@ -370,7 +379,8 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     offset = [net.layers[0].bias] + [None] * (net.depth - 1)
     rows: list = [None] * len(widths)
     env = _Envelope()
-    points: list = []
+    flats: list = []  # the kept leaves, and their norms
+    norms: list = []
     bits: list[int] = []
     path: list = []  # margin rows of the fixed bits above the current node
 
@@ -404,7 +414,6 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     def visit(s: float, x, ray, tab) -> None:
         """Expand the prefix `bits`; s bounds its depth, x or ray certifies it."""
         stats.nodes_explored += 1
-        res = None
         k = len(bits)
         h = layer_of[k]
         if k == starts[h]:
@@ -421,24 +430,20 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
         if ub is not None and ub < best - _PRUNE_MARGIN:
             return
         if domain is not None and k:
-            if k == nbits:
-                stats.lp_calls += 1
-                res = max_slack(net, ActivationPattern.from_flat(widths, tuple(bits)), domain)
-                stats.pivots += res.pivots
+            hk = layer_of[k - 1]
+            A, rhs = rows[hk][bits[-1]]
+            row = (A[k - 1 - starts[hk]], rhs[k - 1 - starts[hk]])
+            # a leaf keeps its parent's slack only when that is exact: +inf along a ray
+            if (k < nbits or ray is not None) and inherits(x, ray):
+                tab = None if tab is None else append_row(tab, *row)
             else:
-                hk = layer_of[k - 1]
-                A, rhs = rows[hk][bits[-1]]
-                row = (A[k - 1 - starts[hk]], rhs[k - 1 - starts[hk]])
-                if inherits(x, ray):
-                    tab = None if tab is None else append_row(tab, *row)
-                else:
-                    res, tab = prefix_slack(*row, tab)
-            if res is not None:
+                res, tab = prefix_slack(*row, tab)
                 if not meets_level(res.slack, 0.0):
                     return
                 s, x, ray = res.slack, res.witness, res.ray
         if k == nbits:
-            points.append((s, ub, tuple(bits), res))
+            flats.append(tuple(bits))
+            norms.append(ub)
             env.add(s, ub)
             return
         if k and domain is not None:
@@ -451,7 +456,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             path.pop()
 
     visit(INF, None, None, None)
-    return points
+    return np.array(flats, dtype=int).reshape(len(flats), nbits), np.array(norms)
 
 
 def branch_and_bound(
@@ -468,8 +473,9 @@ def branch_and_bound(
         eps_list = [*eps_list, target]
     eps_list = _eps_values(eps_list)
     stats = SearchStats(lp_calls=_check_domain(net, domain))
-    points = _search(net, domain, p, stats)
-    return _aggregate(net, domain, p, eps_list, points, stats)
+    flats, norms = _search(net, domain, p, stats)
+    points = _closed_points(net, domain, len(flats), lambda i, j: (flats[i:j], norms[i:j]), stats)
+    return _aggregate(net, domain, p, eps_list, *points, stats)
 
 
 def unconstrained_bound(net: MlpNetwork, p) -> float:
@@ -479,7 +485,7 @@ def unconstrained_bound(net: MlpNetwork, p) -> float:
     constraint makes every binary gate assignment admissible.
     """
     p = check_norm_kind(p)
-    return float(max(norm for _, norm, _, _ in _search(net, None, p, SearchStats())))
+    return float(_search(net, None, p, SearchStats())[1].max())
 
 
 def compute_report(

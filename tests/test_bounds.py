@@ -308,11 +308,14 @@ class TestOneSearch:
         # per-neuron prefix LPs can prune it
         net = _seeded_net(3, (4, 10, 1))
         r = compute_report(net, unit_box(net), 2, [0.05], mode="bnb")
-        # the interval-Jacobian node bound needs exactly 201 LPs here, so a
-        # looser prune shows as a failure; warm-started prefix LPs need 983
-        # pivots (1,480 when each is solved cold), so a lost warm start fails too
-        assert r.stats.lp_calls <= 201
-        assert r.stats.pivots <= 983
+        # the interval-Jacobian node bound visits exactly 517 nodes here, so a
+        # looser prune shows as a failure. Warm-started prefix and leaf LPs,
+        # plus each kept leaf's exact LP in the stacked pass and the witness
+        # LP, make exactly 250 LPs and 1,103 pivots, so an extra LP or a lost
+        # warm start fails too
+        assert r.stats.nodes_explored <= 517
+        assert r.stats.lp_calls <= 250
+        assert r.stats.pivots <= 1103
         assert 0 < r.stats.warm_lps < r.stats.lp_calls
         oracle = compute_report(net, unit_box(net), 2, [0.05], mode="oracle")
         # one LP per pattern, plus the lower argmax's max_slack for its witness
@@ -333,6 +336,53 @@ class TestOneSearch:
         r = compute_report(net, unit_box(net), 2, [0.05, 0.2], mode="bnb")
         assert len(calls) == 1
         assert set(r.eps_values) == {0.05, 0.2}
+
+
+class TestLeaves:
+    def test_leaves_below_unbounded_parents(self, monkeypatch):
+        # x -> (x, 2x) -> h1 - h2 on all of R: every prefix region is a
+        # half-line, so both prefix LPs are unbounded and leave no tableau.
+        # Leaf (1, 1) grows along its parent's ray and gets +inf without an
+        # LP; (1, 0) and (0, 1) do not, and are solved cold from the path's
+        # rows; (0, 0), of norm 0, is pruned by value.
+        import lipbound.bounds as bounds_module
+
+        net = MlpNetwork.from_arrays([([[1.0], [2.0]], [0.0, 0.0]), ([[1.0, -1.0]], [0.0])])
+        oracle = report_to_dict(compute_report(net, AllSpace(), 2, [0.05], mode="oracle"))
+        rows = []
+        cold = bounds_module.lp_tableau
+        monkeypatch.setattr(bounds_module, "lp_tableau", lambda lp: rows.append(lp.A.shape[0]) or cold(lp))
+        r = compute_report(net, AllSpace(), 2, [0.05], mode="bnb")
+        assert rows == [1, 2, 1, 2]  # prefix (1), leaf (1, 0), prefix (0), leaf (0, 1)
+        # 4 cold LPs, the exact LPs of the 3 kept leaves and the witness LP
+        assert (r.stats.lp_calls, r.stats.warm_lps, r.stats.patterns_feasible) == (8, 0, 3)
+        assert r.argmax_lower.flat == (1, 1) and r.argmax_upper.flat == (0, 1)
+        got = report_to_dict(r)
+        got.pop("stats")
+        oracle.pop("stats")
+        assert got == oracle
+
+    def test_stacks_of_one(self, monkeypatch):
+        # stacks capped at 3 tableau entries hold one leaf each; the report,
+        # stats included, is the one of the default stacks
+        import lipbound.bounds as bounds_module
+
+        net = _seeded_net(3, (4, 10, 1))
+        box = unit_box(net)
+        want = report_to_dict(compute_report(net, box, 2, [0.05], mode="bnb"))
+        oracle = report_to_dict(compute_report(net, box, 2, [0.05], mode="oracle"))
+        sizes = []
+        stack_slacks = bounds_module.max_slacks
+        monkeypatch.setattr(
+            bounds_module, "max_slacks", lambda n, flats, d: sizes.append(len(flats)) or stack_slacks(n, flats, d)
+        )
+        monkeypatch.setattr(bounds_module, "_STACK_ENTRIES", 3)
+        got = report_to_dict(compute_report(net, box, 2, [0.05], mode="bnb"))
+        assert len(sizes) > 1 and set(sizes) == {1}
+        assert got == want
+        got.pop("stats")
+        oracle.pop("stats")
+        assert got == oracle
 
 
 class TestOracleStacks:

@@ -1,7 +1,9 @@
-"""Property tests: the eps-curve as a staircase, the pruned search against
-the 2^n oracle, its warm prefix LPs against cold ones and its node bound
-against every completion on degenerate networks, and the batched sampling
-pass against the per-sample loop on the same networks."""
+"""Property tests: the eps-curve as a staircase and the targets as the best
+points meeting their levels, the pruned search against the 2^n oracle, its
+warm prefix LPs against cold ones, its leaf decisions and stacked leaf
+slacks against max_slack and its node bound against every completion on
+degenerate networks, and the batched sampling pass against the per-sample
+loop on the same networks."""
 
 import math
 import sys
@@ -24,8 +26,8 @@ from lipbound import (  # noqa: E402
     report_to_dict,
 )
 from lipbound.bounds import SearchStats, _aggregate  # noqa: E402
-from lipbound.regions import SlackResult, max_slack, meets_level  # noqa: E402
-from lipbound.simplex import dual_simplex  # noqa: E402
+from lipbound.regions import max_slack, max_slacks, meets_level, slack_result  # noqa: E402
+from lipbound.simplex import dual_simplex, lp_tableau  # noqa: E402
 from lipbound.sampling import pairwise_quotient_estimate, sampled_lower_bound  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -52,12 +54,21 @@ norms = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0))
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.lists(st.tuples(slacks, norms), max_size=16))
 def test_curve_is_the_staircase_of_strict_points(points):
-    # distinct 4-bit patterns; a bounded result carries the lower witness
-    leaves = [
-        (s, v, tuple(int(b) for b in f"{i:04b}"), SlackResult("bounded", s, witness=np.zeros(1)))
-        for i, (s, v) in enumerate(points)
-    ]
-    report = _aggregate(CURVE_NET, None, 2, [], leaves, SearchStats())
+    # distinct 4-bit patterns, in order, with drawn slacks and norms; they
+    # are not the net's, so the lower witness, which re-solves the argmax,
+    # is left out
+    depths, values = np.array(points, dtype=float).reshape(-1, 2).T
+    flats = (np.arange(len(points))[:, None] >> np.arange(3, -1, -1)) & 1
+    with mock.patch.object(bounds_module, "_lower_witness", lambda *args: None):
+        report = _aggregate(CURVE_NET, None, 2, [], depths, values, flats, SearchStats())
+
+    def target(level):
+        """(value, argmax) by definition: the largest norm, then the lowest flat."""
+        met = [(-v, tuple(f)) for (s, v), f in zip(points, flats.tolist()) if meets_level(s, level)]
+        return None if not met else (-min(met)[0], min(met)[1])
+
+    assert target(0.0) == (None if report.upper is None else (report.upper, report.argmax_upper.flat))
+    assert target(None) == (None if report.lower_empty else (report.lower, report.argmax_lower.flat))
     strict = [(s, v) for s, v in points if meets_level(s, None)]
 
     def best(e):
@@ -167,6 +178,50 @@ def test_warm_prefix_slacks_equal_cold_max_slack(case):
         else:
             assert sol.status == "stopped", prefix
             assert cold <= sol.value + 1e-9 and not meets_level(cold, 0.0), prefix
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(degenerate_cases())
+def test_leaf_slacks_equal_max_slack(case):
+    # every leaf the search decides, warm or cold, and every kept leaf's
+    # stacked exact LP, against max_slack of the leaf's pattern alone
+    net, domain, p = case
+    widths, nbits = net.hidden_widths, net.total_hidden_bits
+    decided, stacked = {}, []
+
+    def leaf_spy(solve, sol_of):
+        def spy(*args):
+            out = solve(*args)
+            frame = sys._getframe(1)
+            while frame.f_code.co_name != "visit":
+                frame = frame.f_back
+            bits = tuple(frame.f_locals["bits"])
+            if len(bits) == nbits:
+                decided[bits] = slack_result(sol_of(out)).slack
+            return out
+
+        return spy
+
+    def stack_spy(net_, flats, domain_):
+        slacks, pivots = max_slacks(net_, flats, domain_)
+        stacked.extend(zip(map(tuple, flats.tolist()), slacks.tolist(), pivots.tolist()))
+        return slacks, pivots
+
+    with mock.patch.object(bounds_module, "dual_simplex", leaf_spy(dual_simplex, lambda sol: sol)), \
+            mock.patch.object(bounds_module, "lp_tableau", leaf_spy(lp_tableau, lambda out: out[0])), \
+            mock.patch.object(bounds_module, "max_slacks", stack_spy):
+        bounds_module.compute_report(net, domain, p)
+    for flat, slack, pivots in stacked:
+        res = max_slack(net, ActivationPattern.from_flat(widths, flat), domain)
+        assert (slack, pivots) == (res.slack, res.pivots), flat
+        # a leaf with no LP of its own grew along its parent's unbounded ray
+        assert decided.get(flat, math.inf) == pytest.approx(res.slack, abs=1e-9), flat
+    kept = {flat for flat, _, _ in stacked}
+    for flat, slack in decided.items():
+        assert (flat in kept) == meets_level(slack, 0.0), flat
+        if flat not in kept:
+            sigma = ActivationPattern.from_flat(widths, flat)
+            assert not meets_level(max_slack(net, sigma, domain).slack, 0.0), flat
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
