@@ -12,13 +12,15 @@ slack LPs solved in stacks by one lockstep simplex and their Jacobians
 normed a stack at a time, bit-identical to one pattern at a time; the
 branch-and-bound feeds it the leaves of one depth-first search that
 checks the prefix slack LP after every fixed bit and prunes only
-closed-infeasible or strictly dominated prefixes. Each prefix LP is warm
-started from its parent's final tableau with one margin row appended,
-and the dual simplex that re-optimizes it stops as soon as its upper
-bound on the prefix slack misses the closed level. Leaves are decided the
-same way, and the full slack LPs of the kept ones are then solved again in
-stacks, as the oracle solves its own, so both modes hand the aggregator
-exact slacks. Both give identical reports; only the statistics differ.
+closed-infeasible or strictly dominated prefixes. The root's LP caps the
+slack by a symbolic +infinity and is the search's one cold LP; every
+other prefix LP is warm started from its parent's final tableau with one
+margin row appended, and the dual simplex that re-optimizes it stops as
+soon as its upper bound on the prefix slack misses the closed level.
+Leaves are decided the same way, and the full slack LPs of the kept ones
+that no other kept leaf dominates are then solved again in stacks, as
+the oracle solves its own, so both modes hand the aggregator exact
+slacks. Both give identical reports; only the statistics differ.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import DomainEmptyError, EnumerationGuardError
 from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _jacobian_from_bits
 from .norms import check_norm_kind, operator_norm, operator_norms
 from .regions import (
+    TAU_STRICT,
     check_eps,
     domain_nonempty,
     margin_rows,
@@ -42,10 +45,9 @@ from .regions import (
     max_slacks,
     meets_level,
     slack_lp,
-    slack_result,
     witness_at_level,
 )
-from .simplex import append_row, dual_simplex, lp_tableau
+from .simplex import append_row, dual_simplex, lp_tableau, symbolic_rhs
 
 INF = math.inf
 
@@ -66,11 +68,15 @@ class SearchStats:
 
     nodes_explored counts every prefix visited, those pruned by value
     before their LP included. For the branch-and-bound, lp_calls counts
-    the warm and cold LPs of prefixes and leaves, the stacked exact LP of
-    every kept leaf (so a kept leaf that had an LP counts two), the domain
-    probe when it solves one and the lower argmax's witness LP; warm_lps
-    counts the prefix and leaf LPs re-optimized from a parent tableau;
-    pivots sums the pivots of all these LPs but the probe. For the oracle,
+    the root's cold LP, the warm LPs of prefixes and leaves, the stacked
+    exact LP of every kept leaf that no other kept leaf dominates (so such
+    a leaf counts two), the domain probe when it solves one and the lower
+    argmax's witness LP; warm_lps counts the prefix and leaf LPs
+    re-optimized from a parent tableau, so lp_calls less warm_lps is one
+    plus the exact, probe and witness LPs; patterns_feasible counts the
+    exact-checked leaves whose closed region meets the domain, so a
+    dominated leaf is in neither; pivots sums the pivots of all these LPs
+    but the probe. For the oracle,
     nodes_explored is 2^n; lp_calls is the 2^n pattern LPs, plus the domain
     probe, plus the witness LP; pivots sums the pattern LPs' pivots over
     every stack, plus the witness LP's.
@@ -336,36 +342,41 @@ def _node_bound(c: np.ndarray, fixed: Sequence[int], later: Sequence[tuple], p) 
 def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStats):
     """Depth-first search over patterns, bit 1 before bit 0, one bit per node.
 
-    Returns the flat bits (k, n) and the norms (k,) of the leaves it keeps.
-    A prefix, a leaf included, is dropped when its prefix slack (the LP over
-    the margins of its fixed neurons, an upper bound on every completion's
-    depth) misses the closed level. The one value prune runs before the LP:
-    a prefix goes when its interval-Jacobian bound (_node_bound) on every
-    completion's norm is strictly below the envelope at its parent's slack,
-    as every completion then loses, on every target, to a deeper point.
+    Returns the flat bits (k, n) and the norms (k,) of the leaves it keeps
+    that no other kept leaf dominates. A prefix, a leaf included, is
+    dropped when its prefix slack (the LP over the margins of its fixed
+    neurons, an upper bound on every completion's depth) misses the closed
+    level. The one value prune runs before the LP: a prefix goes when its
+    interval-Jacobian bound (_node_bound) on every completion's norm is
+    strictly below the envelope at its parent's slack s plus 2 TAU_STRICT
+    (at s itself when s <= TAU_STRICT, where no point is strict), as
+    every completion then loses, on every target, to a deeper point.
     Retesting at the prefix's own slack after the LP would save no LP: a
     child's bound never exceeds its parent's and the envelope only grows,
-    so each child of such a prefix fails its own pre-LP test. A child whose
-    new margin is nonnegative at the parent's LP witness (or grows along
-    its unbounded ray) is closed-feasible without an LP and keeps the
-    parent's slack as its upper bound. A leaf keeps it only along a ray,
-    where it is exact: the ray, scaled down in t, is a ray of the leaf's
-    LP, so its slack is +inf. A kept leaf joins the envelope at the slack
-    its search LP gave, which can differ from max_slack's in the last bits,
-    so the caller takes the exact slacks from _closed_points. domain=None
-    skips all feasibility work (the unconstrained problem; every depth is
-    +inf).
+    so each child of such a prefix fails its own pre-LP test. A kept leaf
+    joins the envelope at its search slack, which can differ from
+    max_slack's in the last bits; the tests hold every search slack to
+    within 1e-9 of its exact one, so the 2 TAU_STRICT margin never prunes
+    a point that an exact slack would keep. The same bound drops a kept
+    leaf when another kept leaf has a strictly larger norm and a search
+    slack at least 2 TAU_STRICT deeper: it is then never an argmax and
+    never on the curve, so its exact LP would be wasted. The caller takes
+    the survivors' exact slacks from _closed_points. domain=None skips all
+    feasibility work (the unconstrained problem; every depth is +inf).
 
-    Prefix LPs are warm-started. The search keeps the <= margin rows of the
-    path, and each node carries its parent's final, dual-feasible tableau.
-    A node that needs an LP appends its margin row and re-optimizes with
-    the dual simplex, which stops as soon as its objective, an upper bound
-    on the prefix slack, misses the closed level, so a closed-infeasible
-    prefix is pruned before its optimum is reached. A node that inherits
-    its parent's witness appends its row without pivoting, so its
-    descendants still start from a dual-feasible basis. Only where there is
-    no such basis (the root's children, and below an unbounded parent) is
-    the prefix LP solved cold, from the domain rows and the path's rows.
+    Every search LP is warm but the root's. The root solves max t over the
+    domain with t <= W, W a symbolic +infinity (simplex.symbolic_rhs), so
+    every prefix LP is bounded and every node has a dual-feasible tableau
+    to start from. A node that needs an LP appends its margin row to its
+    parent's tableau and re-optimizes with the dual simplex, which stops as
+    soon as its objective, an upper bound on the prefix slack, misses the
+    closed level, so a closed-infeasible prefix is pruned before its
+    optimum is reached. A slack with a positive W part is +inf, and the
+    witness is x_c + W x_W. A prefix whose new margin is nonnegative there
+    for every large W (grows along x_W, or holds at x_c where it does not
+    change) is closed-feasible without an LP: it keeps its parent's slack
+    and witness, and appends its row without pivoting, so its descendants
+    still start from a dual-feasible basis. Leaves always take their LP.
     """
     widths = net.hidden_widths
     nbits = sum(widths)
@@ -379,40 +390,42 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     offset = [net.layers[0].bias] + [None] * (net.depth - 1)
     rows: list = [None] * len(widths)
     env = _Envelope()
-    flats: list = []  # the kept leaves, and their norms
+    flats: list = []  # the kept leaves, their norms and their search slacks
     norms: list = []
+    slacks: list = []
     bits: list[int] = []
-    path: list = []  # margin rows of the fixed bits above the current node
 
     def bound(k: int, h: int) -> float:
         if k == nbits:
             return operator_norm(coeff[h], p)
         return _node_bound(coeff[h], bits[starts[h] :], split[h + 1 :], p)
 
-    def inherits(x, ray) -> bool:
+    def inherits(x) -> bool:
+        """Whether the new margin is nonnegative at x_c + W x_W for every large W
+        (the root has no witness: its slack is W itself)."""
+        if x is None:
+            return False
         k = len(bits) - 1
         h = layer_of[k]
         i, sgn = k - starts[h], bits[-1] - 0.5
-        if ray is not None:
-            return sgn * float(coeff[h][i] @ ray) > 0.0
-        return x is not None and sgn * (float(coeff[h][i] @ x) + offset[h][i]) >= 0.0
+        rate = 0.0 if x[1] is None else sgn * float(coeff[h][i] @ x[1])
+        return rate > 0.0 or rate == 0.0 and sgn * (float(coeff[h][i] @ x[0]) + offset[h][i]) >= 0.0
 
-    def prefix_slack(a, b, tab):
-        """The prefix LP: warm from tab when there is one, else cold."""
+    def prefix_slack(tab, a, b):
+        """The prefix LP, warm from its parent's tableau: its slack, its
+        witness (x_c, x_W) and its tableau. A stopped or infeasible LP has
+        a slack below the closed level and no witness."""
         stats.lp_calls += 1
-        if tab is None:
-            A = np.array([r for r, _ in path] + [a])
-            rhs = np.array([o for _, o in path] + [b])
-            sol, tab = lp_tableau(slack_lp(domain, net.input_dim, A, rhs))
-        else:
-            stats.warm_lps += 1
-            tab = append_row(tab, a, b)
-            sol = dual_simplex(tab, lambda bound: meets_level(bound, 0.0))
+        stats.warm_lps += 1
+        tab = append_row(tab, a, b)
+        sol = dual_simplex(tab, lambda bound: meets_level(bound, 0.0))
         stats.pivots += sol.pivots
-        return slack_result(sol), tab
+        if sol.status != "optimal":
+            return -INF, None, tab
+        return sol.value, (sol.x[:-1], None if sol.ray is None else sol.ray[:-1]), tab
 
-    def visit(s: float, x, ray, tab) -> None:
-        """Expand the prefix `bits`; s bounds its depth, x or ray certifies it."""
+    def visit(s: float, x, tab) -> None:
+        """Expand the prefix `bits`; s bounds its depth, x = (x_c, x_W) certifies it."""
         stats.nodes_explored += 1
         k = len(bits)
         h = layer_of[k]
@@ -425,7 +438,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             if domain is not None and h < len(widths):
                 half = np.full(widths[h], 0.5)
                 rows[h] = (margin_rows(-half, coeff[h], offset[h]), margin_rows(half, coeff[h], offset[h]))
-        best = env.at(s)
+        best = env.at(s + 2 * TAU_STRICT if s > TAU_STRICT else s)
         ub = bound(k, h) if k == nbits or best > -INF else None
         if ub is not None and ub < best - _PRUNE_MARGIN:
             return
@@ -433,30 +446,45 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             hk = layer_of[k - 1]
             A, rhs = rows[hk][bits[-1]]
             row = (A[k - 1 - starts[hk]], rhs[k - 1 - starts[hk]])
-            # a leaf keeps its parent's slack only when that is exact: +inf along a ray
-            if (k < nbits or ray is not None) and inherits(x, ray):
-                tab = None if tab is None else append_row(tab, *row)
+            if k < nbits and inherits(x):
+                tab = append_row(tab, *row)
             else:
-                res, tab = prefix_slack(*row, tab)
-                if not meets_level(res.slack, 0.0):
+                s, x, tab = prefix_slack(tab, *row)
+                if not meets_level(s, 0.0):
                     return
-                s, x, ray = res.slack, res.witness, res.ray
         if k == nbits:
             flats.append(tuple(bits))
             norms.append(ub)
+            slacks.append(s)
             env.add(s, ub)
             return
-        if k and domain is not None:
-            path.append(row)
         for b in (1, 0):
             bits.append(b)
-            visit(s, x, ray, tab)
+            visit(s, x, tab)
             bits.pop()
-        if k and domain is not None:
-            path.pop()
 
-    visit(INF, None, None, None)
-    return np.array(flats, dtype=int).reshape(len(flats), nbits), np.array(norms)
+    if domain is None:
+        visit(INF, None, None)
+    else:
+        n0 = net.input_dim
+        root = slack_lp(domain, n0, np.eye(1, n0 + 1, n0), np.zeros(1))  # max t, t <= 0
+        sol, tab = lp_tableau(root)
+        stats.lp_calls += 1
+        stats.pivots += sol.pivots
+        visit(INF, None, symbolic_rhs(tab, root.b.size - 1))  # t <= W
+    keep = ~_dominated(np.array(slacks), np.array(norms))
+    return np.array(flats, dtype=int).reshape(len(flats), nbits)[keep], np.array(norms)[keep]
+
+
+def _dominated(slacks: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Which points some other point beats by a strictly larger norm at a
+    slack at least 2 TAU_STRICT deeper."""
+    order = np.argsort(slacks, kind="stable")
+    s, v = slacks[order], norms[order]
+    deeper = np.append(np.maximum.accumulate(v[::-1])[::-1], -INF)  # best norm from each rank on
+    out = np.empty(s.size, dtype=bool)
+    out[order] = deeper[np.searchsorted(s, s + 2 * TAU_STRICT)] > v
+    return out
 
 
 def branch_and_bound(

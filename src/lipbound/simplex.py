@@ -28,6 +28,25 @@ the entering column the lowest index of least ratio. Every basis it
 visits is dual feasible, so its objective bounds the optimum from above,
 and the caller's keep(bound) test can stop it before optimality.
 
+A symbolic right-hand side (the big-M method with M kept symbolic:
+Bazaraa, Jarvis & Sherali, Linear Programming and Network Flows; Chvatal
+1983, ch. 10, on parametric right-hand sides; the symbol is written W
+here, as M names the column map). symbolic_rhs raises one <= row's
+right-hand side from b_i to b_i + W, W a symbolic +infinity;
+capping the objective this way (c.x <= W) leaves every LP bounded, and
+the basis dual feasible. Each right-hand side is then a pair (constant,
+coefficient of W): raising b_i moves the basic values along B^-1 e_i,
+the tableau column of row i's slack, which is therefore the W part of
+every right-hand side, the cost row's entry that of the objective. So
+the W parts need no column of their own, and every pivot updates them.
+Pairs compare lexicographically: a right-hand side is infeasible when
+its W part is below -FEAS_TOL, or within FEAS_TOL of zero with a
+constant below -FEAS_TOL, and the objective is +inf when its W part
+exceeds OPT_TOL. The basic point is x_c + W x_W, so a finite optimum and
+an unbounded ray are one object: the cap's slack is basic, with x_W = 0,
+exactly when the LP without the cap is bounded, and append_row then
+drops the cap's row and column.
+
 Stacks. lp_stack solves k LPs that share the objective, the relations and
 the bounds, and differ only in their rows, as one array of k tableaus.
 One builder (_tableau) makes the tableaus of one LP or of a stack. The
@@ -40,7 +59,8 @@ lp_solve's. The 2^n enumeration oracle solves its slack LPs this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -109,20 +129,22 @@ class LinearProgram:
 @dataclass(frozen=True)
 class LpSolution:
     status: str  # "optimal" | "unbounded" | "infeasible" | "stopped" (dual_simplex only)
-    value: Optional[float]  # the optimum, or for "stopped" the upper bound keep rejected
+    value: Optional[float]  # the optimum (+inf for a W part), or for "stopped" the bound keep rejected
     x: Optional[np.ndarray]  # optimum, or the feasible point a ray emanates from
-    ray: Optional[np.ndarray]  # improving direction when unbounded
+    ray: Optional[np.ndarray]  # improving direction when unbounded; x_W of an optimum x_c + W x_W
     pivots: int = 0  # simplex pivots: phase 1 and phase 2, or the dual simplex's
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Tableau:
     """A dual-feasible tableau kept for warm starts.
 
     T holds one row per basic variable and the reduced-cost row last; its
     first `width` columns can pivot and its last one is the right-hand
     side (a cold tableau still has phase 1's auxiliary column between
-    them). x = x0 + M s maps the columns back to the LP's variables.
+    them). x = x0 + M s maps the columns back to the LP's variables. cap,
+    set by symbolic_rhs, is the column that holds the W part of every
+    right-hand side; without it they have none.
     """
 
     T: np.ndarray
@@ -131,16 +153,35 @@ class Tableau:
     M: np.ndarray
     x0: np.ndarray
     objective: np.ndarray
+    cap: Optional[int] = None
 
-    def point(self) -> np.ndarray:
-        """The basic point of the current basis, in the LP's variables."""
+    def infinite(self) -> bool:
+        """Whether the objective's W part is positive, which makes it +inf."""
+        return self.cap is not None and self.T[-1, self.cap] > OPT_TOL
+
+    def point(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The basic point x_c + W x_W of the current basis, as (x_c, x_W).
+
+        Both are in the LP's variables; x_W is None unless the objective's
+        W part is positive, as at a finite optimum only the cap's own slack
+        has one. A basic value with no W part is clipped at zero, which it
+        can miss only by the feasibility tolerance.
+        """
+        ns = self.M.shape[1]
         s = np.zeros(self.width)
-        s[self.basis] = np.maximum(self.T[:-1, -1], 0.0)
-        return self.x0 + self.M @ s[: self.M.shape[1]]
+        if not self.infinite():
+            s[self.basis] = np.maximum(self.T[:-1, -1], 0.0)
+            return self.x0 + self.M @ s[:ns], None
+        r = np.zeros(self.width)
+        r[self.basis] = omega = self.T[:-1, self.cap]
+        s[self.basis] = np.where(omega > FEAS_TOL, self.T[:-1, -1], np.maximum(self.T[:-1, -1], 0.0))
+        return self.x0 + self.M @ s[:ns], self.M @ r[:ns]
 
     def solution(self, pivots: int) -> LpSolution:
-        x = self.point()
-        return LpSolution("optimal", float(self.objective @ x), x, None, pivots)
+        """The optimum at the current basis: +inf, with x_W as its ray, when its W part is positive."""
+        x, ray = self.point()
+        value = math.inf if ray is not None else float(self.objective @ x)
+        return LpSolution("optimal", value, x, ray, pivots)
 
 
 def _pivot(T: np.ndarray, r: int, c: int) -> None:
@@ -318,7 +359,7 @@ def _solve(T, basis, M, x0, objective) -> tuple[LpSolution, Optional[Tableau]]:
         ray_s[enter] = 1.0
         ray_s[basis] = -T[:-1, enter]
         ray_s[np.abs(ray_s) <= PIVOT_MIN] = 0.0
-        return LpSolution("unbounded", None, tab.point(), M @ ray_s[:ns], pivots), None
+        return LpSolution("unbounded", None, tab.point()[0], M @ ray_s[:ns], pivots), None
     return tab.solution(pivots), tab
 
 
@@ -403,9 +444,19 @@ def append_row(tab: Tableau, a: np.ndarray, b: float) -> Tableau:
     The row is rewritten in the current basis, and phase 1's auxiliary
     column is dropped. Reduced costs do not change, so the basis stays
     dual feasible; the new row's right-hand side is negative when tab's
-    point violates it. tab itself is left as it was.
+    point violates it. tab itself is left as it was. Once the cap's slack
+    is basic (a finite optimum), the other rows bound the objective and no
+    W part is left but the slack's own, so its row and column are dropped
+    too: the new tableau is an ordinary one, and pivots the same way.
     """
-    old, m, w = tab.T, tab.basis.size, tab.width
+    old, basis, w, cap = tab.T, tab.basis, tab.width, tab.cap
+    if cap is not None and not tab.infinite():
+        r = int((basis == cap).argmax())
+        old = np.delete(np.delete(old, r, axis=0), cap, axis=1)
+        basis = np.delete(basis, r)
+        basis[basis > cap] -= 1
+        w, cap = w - 1, None
+    m = basis.size
     T = np.zeros((m + 2, w + 2))
     T[:m, :w], T[:m, -1] = old[:m, :w], old[:m, -1]
     T[-1, :w], T[-1, -1] = old[-1, :w], old[-1, -1]
@@ -413,36 +464,55 @@ def append_row(tab: Tableau, a: np.ndarray, b: float) -> Tableau:
     row[: tab.M.shape[1]] = a @ tab.M
     row[w] = 1.0
     row[-1] = b - a @ tab.x0
-    row -= row[tab.basis] @ T[:m]
-    return Tableau(T, np.append(tab.basis, w), w + 1, tab.M, tab.x0, tab.objective)
+    row -= row[basis] @ T[:m]
+    return Tableau(T, np.concatenate((basis, [w])), w + 1, tab.M, tab.x0, tab.objective, cap)
+
+
+def symbolic_rhs(tab: Tableau, i: int) -> Tableau:
+    """tab with the right-hand side of its LP's row i raised from b_i to b_i + W.
+
+    Row i must be a <= row that caps the objective, c.x <= b_i. W is a
+    symbolic +infinity, so the tableau then solves the LP without row i,
+    and reports its optimum as +inf when that LP is unbounded. The basis
+    is left as it was: it stays dual feasible, and dual_simplex restores
+    primal feasibility where the raise breaks it.
+    """
+    return replace(tab, cap=tab.M.shape[1] + i)
 
 
 def dual_simplex(tab: Tableau, keep: Callable[[float], bool]) -> LpSolution:
     """Re-optimize a dual-feasible tableau in place, as left by append_row.
 
     Before each pivot the objective at the current basis, an upper bound
-    on the optimum, goes to keep; when keep rejects it the solve stops
-    with status "stopped" and that bound as its value. A row that stays
-    negative with no negative entry to pivot on proves the LP infeasible.
+    on the optimum (+inf while its W part is positive), goes to keep; when
+    keep rejects it the solve stops with status "stopped" and that bound
+    as its value. A row that stays negative, lexicographically, with no
+    negative entry to pivot on proves the LP infeasible.
     """
-    T, basis, w = tab.T, tab.basis, tab.width
+    T, basis, w, cap = tab.T, tab.basis, tab.width, tab.cap
     const = float(tab.objective @ tab.x0)
     for it in range(_MAX_ITERS):
-        bound = const + float(T[-1, -1])
+        bound = math.inf if tab.infinite() else const + float(T[-1, -1])
         if not keep(bound):
             return LpSolution("stopped", bound, None, None, it)
-        short = (T[:-1, -1] < -FEAS_TOL).nonzero()[0]
+        if cap is None:
+            short = (T[:-1, -1] < -FEAS_TOL).nonzero()[0]
+        else:  # a W part decides, unless it is zero
+            omega = T[:-1, cap]
+            short = np.where(np.abs(omega) > FEAS_TOL, omega < 0.0, T[:-1, -1] < -FEAS_TOL).nonzero()[0]
         if short.size == 0:
             return tab.solution(it)
-        r = int(short[basis[short].argmin()])  # Bland: lowest basic index
+        r = int(short[0]) if short.size == 1 else int(short[basis[short].argmin()])  # Bland: lowest basic index
         row = T[r, :w]
         eligible = (row < -PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             eligible = (row < -PIVOT_MIN).nonzero()[0]
             if eligible.size == 0:
                 return LpSolution("infeasible", None, None, None, it)
-        ratios = T[-1, eligible] / -row[eligible]
-        c = int(eligible[(ratios <= ratios.min() + 1e-12).argmax()])  # Bland: lowest index
+        c = int(eligible[0])
+        if eligible.size > 1:
+            ratios = T[-1, eligible] / -row[eligible]
+            c = int(eligible[(ratios <= ratios.min() + 1e-12).argmax()])  # Bland: lowest index
         _pivot(T, r, c)
         basis[r] = c
     raise SimplexBreakdownError(f"dual simplex did not finish within {_MAX_ITERS} iterations")

@@ -309,14 +309,13 @@ class TestOneSearch:
         net = _seeded_net(3, (4, 10, 1))
         r = compute_report(net, unit_box(net), 2, [0.05], mode="bnb")
         # the interval-Jacobian node bound visits exactly 517 nodes here, so a
-        # looser prune shows as a failure. Warm-started prefix and leaf LPs,
-        # plus each kept leaf's exact LP in the stacked pass and the witness
-        # LP, make exactly 250 LPs and 1,103 pivots, so an extra LP or a lost
-        # warm start fails too
+        # looser prune shows as a failure. The root LP, 202 warm prefix and
+        # leaf LPs, the exact LPs of the 9 kept leaves that no other kept leaf
+        # dominates and the witness LP make exactly 213 LPs and 780 pivots,
+        # so an extra LP or a lost warm start fails too
         assert r.stats.nodes_explored <= 517
-        assert r.stats.lp_calls <= 250
-        assert r.stats.pivots <= 1103
-        assert 0 < r.stats.warm_lps < r.stats.lp_calls
+        assert (r.stats.lp_calls, r.stats.warm_lps, r.stats.patterns_feasible) == (213, 202, 9)
+        assert r.stats.pivots == 780
         oracle = compute_report(net, unit_box(net), 2, [0.05], mode="oracle")
         # one LP per pattern, plus the lower argmax's max_slack for its witness
         assert oracle.stats.lp_calls == 2**10 + 1
@@ -341,10 +340,10 @@ class TestOneSearch:
 class TestLeaves:
     def test_leaves_below_unbounded_parents(self, monkeypatch):
         # x -> (x, 2x) -> h1 - h2 on all of R: every prefix region is a
-        # half-line, so both prefix LPs are unbounded and leave no tableau.
-        # Leaf (1, 1) grows along its parent's ray and gets +inf without an
-        # LP; (1, 0) and (0, 1) do not, and are solved cold from the path's
-        # rows; (0, 0), of norm 0, is pruned by value.
+        # half-line, so both prefix LPs reach a slack of +inf, with the
+        # symbolic cap's slack nonbasic. Their children still start warm from
+        # those tableaus: the root's LP over the domain with t <= W is the one
+        # cold LP of the search
         import lipbound.bounds as bounds_module
 
         net = MlpNetwork.from_arrays([([[1.0], [2.0]], [0.0, 0.0]), ([[1.0, -1.0]], [0.0])])
@@ -353,14 +352,32 @@ class TestLeaves:
         cold = bounds_module.lp_tableau
         monkeypatch.setattr(bounds_module, "lp_tableau", lambda lp: rows.append(lp.A.shape[0]) or cold(lp))
         r = compute_report(net, AllSpace(), 2, [0.05], mode="bnb")
-        assert rows == [1, 2, 1, 2]  # prefix (1), leaf (1, 0), prefix (0), leaf (0, 1)
-        # 4 cold LPs, the exact LPs of the 3 kept leaves and the witness LP
-        assert (r.stats.lp_calls, r.stats.warm_lps, r.stats.patterns_feasible) == (8, 0, 3)
+        assert rows == [1]  # the root: t <= 0, raised to t <= W
+        # the root, warm LPs for prefixes (1) and (0) and leaves (1, 1),
+        # (1, 0) and (0, 1), the exact LPs of those 3 kept leaves and the
+        # witness LP; (0, 0), of norm 0, is pruned by value
+        assert (r.stats.lp_calls, r.stats.warm_lps, r.stats.patterns_feasible) == (10, 5, 3)
         assert r.argmax_lower.flat == (1, 1) and r.argmax_upper.flat == (0, 1)
         got = report_to_dict(r)
         got.pop("stats")
         oracle.pop("stats")
         assert got == oracle
+
+    @pytest.mark.parametrize("p", PS)
+    def test_one_cold_lp_per_report(self, monkeypatch, p):
+        # every search LP but the root's starts warm from its parent's
+        # tableau, on every domain kind
+        import lipbound.bounds as bounds_module
+
+        calls = []
+        cold = bounds_module.lp_tableau
+        monkeypatch.setattr(bounds_module, "lp_tableau", lambda lp: calls.append(1) or cold(lp))
+        for i, net in enumerate(EQUIVALENCE_NETS):
+            for domain in _domains(net, i):
+                calls.clear()
+                r = compute_report(net, domain, p, [0.05], mode="bnb")
+                assert len(calls) == 1, (i, type(domain).__name__)
+                assert r.stats.warm_lps > 0
 
     def test_stacks_of_one(self, monkeypatch):
         # stacks capped at 3 tableau entries hold one leaf each; the report,
@@ -383,6 +400,66 @@ class TestLeaves:
         got.pop("stats")
         oracle.pop("stats")
         assert got == oracle
+
+
+# Two zoo-like nets on which a kept leaf's search slack lay a few ulps above
+# its exact slack, and above the exact slack of a point of the curve, so a
+# value prune at the plain envelope dropped that point.
+LAST_BIT_NETS = [
+    (
+        [
+            ([[0.2999040487738106, 0.2942759438677751], [-0.053927356647774906, 0.261326198546184]],
+             [-0.12263404564350762, 0.6584126989612169]),
+            ([[-0.15594441049655272, -0.7401497888807683], [0.5504932038979801, -1.1696609982612614],
+              [-0.12724372509794776, -0.13668166368359058]],
+             [-1.1352365203384098, 0.23666920805313887, -1.2361904129987735]),
+            ([[-0.3619028573103673, -0.265328898894646, -0.5361385789016775],
+              [-0.22416950927126786, 0.22502522141613565, 0.08320373046672508],
+              [0.16950770970583215, 0.494915067670786, -0.9114398655771809]],
+             [0.750928761525397, -0.15666999757109515, 0.4508266843616791]),
+            ([[0.2833878298077849, 0.4094250914208498, 0.15476027457200894],
+              [-1.0889711519304308, -0.5919332905675474, 0.2409237753130655]],
+             [-0.30850242897081276, -0.6026291956659294]),
+        ],
+        None,
+        math.inf,
+    ),
+    (
+        [
+            ([[0.864933023555366, 0.030882451472494354, -0.006632071792914515],
+              [-0.2826956929872624, 0.5266458874633351, 0.9396171731758062],
+              [0.5223594910215317, 0.8743141809130237, 0.6391942022631191]],
+             [0.01822182663143655, -0.06498843245081797, 1.4805569377926349]),
+            ([[0.8731246612721082, 0.7049916131101264, -0.833152128091472],
+              [0.47661653590721126, -0.6991835374251268, -0.15096258201552373]],
+             [0.2179058870712625, 0.5559370370344456]),
+            ([[-0.43621752067532327, -1.1801258473603184], [0.1638841757140021, -0.16542316383786607]],
+             [0.18514033841950445, -0.22453890437880714]),
+            ([[0.1786273790736219, 0.5400441608589589]], [-0.28132079505300217]),
+        ],
+        (
+            [[-0.29647694574157973, 0.4249340822328321, -1.9892416743119627],
+             [0.7134456563873924, 0.8304290571264239, 0.45167525844734263]],
+            [0.581982528911872, 1.4104032395615587],
+        ),
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize("layers, cuts, p", LAST_BIT_NETS)
+def test_value_prune_survives_last_bit_slack_noise(layers, cuts, p):
+    net = MlpNetwork.from_arrays(layers)
+    if cuts is None:
+        domain = AllSpace()
+    else:
+        n0 = net.input_dim
+        domain = Polytope(np.vstack([np.eye(n0), -np.eye(n0), cuts[0]]), np.concatenate([np.ones(2 * n0), cuts[1]]))
+    oracle = report_to_dict(compute_report(net, domain, p, [0.05, 0.2], mode="oracle"))
+    bnb = report_to_dict(compute_report(net, domain, p, [0.05, 0.2], mode="bnb"))
+    oracle.pop("stats")
+    bnb.pop("stats")
+    assert bnb == oracle
 
 
 class TestOracleStacks:

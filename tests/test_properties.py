@@ -26,8 +26,10 @@ from lipbound import (  # noqa: E402
     report_to_dict,
 )
 from lipbound.bounds import SearchStats, _aggregate  # noqa: E402
-from lipbound.regions import max_slack, max_slacks, meets_level, slack_result  # noqa: E402
-from lipbound.simplex import dual_simplex, lp_tableau  # noqa: E402
+from lipbound.network import _jacobian_from_bits  # noqa: E402
+from lipbound.norms import operator_norm  # noqa: E402
+from lipbound.regions import TAU_STRICT, max_slack, max_slacks, meets_level, slack_result  # noqa: E402
+from lipbound.simplex import dual_simplex  # noqa: E402
 from lipbound.sampling import pairwise_quotient_estimate, sampled_lower_bound  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -183,45 +185,47 @@ def test_warm_prefix_slacks_equal_cold_max_slack(case):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(degenerate_cases())
 def test_leaf_slacks_equal_max_slack(case):
-    # every leaf the search decides, warm or cold, and every kept leaf's
-    # stacked exact LP, against max_slack of the leaf's pattern alone
+    # every leaf the search decides, each by its own warm LP, and every
+    # stacked exact LP, against max_slack of the leaf's pattern alone. A
+    # closed-feasible leaf is stacked unless a stacked leaf dominates it: a
+    # strictly larger norm at a search slack at least 2 TAU_STRICT deeper
     net, domain, p = case
     widths, nbits = net.hidden_widths, net.total_hidden_bits
     decided, stacked = {}, []
 
-    def leaf_spy(solve, sol_of):
-        def spy(*args):
-            out = solve(*args)
-            frame = sys._getframe(1)
-            while frame.f_code.co_name != "visit":
-                frame = frame.f_back
-            bits = tuple(frame.f_locals["bits"])
-            if len(bits) == nbits:
-                decided[bits] = slack_result(sol_of(out)).slack
-            return out
-
-        return spy
+    def spy(tab, keep):
+        sol = dual_simplex(tab, keep)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "visit":
+            frame = frame.f_back
+        bits = tuple(frame.f_locals["bits"])
+        if len(bits) == nbits:
+            decided[bits] = slack_result(sol).slack
+        return sol
 
     def stack_spy(net_, flats, domain_):
         slacks, pivots = max_slacks(net_, flats, domain_)
         stacked.extend(zip(map(tuple, flats.tolist()), slacks.tolist(), pivots.tolist()))
         return slacks, pivots
 
-    with mock.patch.object(bounds_module, "dual_simplex", leaf_spy(dual_simplex, lambda sol: sol)), \
-            mock.patch.object(bounds_module, "lp_tableau", leaf_spy(lp_tableau, lambda out: out[0])), \
+    def norm(flat):
+        return operator_norm(_jacobian_from_bits(net, ActivationPattern.from_flat(widths, flat).bits), p)
+
+    with mock.patch.object(bounds_module, "dual_simplex", spy), \
             mock.patch.object(bounds_module, "max_slacks", stack_spy):
         bounds_module.compute_report(net, domain, p)
     for flat, slack, pivots in stacked:
         res = max_slack(net, ActivationPattern.from_flat(widths, flat), domain)
         assert (slack, pivots) == (res.slack, res.pivots), flat
-        # a leaf with no LP of its own grew along its parent's unbounded ray
-        assert decided.get(flat, math.inf) == pytest.approx(res.slack, abs=1e-9), flat
+        assert decided[flat] == pytest.approx(res.slack, abs=1e-9), flat
     kept = {flat for flat, _, _ in stacked}
     for flat, slack in decided.items():
-        assert (flat in kept) == meets_level(slack, 0.0), flat
-        if flat not in kept:
+        if not meets_level(slack, 0.0):
+            assert flat not in kept, flat
             sigma = ActivationPattern.from_flat(widths, flat)
             assert not meets_level(max_slack(net, sigma, domain).slack, 0.0), flat
+        elif flat not in kept:
+            assert any(norm(o) > norm(flat) and decided[o] >= slack + 2 * TAU_STRICT for o in kept), flat
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

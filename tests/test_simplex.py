@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 from lipbound import LinearProgram, lp_solve
 import lipbound.simplex as simplex
-from lipbound.simplex import EQ, GE, LE, append_row, dual_simplex, lp_stack, lp_tableau
+from lipbound.simplex import EQ, GE, LE, append_row, dual_simplex, lp_stack, lp_tableau, symbolic_rhs
 
 
 def stacked(rows, n):
@@ -430,6 +430,107 @@ class TestWarmStart:
             assert again.status == sol.status and again.pivots == sol.pivots
             if sol.status == "optimal":
                 assert again.value == sol.value and np.array_equal(again.x, sol.x)
+
+
+# --- a symbolic right-hand side: max t with t <= W, W -> +infinity -----------
+
+
+def capped_root(A, b, bounds):
+    """max t over (x, t) subject to A x <= b and t <= W: lp_tableau with t <= 0,
+    then that row's right-hand side raised to W. None when A x <= b is empty."""
+    n = A.shape[1]
+    rows = np.vstack([np.hstack([A, np.zeros((A.shape[0], 1))]), np.eye(1, n + 1, n)])
+    lp = le_lp(np.eye(1, n + 1, n)[0], rows, np.append(b, 0.0), [*bounds, (None, None)])
+    sol, tab = lp_tableau(lp)
+    return None if tab is None else symbolic_rhs(tab, A.shape[0])
+
+
+def assert_capped_point(sol, c, A, b, bounds):
+    """x_c, or x_c + W x_W for every large W, satisfies A x <= b and the
+    bounds; along x_W, t grows and stays below c.x."""
+    x = sol.x[:-1]
+    ray = np.zeros_like(x) if sol.ray is None else sol.ray[:-1]
+    if sol.ray is not None:
+        assert 0 < sol.ray[-1] <= float(c @ ray) + 1e-9
+    rate = A @ ray
+    assert np.all(rate <= 1e-9)
+    flat = np.abs(rate) <= 1e-9
+    assert np.all(A[flat] @ x <= b[flat] + 1e-8)
+    for j, (lo, up) in enumerate(bounds):
+        if lo is not None:
+            assert ray[j] > 1e-9 or ray[j] >= -1e-9 and x[j] >= lo - 1e-8
+        if up is not None:
+            assert ray[j] < -1e-9 or ray[j] <= 1e-9 and x[j] <= up + 1e-8
+
+
+class TestSymbolicRhs:
+    @pytest.mark.parametrize("make", [random_case, degenerate_case, free_case])
+    def test_warm_path_matches_cold_and_highs(self, make):
+        # t <= c.x is appended warm to the capped root, then the last row:
+        # each optimum is lp_solve's for max c.x, +inf exactly when lp_solve
+        # reports the LP unbounded, and HiGHS agrees
+        rng = np.random.default_rng(13)
+        outcomes = dict.fromkeys(("optimal", "unbounded", "infeasible"), 0)
+        for _ in range(300):
+            c, A, b, bounds = make(rng)
+            n = c.size
+            root = capped_root(A[:-1], b[:-1], bounds)
+            if root is None:
+                assert lp_solve(le_lp(c, A[:-1], b[:-1], bounds)).status == "infeasible"
+                continue
+            assert root.infinite()
+            tab = append_row(root, np.append(-c, 1.0), 0.0)  # t <= c.x
+            for rows in (A[:-1], A):
+                if rows is A:
+                    tab = append_row(tab, np.append(A[-1], 0.0), b[-1])
+                sol = dual_simplex(tab, lambda bound: True)
+                cold = lp_solve(le_lp(c, rows, b[: len(rows)], bounds))
+                ref = highs(c, rows, b[: len(rows)], bounds)
+                outcomes[cold.status] += 1
+                if cold.status == "infeasible":
+                    assert sol.status == "infeasible" and ref.status == 2
+                    break
+                assert sol.status == "optimal"
+                assert tab.infinite() == (cold.status == "unbounded") == (sol.ray is not None)
+                if cold.status == "unbounded":  # HiGHS may call it infeasible: the point certifies it
+                    assert sol.value == np.inf and ref.status in (2, 3)
+                else:
+                    # 1e-9, or 1e-12 relative on the few optima far above 1
+                    assert sol.value == pytest.approx(cold.value, abs=1e-9, rel=1e-12)
+                    assert sol.value == pytest.approx(-ref.fun, abs=1e-7)
+                assert_capped_point(sol, c, rows, b[: len(rows)], bounds)
+        assert outcomes["optimal"] > 50 and outcomes["infeasible"] > 0, outcomes
+        # free_case's +-x_j <= 1 rows keep every LP bounded
+        assert (outcomes["unbounded"] == 0) if make is free_case else (outcomes["unbounded"] > 100), outcomes
+
+    def test_keep_sees_an_infinite_bound(self):
+        # max t over t <= x on the line is +inf; appending t <= 1 - x makes it
+        # 0.5. The first bound the dual simplex offers is +inf, which a keep
+        # that asks for a level must accept and go on
+        root = capped_root(np.zeros((0, 1)), np.zeros(0), [(None, None)])
+        tab = append_row(root, np.array([-1.0, 1.0]), 0.0)
+        sol = dual_simplex(tab, lambda bound: True)
+        assert (sol.value, tab.infinite()) == (np.inf, True)
+        for level, status in ((0.5, "optimal"), (0.75, "stopped")):
+            seen = []
+            child = append_row(tab, np.array([1.0, 1.0]), 1.0)
+            sol = dual_simplex(child, lambda bound: seen.append(bound) or bound >= level)
+            assert seen[0] == np.inf and np.isfinite(seen[-1]), seen
+            assert sol.status == status and sol.value == pytest.approx(0.5)
+
+    def test_bounded_tableau_drops_the_cap(self):
+        # once the cap's slack is basic, an appended row leaves its row and
+        # column out, and the path goes on as an ordinary tableau
+        root = capped_root(np.zeros((0, 1)), np.zeros(0), [(None, None)])
+        tab = append_row(root, np.array([-1.0, 1.0]), 0.0)
+        dual_simplex(tab, lambda bound: True)
+        tab = append_row(tab, np.array([1.0, 1.0]), 1.0)
+        dual_simplex(tab, lambda bound: True)
+        assert tab.cap is not None and not tab.infinite()
+        child = append_row(tab, np.array([0.0, 1.0]), 0.25)
+        assert child.cap is None and child.T.shape == (tab.T.shape[0], tab.T.shape[1])
+        sol = dual_simplex(child, lambda bound: True)
+        assert sol.status == "optimal" and sol.value == pytest.approx(0.25)
 
 
 # --- stacks: many LPs in one lockstep simplex -------------------------------
