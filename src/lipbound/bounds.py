@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainEmptyError, EnumerationGuardError
 from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _jacobian_from_bits
-from .norms import check_norm_kind, operator_norm, operator_norms
+from .norms import check_norm_kind, operator_norm, pattern_norms
 from .regions import (
     TAU_STRICT,
     check_eps,
@@ -280,11 +280,11 @@ def brute_force_bounds(
     The oracle for the branch-and-bound: one full LP per pattern and no
     pruning. The patterns go in itertools.product order through
     _closed_points, which solves their LPs a stack at a time; each stack's
-    Jacobians are normed by one operator_norms call, bit-identical to one
-    pattern at a time. lp_calls counts the 2^n pattern LPs, the domain
-    probe when it solves an LP, and the lower argmax's max_slack, which
-    gives its witness; pivots sums the pivots of the pattern LPs and of that
-    last one. Refuses networks with more than ENUMERATION_GUARD_BITS hidden
+    Jacobians are normed by pattern_norms, bit-identical to one pattern at
+    a time. lp_calls counts the 2^n pattern LPs, the domain probe when it
+    solves an LP, and the lower argmax's max_slack, which gives its
+    witness; pivots sums the pivots of the pattern LPs and of that last
+    one. Refuses networks with more than ENUMERATION_GUARD_BITS hidden
     neurons.
     """
     p = check_norm_kind(p)
@@ -295,12 +295,11 @@ def brute_force_bounds(
             f"{nbits} hidden bits exceed the enumeration guard ({ENUMERATION_GUARD_BITS})"
         )
     stats = SearchStats(lp_calls=_check_domain(net, domain), nodes_explored=1 << nbits)
-    cuts = np.cumsum(net.hidden_widths)[:-1]
     shifts = np.arange(nbits - 1, -1, -1)
 
     def stack(i: int, j: int):
         flats = (np.arange(i, j)[:, None] >> shifts) & 1
-        return flats, operator_norms(_jacobian_from_bits(net, np.hsplit(flats, cuts)), p)
+        return flats, pattern_norms(net, flats, p)
 
     points = _closed_points(net, domain, 1 << nbits, stack, stats)
     return _aggregate(net, domain, p, eps_list, *points, stats)
@@ -360,8 +359,10 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     a point that an exact slack would keep. The same bound drops a kept
     leaf when another kept leaf has a strictly larger norm and a search
     slack at least 2 TAU_STRICT deeper: it is then never an argmax and
-    never on the curve, so its exact LP would be wasted. The caller takes
-    the survivors' exact slacks from _closed_points. domain=None skips all
+    never on the curve, so its exact LP would be wasted. The envelope
+    holds exactly the kept leaves, so that is a leaf whose norm is below
+    the envelope at its slack plus 2 TAU_STRICT. The caller takes the
+    survivors' exact slacks from _closed_points. domain=None skips all
     feasibility work (the unconstrained problem; every depth is +inf).
 
     Every search LP is warm but the root's. The root solves max t over the
@@ -472,19 +473,8 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
         stats.lp_calls += 1
         stats.pivots += sol.pivots
         visit(INF, None, symbolic_rhs(tab, root.b.size - 1))  # t <= W
-    keep = ~_dominated(np.array(slacks), np.array(norms))
+    keep = np.array([not env.at(s + 2 * TAU_STRICT) > v for s, v in zip(slacks, norms)], dtype=bool)
     return np.array(flats, dtype=int).reshape(len(flats), nbits)[keep], np.array(norms)[keep]
-
-
-def _dominated(slacks: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Which points some other point beats by a strictly larger norm at a
-    slack at least 2 TAU_STRICT deeper."""
-    order = np.argsort(slacks, kind="stable")
-    s, v = slacks[order], norms[order]
-    deeper = np.append(np.maximum.accumulate(v[::-1])[::-1], -INF)  # best norm from each rank on
-    out = np.empty(s.size, dtype=bool)
-    out[order] = deeper[np.searchsorted(s, s + 2 * TAU_STRICT)] > v
-    return out
 
 
 def branch_and_bound(

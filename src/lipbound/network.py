@@ -366,29 +366,24 @@ def pattern_of(net: MlpNetwork, x: Sequence[float]) -> ActivationPattern:
     return ActivationPattern(tuple(tuple(int(t > 0.0) for t in theta) for theta in preacts))
 
 
-def _affine_layers(
-    net: MlpNetwork, bits: Sequence[Sequence[int]], upto: int | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (coeff matrix, offset vector) of the pre-activations under
-    the given gating bits, for hidden layers 1..upto.
+def _affine_layers(net: MlpNetwork, bits: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (coeff matrix, offset vector) of every hidden pre-activation
+    under the given gating bits.
 
-    Layer k's pre-activation form only consumes bits of layers 1..k-1, so a
-    prefix of bits suffices for a prefix of layers. Per-layer gates of
-    shape (k, n_l) give a stack: coeff (k, n_l, n_0) and offset (k, n_l).
+    Layer k's pre-activation form only consumes bits of layers 1..k-1.
+    Per-layer gates of shape (k, n_l) give a stack: coeff (k, n_l, n_0) and
+    offset (k, n_l).
     """
     n_hidden = net.depth - 1
-    upto = n_hidden if upto is None else upto
-    if not 1 <= upto <= n_hidden:
-        raise ValueError(f"layer count {upto} outside 1..{n_hidden}")
     coeff = np.eye(net.input_dim)
     offset = np.zeros(net.input_dim)
     out = []
-    for k in range(upto):
+    for k in range(n_hidden):
         layer = net.layers[k]
         c = layer.weights @ coeff
         o = (layer.weights @ offset[..., None])[..., 0] + layer.bias
         out.append((c, o))
-        if k + 1 < upto:
+        if k + 1 < n_hidden:
             gate = np.asarray(bits[k], dtype=float)
             coeff = gate[..., None] * c
             offset = gate * o

@@ -17,16 +17,18 @@ the norm 1.0 of an identity-like pattern Jacobian, off that value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from typing import Sequence
 
 import numpy as np
 
-from .network import ActivationPattern, MlpNetwork, jacobian
+from .network import ActivationPattern, MlpNetwork, _jacobian_from_bits, jacobian
 
 INF = math.inf
 NORM_KINDS = (1, 2, INF)
+_STACK_ENTRIES = 1 << 22  # bound on one Jacobian stack's intermediates (32 MB)
 
 
 def check_norm_kind(p) -> float:
@@ -62,6 +64,20 @@ def operator_norm(A: Sequence, p) -> float:
 def pattern_norm(net: MlpNetwork, sigma: ActivationPattern, p) -> float:
     """Induced p-norm of the Jacobian selected by the pattern."""
     return operator_norm(jacobian(net, sigma), p)
+
+
+def pattern_norms(net: MlpNetwork, flats: np.ndarray, p) -> np.ndarray:
+    """pattern_norm of each row of flat pattern bits, shape (k, n) -> (k,).
+
+    The Jacobians are formed and normed in stacks of bounded size; each
+    value is bit-identical to pattern_norm of that pattern alone.
+    """
+    cuts = list(itertools.accumulate(net.hidden_widths[:-1]))
+    step = max(1, _STACK_ENTRIES // (max(net.widths) * net.input_dim))
+    return np.concatenate([
+        operator_norms(_jacobian_from_bits(net, np.hsplit(flats[i : i + step], cuts)), p)
+        for i in range(0, len(flats), step)
+    ])
 
 
 def norm_witness(A: Sequence, p) -> np.ndarray:

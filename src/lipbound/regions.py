@@ -13,6 +13,7 @@ magnitude is relative to the affine forms, not the true network.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -67,10 +68,9 @@ class SlackResult:
     """Outcome of the maximal-slack LP for one pattern.
 
     status is "bounded" (slack attained at witness), "unbounded" (slack
-    grows without bound along ray; slack is +inf), "infeasible" (the
+    grows without bound along ray; slack is +inf), or "infeasible" (the
     domain itself is empty, impossible otherwise since t is free; slack is
-    NaN, so it meets no level), or "stopped" (a warm re-solve quit once
-    its upper bound on the slack, kept in slack, missed the closed level).
+    NaN, so it meets no level).
     """
 
     status: str
@@ -163,42 +163,29 @@ def slack_result(sol: LpSolution) -> SlackResult:
             ray_slack_rate=float(sol.ray[-1]),
             pivots=sol.pivots,
         )
-    if sol.status == "stopped":
-        return SlackResult("stopped", sol.value, pivots=sol.pivots)
     return SlackResult("infeasible", math.nan, pivots=sol.pivots)
 
 
-def max_slack(
-    net: MlpNetwork,
-    sigma: ActivationPattern,
-    domain: InputDomain,
-    *,
-    neurons: Optional[int] = None,
-) -> SlackResult:
-    """Maximal common margin of the pattern's region inside the domain.
+def _pattern_rows(net: MlpNetwork, flats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The margin rows (A, b) of each row of flat pattern bits, shape (k, n):
+    A of shape (k, n, n0 + 1) and b of shape (k, n), one row per hidden
+    neuron, layer-major."""
+    cuts = list(itertools.accumulate(net.hidden_widths[:-1]))
+    forms = _affine_layers(net, np.hsplit(flats, cuts))
+    k = flats.shape[0]
+    coeff = np.concatenate([np.broadcast_to(c, (k, *c.shape[-2:])) for c, _ in forms], axis=-2)
+    offset = np.concatenate([np.broadcast_to(o, (k, o.shape[-1])) for _, o in forms], axis=-1)
+    return margin_rows(flats - 0.5, coeff, offset)
 
-    With neurons=k only the margins of the first k hidden neurons, in
-    layer-major order, are imposed (the branch-and-bound prefix
-    relaxation; a neuron's form uses only the bits of earlier layers, so
-    the bits after position k are ignored); default is every neuron.
-    """
+
+def max_slack(net: MlpNetwork, sigma: ActivationPattern, domain: InputDomain) -> SlackResult:
+    """Maximal common margin of the pattern's region inside the domain: the
+    slack LP over the margins of every hidden neuron, with its witness and,
+    when the slack is unbounded, its ray."""
     _check_pattern(net, sigma)
     check_domain_dim(domain, net.input_dim)
-    widths = net.hidden_widths
-    k = sum(widths) if neurons is None else neurons
-    if not 1 <= k <= sum(widths):
-        raise ValueError(f"neuron prefix {k} outside 1..{sum(widths)}")
-    upto, start = 1, 0  # hidden layers the prefix touches; first neuron of the last one
-    while start + widths[upto - 1] < k:
-        start += widths[upto - 1]
-        upto += 1
-    forms = _affine_layers(net, sigma.bits, upto)
-    bits = list(sigma.bits[:upto])
-    coeff, offset = forms[-1]
-    forms[-1], bits[-1] = (coeff[: k - start], offset[: k - start]), bits[-1][: k - start]
-    sgn = np.concatenate([np.asarray(layer_bits, dtype=float) for layer_bits in bits]) - 0.5
-    A, b = margin_rows(sgn, np.vstack([c for c, _ in forms]), np.concatenate([o for _, o in forms]))
-    return slack_result(lp_solve(slack_lp(domain, net.input_dim, A, b)))
+    A, b = _pattern_rows(net, np.array([sigma.flat]))
+    return slack_result(lp_solve(slack_lp(domain, net.input_dim, A[0], b[0])))
 
 
 def max_slacks(net: MlpNetwork, flats: np.ndarray, domain: InputDomain) -> tuple[np.ndarray, np.ndarray]:
@@ -210,12 +197,7 @@ def max_slacks(net: MlpNetwork, flats: np.ndarray, domain: InputDomain) -> tuple
     for an unbounded slack, NaN for an empty domain.
     """
     check_domain_dim(domain, net.input_dim)
-    flats = np.asarray(flats)
-    forms = _affine_layers(net, np.hsplit(flats, np.cumsum(net.hidden_widths)[:-1]))
-    k = flats.shape[0]
-    coeff = np.concatenate([np.broadcast_to(c, (k, *c.shape[-2:])) for c, _ in forms], axis=-2)
-    offset = np.concatenate([np.broadcast_to(o, (k, o.shape[-1])) for _, o in forms], axis=-1)
-    A, b = margin_rows(flats - 0.5, coeff, offset)
+    A, b = _pattern_rows(net, np.asarray(flats))
     status, value, pivots = lp_stack(slack_lp(domain, net.input_dim, A, b))
     slacks = np.where(status == "unbounded", math.inf, value)
     return slacks, pivots

@@ -3,10 +3,11 @@ and pairwise difference quotients. Never part of a certified output.
 
 Each estimate is one batched pass. One forward over all samples gives the
 pre-activations, the boundary mask and the bit patterns together; the
-Jacobians of the distinct patterns are formed as one stack and normed in
-one call. The reported sample is the first one that reaches the maximum,
-and its value is recomputed on the single-point path (pattern_of,
-pattern_norm), so it is the same number a per-sample loop would give.
+Jacobians of the distinct patterns are formed and normed in stacks by
+pattern_norms. The reported sample is the first one that reaches the
+maximum, and its value is recomputed on the single-point path
+(pattern_of, pattern_norm), so it is the same number a per-sample loop
+would give.
 The pairwise quotient comes from two batched forwards and row-wise
 norms; it can differ from a per-pair loop in the last ulps, because a
 batched matrix product and a row-wise norm round differently.
@@ -14,7 +15,6 @@ batched matrix product and a row-wise norm round differently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,13 +29,12 @@ from .network import (
     L2Ball,
     MlpNetwork,
     Polytope,
-    _jacobian_from_bits,
     check_domain_dim,
     forward,
     pattern_of,
 )
-from .norms import INF, check_norm_kind, operator_norms, pattern_norm
-from .simplex import GE, LE, LinearProgram, lp_solve
+from .norms import INF, check_norm_kind, pattern_norm, pattern_norms
+from .simplex import LE, LinearProgram, lp_solve
 
 # Pre-activations must clear this margin for a sample to count: it keeps
 # every sampled pattern strictly inside its region.
@@ -43,7 +42,6 @@ BOUNDARY_MARGIN = 1e-6
 
 _HIT_AND_RUN_STEPS = 5
 _CHORD_CAP = 1e3  # truncation for unbounded chords; sampling is heuristic anyway
-_STACK_ENTRIES = 1 << 22  # bound on one Jacobian stack's intermediates (32 MB)
 
 
 def vector_norm(v: np.ndarray, p):
@@ -119,17 +117,6 @@ def sample_domain(domain: InputDomain, n0: int, n_samples: int, rng) -> np.ndarr
     raise TypeError(f"unknown domain {type(domain).__name__}")
 
 
-def _pattern_norms(net: MlpNetwork, patterns: np.ndarray, p) -> np.ndarray:
-    """operator_norm of the Jacobian of each row of flat bits, in stacks of
-    bounded size."""
-    cuts = np.cumsum(net.hidden_widths)[:-1]
-    step = max(1, _STACK_ENTRIES // (max(net.widths) * net.input_dim))
-    return np.concatenate([
-        operator_norms(_jacobian_from_bits(net, np.hsplit(patterns[i : i + step], cuts)), p)
-        for i in range(0, len(patterns), step)
-    ])
-
-
 def sampled_lower_bound(
     net: MlpNetwork,
     domain: InputDomain,
@@ -156,7 +143,7 @@ def sampled_lower_bound(
     if n_valid == 0:
         return SampleEstimate(0.0, None, None, 0)
     patterns, which = np.unique(theta[valid] > 0.0, axis=0, return_inverse=True)
-    values = _pattern_norms(net, patterns, p)[which.reshape(-1)]  # numpy 2.0.0 gives a column
+    values = pattern_norms(net, patterns, p)[which.reshape(-1)]  # numpy 2.0.0 gives a column
     first = int(values.argmax())  # argmax returns the first of tied maxima
     if not values[first] > 0.0:
         return SampleEstimate(0.0, None, None, n_valid)

@@ -7,6 +7,7 @@ from lipbound import ActivationPattern, Box, MlpNetwork
 from lipbound.bounds import _node_bound, _sign_split
 from lipbound.network import _affine_layers, forward, pattern_of
 from lipbound.norms import pattern_norm
+from lipbound.regions import max_slack
 from lipbound.sampling import BOUNDARY_MARGIN, SampleEstimate, sample_domain
 
 
@@ -44,6 +45,25 @@ def unit_box(net):
     return Box(-np.ones(n0), np.ones(n0))
 
 
+def prefix_max_slack(net, prefix, domain):
+    """The slack LP over the margins of the first len(prefix) hidden
+    neurons alone, under the prefix's bits: max_slack of the net cut after
+    them, that is the layers below whole, the prefix's layer cut to its
+    first rows and a one-output layer on top."""
+    widths = net.hidden_widths
+    h, start = 0, 0  # the hidden layer the prefix ends in, and its first flat index
+    while start + widths[h] < len(prefix):
+        start += widths[h]
+        h += 1
+    j = len(prefix) - start
+    last = net.layers[h]
+    cut = MlpNetwork.from_arrays(
+        [(layer.weights, layer.bias) for layer in net.layers[:h]]
+        + [(last.weights[:j], last.bias[:j]), (np.ones((1, j)), [0.0])]
+    )
+    return max_slack(cut, ActivationPattern.from_flat(cut.hidden_widths, tuple(prefix)), domain)
+
+
 def assert_node_bound_sound(net, p):
     """The search's bound at every prefix that ends inside the hidden layers
     is at least the largest pattern norm of its completions, within a
@@ -60,7 +80,7 @@ def assert_node_bound_sound(net, p):
         h = max(h for h, start in enumerate(starts[:-1]) if start <= k)
         for prefix in itertools.product((0, 1), repeat=k):
             below = ActivationPattern.from_flat(widths, prefix + (0,) * (nbits - k)).bits
-            c = _affine_layers(net, below, upto=h + 1)[h][0]
+            c = _affine_layers(net, below)[h][0]
             got = _node_bound(c, prefix[starts[h] :], split[h + 1 :], p)
             want = max(norms[prefix + rest] for rest in itertools.product((0, 1), repeat=nbits - k))
             assert got >= want * (1.0 - 1e-12), (prefix, got, want)

@@ -481,7 +481,7 @@ class TestOracleStacks:
         assert sizes == [3] * 341 + [1]
         assert got == want
 
-    @pytest.mark.parametrize("name", ["max_slacks", "operator_norms"])
+    @pytest.mark.parametrize("name", ["max_slacks", "pattern_norms"])
     def test_stacked_values_rechecked(self, monkeypatch, name):
         # the lower argmax is solved and normed again on its own; a stacked
         # value one ulp off fails the report

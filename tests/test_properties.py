@@ -28,13 +28,14 @@ from lipbound import (  # noqa: E402
 from lipbound.bounds import SearchStats, _aggregate  # noqa: E402
 from lipbound.network import _jacobian_from_bits  # noqa: E402
 from lipbound.norms import operator_norm  # noqa: E402
-from lipbound.regions import TAU_STRICT, max_slack, max_slacks, meets_level, slack_result  # noqa: E402
+from lipbound.regions import TAU_STRICT, max_slack, max_slacks, meets_level  # noqa: E402
 from lipbound.simplex import dual_simplex  # noqa: E402
 from lipbound.sampling import pairwise_quotient_estimate, sampled_lower_bound  # noqa: E402
 
 from conftest import (  # noqa: E402
     assert_node_bound_sound,
     assert_same_estimate,
+    prefix_max_slack,
     reference_pairwise_quotient,
     reference_sampled_lower_bound,
 )
@@ -99,6 +100,28 @@ def test_curve_is_the_staircase_of_strict_points(points):
         prev = seg.eps_end
 
 
+env_slacks = st.one_of(
+    st.sampled_from([-1e-9, -0.0, 0.0, 1e-10, 0.25, 0.5, 1.0, math.inf]),
+    st.floats(-1.0, 2.0),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(env_slacks, norms), max_size=16), st.data())
+def test_envelope_at_is_the_best_norm_at_least_as_deep(points, data):
+    # the invariant the value prune and the kept-leaf dominance rule rest
+    # on, whatever order the points arrive in
+    order = data.draw(st.permutations(range(len(points))))
+    env = bounds_module._Envelope()
+    for i in order:
+        env.add(*points[i])
+    queries = [-math.inf, math.inf, *data.draw(st.lists(env_slacks, max_size=4))]
+    for s, _ in points:
+        queries += [s, np.nextafter(s, -math.inf), np.nextafter(s, math.inf), s + 2 * TAU_STRICT]
+    for q in queries:
+        assert env.at(q) == max((v for s, v in points if s >= q), default=-math.inf), q
+
+
 # --- the search against the oracle -----------------------------------------
 
 
@@ -156,10 +179,9 @@ def test_bnb_report_equals_oracle_on_degenerate_nets(case):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(degenerate_cases())
 def test_warm_prefix_slacks_equal_cold_max_slack(case):
-    # every prefix LP the search re-optimizes warm, against the cold prefix
-    # LP of max_slack(neurons=k); the prefix is read off the search's frame
+    # every prefix LP the search re-optimizes warm, against the cold LP of
+    # the net cut after the prefix; the prefix is read off the search's frame
     net, domain, p = case
-    widths, nbits = net.hidden_widths, net.total_hidden_bits
     seen = []
 
     def spy(tab, keep):
@@ -173,8 +195,7 @@ def test_warm_prefix_slacks_equal_cold_max_slack(case):
     with mock.patch.object(bounds_module, "dual_simplex", spy):
         bounds_module.compute_report(net, domain, p)
     for prefix, sol in seen:
-        sigma = ActivationPattern.from_flat(widths, prefix + (0,) * (nbits - len(prefix)))
-        cold = max_slack(net, sigma, domain, neurons=len(prefix)).slack
+        cold = prefix_max_slack(net, prefix, domain).slack
         if sol.status == "optimal":
             assert sol.value == pytest.approx(cold, abs=1e-9), prefix
         else:
@@ -200,7 +221,7 @@ def test_leaf_slacks_equal_max_slack(case):
             frame = frame.f_back
         bits = tuple(frame.f_locals["bits"])
         if len(bits) == nbits:
-            decided[bits] = slack_result(sol).slack
+            decided[bits] = math.nan if sol.status == "infeasible" else sol.value
         return sol
 
     def stack_spy(net_, flats, domain_):

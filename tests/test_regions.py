@@ -26,7 +26,7 @@ import lipbound.regions as regions
 from lipbound.regions import TAU_CLOSED, TAU_STRICT, SlackResult, domain_nonempty, max_slacks, meets_level
 from lipbound.simplex import LinearProgram, lp_solve
 
-from conftest import random_net, unit_box
+from conftest import prefix_max_slack, random_net, unit_box
 
 
 def margins(net, sigma, x):
@@ -207,27 +207,16 @@ class TestNeuronPrefix:
             box = unit_box(net)
             rng = np.random.default_rng(seed)
             flat = tuple(int(b) for b in rng.integers(0, 2, net.total_hidden_bits))
-            sigma = ActivationPattern.from_flat(net.hidden_widths, flat)
             slacks = [
-                max_slack(net, sigma, box, neurons=k).slack
+                prefix_max_slack(net, flat[:k], box).slack
                 for k in range(1, net.total_hidden_bits + 1)
             ]
             assert all(b <= a + 1e-9 for a, b in zip(slacks, slacks[1:]))
 
-    def test_all_neurons_is_the_full_lp(self):
-        for seed in range(6):
-            net = random_net(seed)
-            rng = np.random.default_rng(seed)
-            flat = tuple(int(b) for b in rng.integers(0, 2, net.total_hidden_bits))
-            sigma = ActivationPattern.from_flat(net.hidden_widths, flat)
-            for domain in (unit_box(net), AllSpace()):
-                full = max_slack(net, sigma, domain)
-                prefix = max_slack(net, sigma, domain, neurons=net.total_hidden_bits)
-                assert (prefix.status, prefix.slack) == (full.status, full.slack)
-
     def test_layer_boundaries_match_layer_prefix_lp(self):
         # at a layer boundary the prefix LP imposes exactly the margins of
-        # the complete layers: the same rows as a network cut after them
+        # the complete layers: the same rows as a network cut after them,
+        # whatever its output layer, and after the last one the full LP
         for seed in range(6):
             net = random_net(seed)
             box = unit_box(net)
@@ -235,19 +224,14 @@ class TestNeuronPrefix:
             flat = tuple(int(b) for b in rng.integers(0, 2, net.total_hidden_bits))
             sigma = ActivationPattern.from_flat(net.hidden_widths, flat)
             used = 0
-            for j, w in enumerate(net.hidden_widths[:-1], start=1):
+            for j, w in enumerate(net.hidden_widths, start=1):
                 used += w
                 cut = MlpNetwork.from_arrays(
                     [(layer.weights, layer.bias) for layer in net.layers[: j + 1]]
                 )
                 expected = max_slack(cut, ActivationPattern(sigma.bits[:j]), box).slack
-                assert max_slack(net, sigma, box, neurons=used).slack == expected
-
-    def test_prefix_out_of_range(self, ex1):
-        sigma = ActivationPattern(((1, 1),))
-        for k in (0, 3):
-            with pytest.raises(ValueError):
-                max_slack(ex1, sigma, AllSpace(), neurons=k)
+                assert prefix_max_slack(net, flat[:used], box).slack == expected
+            assert expected == max_slack(net, sigma, box).slack
 
 
 def zoo_style_nets():
