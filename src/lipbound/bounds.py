@@ -14,13 +14,14 @@ branch-and-bound feeds it the leaves of one depth-first search that
 checks the prefix slack LP after every fixed bit and prunes only
 closed-infeasible or strictly dominated prefixes. The root's LP caps the
 slack by a symbolic +infinity and is the search's one cold LP; every
-other prefix LP is warm started from its parent's final tableau with one
-margin row appended, and the dual simplex that re-optimizes it stops as
-soon as its upper bound on the prefix slack misses the closed level.
-Leaves are decided the same way, and the full slack LPs of the kept ones
-that no other kept leaf dominates are then solved again in stacks, as
-the oracle solves its own, so both modes hand the aggregator exact
-slacks. Both give identical reports; only the statistics differ.
+other prefix, leaves included, that the value prune keeps takes its own
+LP, warm started from its parent's final tableau with one margin row
+appended, and the dual simplex that re-optimizes it stops as soon as its
+upper bound on the prefix slack misses the closed level. The full slack
+LPs of the kept leaves that no other kept leaf dominates are then solved
+again in stacks, as the oracle solves its own, so both modes hand the
+aggregator exact slacks. Both give identical reports; only the
+statistics differ.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ class SearchStats:
     the root's cold LP, the warm LPs of prefixes and leaves, the stacked
     exact LP of every kept leaf that no other kept leaf dominates (so such
     a leaf counts two), the domain probe when it solves one and the lower
-    argmax's witness LP; warm_lps counts the prefix and leaf LPs
-    re-optimized from a parent tableau, so lp_calls less warm_lps is one
+    argmax's witness LP; warm_lps counts the LPs re-optimized from a
+    parent tableau, one for every prefix below the root, leaves included,
+    that the value prune keeps, so lp_calls less warm_lps is one
     plus the exact, probe and witness LPs; patterns_feasible counts the
     exact-checked leaves whose closed region meets the domain, so a
     dominated leaf is in neither; pivots sums the pivots of all these LPs
@@ -372,12 +374,9 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     parent's tableau and re-optimizes with the dual simplex, which stops as
     soon as its objective, an upper bound on the prefix slack, misses the
     closed level, so a closed-infeasible prefix is pruned before its
-    optimum is reached. A slack with a positive W part is +inf, and the
-    witness is x_c + W x_W. A prefix whose new margin is nonnegative there
-    for every large W (grows along x_W, or holds at x_c where it does not
-    change) is closed-feasible without an LP: it keeps its parent's slack
-    and witness, and appends its row without pivoting, so its descendants
-    still start from a dual-feasible basis. Leaves always take their LP.
+    optimum is reached. A slack with a positive W part is +inf. Every
+    prefix below the root, leaves included, that the value prune keeps
+    takes this LP, so its slack is its own prefix LP's optimum.
     """
     widths = net.hidden_widths
     nbits = sum(widths)
@@ -401,32 +400,18 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             return operator_norm(coeff[h], p)
         return _node_bound(coeff[h], bits[starts[h] :], split[h + 1 :], p)
 
-    def inherits(x) -> bool:
-        """Whether the new margin is nonnegative at x_c + W x_W for every large W
-        (the root has no witness: its slack is W itself)."""
-        if x is None:
-            return False
-        k = len(bits) - 1
-        h = layer_of[k]
-        i, sgn = k - starts[h], bits[-1] - 0.5
-        rate = 0.0 if x[1] is None else sgn * float(coeff[h][i] @ x[1])
-        return rate > 0.0 or rate == 0.0 and sgn * (float(coeff[h][i] @ x[0]) + offset[h][i]) >= 0.0
-
     def prefix_slack(tab, a, b):
-        """The prefix LP, warm from its parent's tableau: its slack, its
-        witness (x_c, x_W) and its tableau. A stopped or infeasible LP has
-        a slack below the closed level and no witness."""
+        """The prefix LP, warm from its parent's tableau: its slack and its
+        tableau. A stopped or infeasible LP has a slack below the closed level."""
         stats.lp_calls += 1
         stats.warm_lps += 1
         tab = append_row(tab, a, b)
         sol = dual_simplex(tab, lambda bound: meets_level(bound, 0.0))
         stats.pivots += sol.pivots
-        if sol.status != "optimal":
-            return -INF, None, tab
-        return sol.value, (sol.x[:-1], None if sol.ray is None else sol.ray[:-1]), tab
+        return (sol.value if sol.status == "optimal" else -INF), tab
 
-    def visit(s: float, x, tab) -> None:
-        """Expand the prefix `bits`; s bounds its depth, x = (x_c, x_W) certifies it."""
+    def visit(s: float, tab) -> None:
+        """Expand the prefix `bits`, whose depth s bounds."""
         stats.nodes_explored += 1
         k = len(bits)
         h = layer_of[k]
@@ -446,13 +431,9 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
         if domain is not None and k:
             hk = layer_of[k - 1]
             A, rhs = rows[hk][bits[-1]]
-            row = (A[k - 1 - starts[hk]], rhs[k - 1 - starts[hk]])
-            if k < nbits and inherits(x):
-                tab = append_row(tab, *row)
-            else:
-                s, x, tab = prefix_slack(tab, *row)
-                if not meets_level(s, 0.0):
-                    return
+            s, tab = prefix_slack(tab, A[k - 1 - starts[hk]], rhs[k - 1 - starts[hk]])
+            if not meets_level(s, 0.0):
+                return
         if k == nbits:
             flats.append(tuple(bits))
             norms.append(ub)
@@ -461,18 +442,18 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             return
         for b in (1, 0):
             bits.append(b)
-            visit(s, x, tab)
+            visit(s, tab)
             bits.pop()
 
     if domain is None:
-        visit(INF, None, None)
+        visit(INF, None)
     else:
         n0 = net.input_dim
         root = slack_lp(domain, n0, np.eye(1, n0 + 1, n0), np.zeros(1))  # max t, t <= 0
         sol, tab = lp_tableau(root)
         stats.lp_calls += 1
         stats.pivots += sol.pivots
-        visit(INF, None, symbolic_rhs(tab, root.b.size - 1))  # t <= W
+        visit(INF, symbolic_rhs(tab, root.b.size - 1))  # t <= W
     keep = np.array([not env.at(s + 2 * TAU_STRICT) > v for s, v in zip(slacks, norms)], dtype=bool)
     return np.array(flats, dtype=int).reshape(len(flats), nbits)[keep], np.array(norms)[keep]
 

@@ -42,10 +42,9 @@ the W parts need no column of their own, and every pivot updates them.
 Pairs compare lexicographically: a right-hand side is infeasible when
 its W part is below -FEAS_TOL, or within FEAS_TOL of zero with a
 constant below -FEAS_TOL, and the objective is +inf when its W part
-exceeds OPT_TOL. The basic point is x_c + W x_W, so a finite optimum and
-an unbounded ray are one object: the cap's slack is basic, with x_W = 0,
-exactly when the LP without the cap is bounded, and append_row then
-drops the cap's row and column.
+exceeds OPT_TOL; such an optimum is reported with no point. The cap's
+slack is basic exactly when the LP without the cap is bounded, and
+append_row then drops the cap's row and column.
 
 Stacks. lp_stack solves k LPs that share the objective, the relations and
 the bounds, and differ only in their rows, as one array of k tableaus.
@@ -130,8 +129,8 @@ class LinearProgram:
 class LpSolution:
     status: str  # "optimal" | "unbounded" | "infeasible" | "stopped" (dual_simplex only)
     value: Optional[float]  # the optimum (+inf for a W part), or for "stopped" the bound keep rejected
-    x: Optional[np.ndarray]  # optimum, or the feasible point a ray emanates from
-    ray: Optional[np.ndarray]  # improving direction when unbounded; x_W of an optimum x_c + W x_W
+    x: Optional[np.ndarray]  # finite optimum, or the feasible point a ray emanates from
+    ray: Optional[np.ndarray]  # improving direction when unbounded
     pivots: int = 0  # simplex pivots: phase 1 and phase 2, or the dual simplex's
 
 
@@ -159,29 +158,20 @@ class Tableau:
         """Whether the objective's W part is positive, which makes it +inf."""
         return self.cap is not None and self.T[-1, self.cap] > OPT_TOL
 
-    def point(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """The basic point x_c + W x_W of the current basis, as (x_c, x_W).
-
-        Both are in the LP's variables; x_W is None unless the objective's
-        W part is positive, as at a finite optimum only the cap's own slack
-        has one. A basic value with no W part is clipped at zero, which it
-        can miss only by the feasibility tolerance.
-        """
-        ns = self.M.shape[1]
+    def point(self) -> np.ndarray:
+        """The basic point of the current basis, in the LP's variables, W
+        parts left out. Basic values are clipped at zero, which they can
+        miss only by the feasibility tolerance."""
         s = np.zeros(self.width)
-        if not self.infinite():
-            s[self.basis] = np.maximum(self.T[:-1, -1], 0.0)
-            return self.x0 + self.M @ s[:ns], None
-        r = np.zeros(self.width)
-        r[self.basis] = omega = self.T[:-1, self.cap]
-        s[self.basis] = np.where(omega > FEAS_TOL, self.T[:-1, -1], np.maximum(self.T[:-1, -1], 0.0))
-        return self.x0 + self.M @ s[:ns], self.M @ r[:ns]
+        s[self.basis] = np.maximum(self.T[:-1, -1], 0.0)
+        return self.x0 + self.M @ s[: self.M.shape[1]]
 
     def solution(self, pivots: int) -> LpSolution:
-        """The optimum at the current basis: +inf, with x_W as its ray, when its W part is positive."""
-        x, ray = self.point()
-        value = math.inf if ray is not None else float(self.objective @ x)
-        return LpSolution("optimal", value, x, ray, pivots)
+        """The optimum at the current basis: +inf, with no point, when its W part is positive."""
+        if self.infinite():
+            return LpSolution("optimal", math.inf, None, None, pivots)
+        x = self.point()
+        return LpSolution("optimal", float(self.objective @ x), x, None, pivots)
 
 
 def _pivot(T: np.ndarray, r: int, c: int) -> None:
@@ -359,7 +349,7 @@ def _solve(T, basis, M, x0, objective) -> tuple[LpSolution, Optional[Tableau]]:
         ray_s[enter] = 1.0
         ray_s[basis] = -T[:-1, enter]
         ray_s[np.abs(ray_s) <= PIVOT_MIN] = 0.0
-        return LpSolution("unbounded", None, tab.point()[0], M @ ray_s[:ns], pivots), None
+        return LpSolution("unbounded", None, tab.point(), M @ ray_s[:ns], pivots), None
     return tab.solution(pivots), tab
 
 

@@ -308,14 +308,15 @@ class TestOneSearch:
         # per-neuron prefix LPs can prune it
         net = _seeded_net(3, (4, 10, 1))
         r = compute_report(net, unit_box(net), 2, [0.05], mode="bnb")
-        # the interval-Jacobian node bound visits exactly 517 nodes here, so a
-        # looser prune shows as a failure. The root LP, 202 warm prefix and
-        # leaf LPs, the exact LPs of the 9 kept leaves that no other kept leaf
-        # dominates and the witness LP make exactly 213 LPs and 780 pivots,
+        # the interval-Jacobian node bound visits exactly 495 nodes here, so a
+        # looser prune shows as a failure. The root LP, a warm LP for each of
+        # the 329 prefixes and leaves below the root that the value prune
+        # keeps, the exact LPs of the 9 kept leaves that no other kept leaf
+        # dominates and the witness LP make exactly 340 LPs and 500 pivots,
         # so an extra LP or a lost warm start fails too
-        assert r.stats.nodes_explored <= 517
-        assert (r.stats.lp_calls, r.stats.warm_lps, r.stats.patterns_feasible) == (213, 202, 9)
-        assert r.stats.pivots == 780
+        assert r.stats.nodes_explored <= 495
+        assert (r.stats.lp_calls, r.stats.warm_lps, r.stats.patterns_feasible) == (340, 329, 9)
+        assert r.stats.pivots == 500
         oracle = compute_report(net, unit_box(net), 2, [0.05], mode="oracle")
         # one LP per pattern, plus the lower argmax's max_slack for its witness
         assert oracle.stats.lp_calls == 2**10 + 1

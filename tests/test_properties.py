@@ -1,12 +1,15 @@
 """Property tests: the eps-curve as a staircase and the targets as the best
 points meeting their levels, the pruned search against the 2^n oracle, its
 warm prefix LPs against cold ones, its leaf decisions and stacked leaf
-slacks against max_slack and its node bound against every completion on
-degenerate networks, and the batched sampling pass against the per-sample
-loop on the same networks."""
+slacks against max_slack, one warm LP per appended margin row and its
+node bound against every completion on degenerate networks, and the
+batched sampling pass against the per-sample loop on the same networks."""
 
+import importlib.util
+import json
 import math
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,7 +29,7 @@ from lipbound import (  # noqa: E402
     report_to_dict,
 )
 from lipbound.bounds import SearchStats, _aggregate  # noqa: E402
-from lipbound.network import _jacobian_from_bits  # noqa: E402
+from lipbound.network import _jacobian_from_bits, load_domain, load_network  # noqa: E402
 from lipbound.norms import operator_norm  # noqa: E402
 from lipbound.regions import TAU_STRICT, max_slack, max_slacks, meets_level  # noqa: E402
 from lipbound.simplex import dual_simplex  # noqa: E402
@@ -41,6 +44,7 @@ from conftest import (  # noqa: E402
 )
 
 PS = (1, 2, math.inf)
+ZOO = Path(__file__).resolve().parents[1] / "perfbench" / "zoo.py"
 GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 # --- the curve -------------------------------------------------------------
@@ -247,6 +251,49 @@ def test_leaf_slacks_equal_max_slack(case):
             assert not meets_level(max_slack(net, sigma, domain).slack, 0.0), flat
         elif flat not in kept:
             assert any(norm(o) > norm(flat) and decided[o] >= slack + 2 * TAU_STRICT for o in kept), flat
+
+
+def row_and_solve_counts(cases):
+    """(append_row calls, dual_simplex calls, summed warm_lps) over the bnb
+    reports of (net, domain, p) cases."""
+    calls = {"append_row": 0, "dual_simplex": 0}
+
+    def counted(name):
+        original = getattr(bounds_module, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return mock.patch.object(bounds_module, name, spy)
+
+    warm = 0
+    with counted("append_row"), counted("dual_simplex"):
+        for net, domain, p in cases:
+            warm += compute_report(net, domain, p, [0.05, 0.2], mode="bnb").stats.warm_lps
+    return calls["append_row"], calls["dual_simplex"], warm
+
+
+def test_every_appended_row_is_reoptimized_on_the_zoo():
+    # no prefix takes its margin row without its own warm LP: on the
+    # benchmark zoo at seed 0 (zoo.py imports only numpy, so it loads by path)
+    spec = importlib.util.spec_from_file_location("perfbench_zoo", ZOO)
+    zoo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(zoo)
+    cases = []
+    for i in range(zoo.ROTATION):
+        inst = zoo.zoo_instance(0, i)
+        net = load_network(json.dumps(inst["net"]))
+        cases.append((net, load_domain(json.dumps(inst["domain"])), inst["p"]))
+    rows, solves, warm = row_and_solve_counts(cases)
+    assert rows == solves == warm > 0
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(degenerate_cases())
+def test_every_appended_row_is_reoptimized_on_degenerate_nets(case):
+    rows, solves, warm = row_and_solve_counts([case])
+    assert rows == solves == warm
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
