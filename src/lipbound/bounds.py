@@ -28,15 +28,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainEmptyError, EnumerationGuardError
-from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _jacobian_from_bits
-from .norms import check_norm_kind, operator_norm, pattern_norms
+from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _gated_form, _jacobian_from_bits
+from .norms import INF, check_norm_kind, inf_to_str, operator_norm, pattern_norms
 from .regions import (
     TAU_STRICT,
     check_eps,
@@ -49,8 +48,6 @@ from .regions import (
     witness_at_level,
 )
 from .simplex import append_row, dual_simplex, lp_tableau, symbolic_rhs
-
-INF = math.inf
 
 # A prefix is value-pruned only when it cannot even tie the envelope.
 _PRUNE_MARGIN = 1e-12
@@ -417,10 +414,8 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
         h = layer_of[k]
         if k == starts[h]:
             if h > 0:
-                gate = np.asarray(bits[starts[h - 1] :], dtype=float)
-                layer = net.layers[h]
-                coeff[h] = layer.weights @ (gate[:, None] * coeff[h - 1])
-                offset[h] = layer.weights @ (gate * offset[h - 1]) + layer.bias
+                gate = bits[starts[h - 1] :]
+                coeff[h], offset[h] = _gated_form(net.layers[h], gate, coeff[h - 1], offset[h - 1])
             if domain is not None and h < len(widths):
                 half = np.full(widths[h], 0.5)
                 rows[h] = (margin_rows(-half, coeff[h], offset[h]), margin_rows(half, coeff[h], offset[h]))
@@ -515,19 +510,16 @@ def _eps_key(e: float) -> str:
     return repr(float(e))
 
 
-def _json_num(v: float):
-    return "inf" if v == INF else v
-
-
-def report_to_dict(report: BoundsReport, version: str | None = None, config=None) -> dict:
+def report_to_dict(report: BoundsReport) -> dict:
     """JSON-ready dict; infinities become the string "inf". It holds no
-    timing, so identical inputs serialize to identical bytes."""
+    timing, so identical inputs serialize to identical bytes. The CLI's
+    report file adds "version", "config" and "domain_relaxed" to it."""
 
     def pattern(sig):
         return [list(layer) for layer in sig.bits] if sig is not None else None
 
-    d = {
-        "p": _json_num(report.p),
+    return {
+        "p": inf_to_str(report.p),
         "upper": report.upper,
         "lower": report.lower,
         "lower_empty": report.lower_empty,
@@ -536,7 +528,7 @@ def report_to_dict(report: BoundsReport, version: str | None = None, config=None
         "curve": None
         if report.curve is None
         else [
-            {"eps": _json_num(seg.eps_end), "value": seg.value, **({"empty": True} if seg.empty else {})}
+            {"eps": inf_to_str(seg.eps_end), "value": seg.value, **({"empty": True} if seg.empty else {})}
             for seg in report.curve
         ],
         "argmax_upper": pattern(report.argmax_upper),
@@ -545,16 +537,5 @@ def report_to_dict(report: BoundsReport, version: str | None = None, config=None
         "witness_x": None
         if report.witness_x_lower is None
         else [float(v) for v in report.witness_x_lower],
-        "stats": {
-            "nodes_explored": report.stats.nodes_explored,
-            "lp_calls": report.stats.lp_calls,
-            "warm_lps": report.stats.warm_lps,
-            "pivots": report.stats.pivots,
-            "patterns_feasible": report.stats.patterns_feasible,
-        },
+        "stats": asdict(report.stats),
     }
-    if version is not None:
-        d["version"] = version
-    if config is not None:
-        d["config"] = config
-    return d

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -31,18 +30,8 @@ from .miqcqp import (
     witness_from_bounds,
 )
 from .network import AllSpace, Box, L2Ball, load_domain, load_network
-from .norms import INF
+from .norms import INF, inf_to_str
 from .sampling import pairwise_quotient_estimate, sampled_lower_bound
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit code 2; this CLI reserves 2 for
-    empty domains, so usage failures exit 1 instead."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _fmt_value(v) -> str:
@@ -55,10 +44,6 @@ def _parse_p(raw: str):
     if raw == "inf":
         return INF
     return int(raw)
-
-
-def _p_label(p) -> str:
-    return "inf" if p == INF else str(p)
 
 
 def _load_net(path: str):
@@ -76,12 +61,12 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 @functools.cache
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once; parse_args returns a fresh
     Namespace on every call, so one parser serves every main() call."""
-    parser = _Parser(prog="lipbound", description=__doc__)
+    parser = argparse.ArgumentParser(prog="lipbound", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lipbound {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, with_eps=True):
         sp.add_argument("--net", required=True, help="network JSON file")
@@ -154,8 +139,8 @@ def _report(args, eps_list, summary):
     print(summary(report))
     if relaxed:
         print("note: domain widened to circumscribed box; lower bounds are not certificates")
-    doc = report_to_dict(report, version=__version__, config=_resolved_config(args))
-    doc["domain_relaxed"] = relaxed
+    doc = report_to_dict(report)
+    doc.update(version=__version__, config=_resolved_config(args), domain_relaxed=relaxed)
     if args.out:
         _write_json(args.out, doc)
     return net, domain, report
@@ -183,9 +168,8 @@ def _cmd_curve(args) -> int:
     def summary(report):
         lines = [f"curve segments: {len(report.curve)}"]
         for seg in report.curve:
-            label = "inf" if seg.eps_end == math.inf else f"{seg.eps_end:g}"
             suffix = " [empty]" if seg.empty else ""
-            lines.append(f"  value {seg.value:g} up to eps {label}{suffix}")
+            lines.append(f"  value {seg.value:g} up to eps {seg.eps_end:g}{suffix}")
         return "\n".join(lines)
 
     _, _, report = _report(args, [], summary)
@@ -193,7 +177,7 @@ def _cmd_curve(args) -> int:
         segments = report.curve
         rows = ["eps,value", f"0,{segments[0].value!r}"]
         for i, seg in enumerate(segments):
-            end = "inf" if seg.eps_end == math.inf else repr(seg.eps_end)
+            end = repr(seg.eps_end)
             rows.append(f"{end},{seg.value!r}")
             if i + 1 < len(segments):
                 rows.append(f"{end},{segments[i + 1].value!r}")
@@ -218,7 +202,7 @@ def _cmd_emit(args) -> int:
         Path(lp_path).write_text(emit_lp_text(model))
     big_m = "none" if model.big_m is None else f"{model.big_m:g}"
     print(
-        f"p={_p_label(model.p)} eps={model.eps:g} variables={len(model.variables)} "
+        f"p={inf_to_str(model.p)} eps={model.eps:g} variables={len(model.variables)} "
         f"linear={len(model.linear_constraints)} quadratic={len(model.quadratic_constraints)} "
         f"big_m={big_m}"
     )
@@ -279,10 +263,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad usage; 2 means an empty domain here
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)

@@ -29,15 +29,15 @@ from .network import (
     L2Ball,
     MlpNetwork,
     Polytope,
+    _NUMBER_TYPES,
     check_domain_dim,
     jacobian,
 )
-from .norms import INF, check_norm_kind, norm_witness, operator_norm
+from .norms import INF, check_norm_kind, inf_to_str, norm_witness, operator_norm
 from .regions import check_eps, witness_at_level
+from .simplex import EQ, GE, LE
 
 FORMAT_VERSION = 1
-
-LE, GE, EQ = "<=", ">=", "="
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -491,13 +491,7 @@ def witness_from_bounds(
 # --- serialization ---------------------------------------------------------
 
 
-def _p_to_json(p):
-    return "inf" if p == INF else p
-
-
 def _p_from_json(raw):
-    if isinstance(raw, bool):
-        raise ModelFormatError(f"metadata.p: {raw!r} is not a norm order")
     try:
         return check_norm_kind(raw)
     except ValueError as exc:
@@ -610,7 +604,7 @@ def emit_json(model: MiqcqpModel) -> str:
     obj = model.objective
     return (
         f'{{\n  "format_version": {_number(model.format_version)},\n'
-        f'  "metadata": {{\n    "p": {_value(_p_to_json(model.p), "    ")},\n'
+        f'  "metadata": {{\n    "p": {_value(inf_to_str(model.p), "    ")},\n'
         f'    "eps": {_number(model.eps)},\n    "big_m": {_number(model.big_m)},\n'
         f'    "groups": {_value(model.groups, "    ")}\n  }},\n'
         f'  "variables": {_records_json(variables)},\n'
@@ -655,9 +649,6 @@ def _check_version(doc) -> int:
     return version
 
 
-# JSON numbers parse as int or float; true/false parse as bool, which
-# float() would take for 1.0/0.0, and float() would also read "5" as 5.0.
-_NUMBER_TYPES = {int, float}
 # (name types..., coefficient type) of a well-formed term; str() would read
 # a name 7 as "7".
 _TERM_TYPES = {
@@ -810,7 +801,7 @@ def emit_lp_text(model: MiqcqpModel) -> str:
     """Human-readable algebraic rendering, deterministic byte-for-byte."""
     lines = [
         f"\\ lipbound model format_version {model.format_version}",
-        f"\\ p={_p_to_json(model.p)} eps={_fmt(model.eps)} big_m="
+        f"\\ p={inf_to_str(model.p)} eps={_fmt(model.eps)} big_m="
         + ("none" if model.big_m is None else _fmt(model.big_m)),
         "Maximize",
         " obj: "

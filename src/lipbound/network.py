@@ -104,6 +104,25 @@ class MlpNetwork:
         return sum(self.hidden_widths)
 
 
+# JSON numbers parse as int or float; true/false parse as bool, which
+# float() would take for 1.0/0.0, and float() would also read "5" as 5.0.
+_NUMBER_TYPES = {int, float}
+
+
+def _json_floats(raw, what: str, error: type[Exception]) -> np.ndarray:
+    """A JSON number or (nested) list of numbers as a float array; anything
+    else in a number's place, a string, boolean, null or ragged list, raises
+    error."""
+    cells = np.asarray(raw, dtype=object)
+    if not set(map(type, cells.flat)) <= _NUMBER_TYPES:
+        bad = next(v for v in cells.flat if type(v) not in _NUMBER_TYPES)
+        raise error(f"{what}: {bad!r} is not a number")
+    try:
+        return cells.astype(float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise error(f"{what}: not finite") from None
+
+
 def load_network(text: str) -> MlpNetwork:
     """Parse a network from its JSON description.
 
@@ -123,11 +142,8 @@ def load_network(text: str) -> MlpNetwork:
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict) or "weights" not in entry or "bias" not in entry:
             raise NetworkFormatError(f'layer {k}: needs "weights" and "bias"')
-        try:
-            w = np.asarray(entry["weights"], dtype=float)
-            b = np.asarray(entry["bias"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise NetworkFormatError(f"layer {k}: non-numeric entry ({exc})") from exc
+        w = _json_floats(entry["weights"], f"layer {k}: weights", NetworkFormatError)
+        b = _json_floats(entry["bias"], f"layer {k}: bias", NetworkFormatError)
         layers.append(Layer(w, b))
     return MlpNetwork(tuple(layers))
 
@@ -298,15 +314,19 @@ def load_domain(text: str) -> InputDomain:
     if not isinstance(doc, dict) or "type" not in doc:
         raise DomainFormatError('missing "type" field')
     kind = doc["type"]
+
+    def num(key: str) -> np.ndarray:
+        return _json_floats(doc[key], f"domain type {kind!r}: {key}", DomainFormatError)
+
     try:
         if kind == "all":
             return AllSpace()
         if kind == "box":
-            return Box(doc["lower"], doc["upper"])
+            return Box(num("lower"), num("upper"))
         if kind == "polytope":
-            return Polytope(doc["A"], doc["b"])
+            return Polytope(num("A"), num("b"))
         if kind == "l2ball":
-            return L2Ball(doc["center"], doc["radius"])
+            return L2Ball(num("center"), num("radius"))
     except KeyError as exc:
         raise DomainFormatError(f"domain type {kind!r}: missing field {exc}") from exc
     raise DomainFormatError(f"unknown domain type {kind!r}")
@@ -366,6 +386,17 @@ def pattern_of(net: MlpNetwork, x: Sequence[float]) -> ActivationPattern:
     return ActivationPattern(tuple(tuple(int(t > 0.0) for t in theta) for theta in preacts))
 
 
+def _gated_form(layer: Layer, gate, coeff: np.ndarray, offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coeff, offset) of the pre-activation form of `layer`, given those of
+    the layer below and its gates: W diag(gate) coeff and W diag(gate)
+    offset + b. Gates of shape (k, n) with a (k, n, n_0) coeff and a (k, n)
+    offset give a stack."""
+    gate = np.asarray(gate, dtype=float)
+    c = layer.weights @ (gate[..., None] * coeff)
+    o = (layer.weights @ (gate * offset)[..., None])[..., 0] + layer.bias
+    return c, o
+
+
 def _affine_layers(net: MlpNetwork, bits: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (coeff matrix, offset vector) of every hidden pre-activation
     under the given gating bits.
@@ -374,19 +405,9 @@ def _affine_layers(net: MlpNetwork, bits: Sequence[Sequence[int]]) -> list[tuple
     Per-layer gates of shape (k, n_l) give a stack: coeff (k, n_l, n_0) and
     offset (k, n_l).
     """
-    n_hidden = net.depth - 1
-    coeff = np.eye(net.input_dim)
-    offset = np.zeros(net.input_dim)
-    out = []
-    for k in range(n_hidden):
-        layer = net.layers[k]
-        c = layer.weights @ coeff
-        o = (layer.weights @ offset[..., None])[..., 0] + layer.bias
-        out.append((c, o))
-        if k + 1 < n_hidden:
-            gate = np.asarray(bits[k], dtype=float)
-            coeff = gate[..., None] * c
-            offset = gate * o
+    out = [(net.layers[0].weights, net.layers[0].bias)]
+    for k in range(1, net.depth - 1):
+        out.append(_gated_form(net.layers[k], bits[k - 1], *out[-1]))
     return out
 
 

@@ -32,12 +32,20 @@ _STACK_ENTRIES = 1 << 22  # bound on one Jacobian stack's intermediates (32 MB)
 
 
 def check_norm_kind(p) -> float:
-    """Normalize p to one of 1, 2, inf; reject anything else."""
+    """Normalize p to one of 1, 2, inf; reject anything else, booleans too."""
+    if isinstance(p, (bool, np.bool_)):  # True == 1, but it names no norm
+        raise ValueError(f"{p!r} is not a norm order")
     if p in (1, 2):
         return int(p)
     if p == INF or p == np.inf or (isinstance(p, str) and p.lower() == "inf"):
         return INF
     raise ValueError(f"unsupported norm order {p!r}; expected 1, 2, or inf")
+
+
+def inf_to_str(v):
+    """v as this package writes it to JSON and text: +inf becomes the string
+    "inf", which check_norm_kind reads back; any other value is unchanged."""
+    return "inf" if v == INF else v
 
 
 def operator_norms(A: Sequence, p) -> np.ndarray:

@@ -56,7 +56,9 @@ def meets_level(slack: float, eps: Optional[float]) -> bool:
 
 
 def check_eps(eps) -> float:
-    """eps as a float; a ValueError unless it is finite and nonnegative."""
+    """eps as a float; a ValueError unless it is a finite nonnegative number."""
+    if isinstance(eps, (bool, np.bool_)):
+        raise ValueError(f"eps must be a number, got {eps!r}")
     eps = float(eps)
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")

@@ -67,6 +67,14 @@ class TestBruteForce:
         with pytest.raises(DomainEmptyError):
             brute_force_bounds(ex1, empty, 2)
 
+    @pytest.mark.parametrize("mode", ["oracle", "bnb"])
+    def test_boolean_p_or_eps_rejected(self, ex1, mode):
+        # True == 1 and float(True) == 1.0; neither may stand for p=1 or eps 1
+        with pytest.raises(ValueError, match="is not a norm order"):
+            compute_report(ex1, AllSpace(), True, mode=mode)
+        with pytest.raises(ValueError, match="eps must be a number"):
+            compute_report(ex1, AllSpace(), 1, [True], mode=mode)
+
     def test_eps_beyond_all_slacks_marked_empty(self, ex1):
         # box domain keeps every slack finite; a huge eps empties the set
         r = brute_force_bounds(ex1, Box([-2.0], [2.0]), 2, [50.0])

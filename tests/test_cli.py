@@ -72,6 +72,17 @@ class TestBounds:
             assert rc == 1, (command, flag)
             assert "unrecognized arguments" in err
 
+    def test_non_number_in_net_or_domain_exit_1(self, capsys, ex1_path, tmp_path):
+        net = tmp_path / "net.json"
+        net.write_text('{"layers":[{"weights":[["1.5"]],"bias":[0]},{"weights":[[1]],"bias":[0]}]}')
+        dom = tmp_path / "ball.json"
+        dom.write_text('{"type":"l2ball","center":[0],"radius":"2"}')
+        for paths in (("--net", str(net)), ("--net", ex1_path, "--domain", str(dom))):
+            rc, out, err = run(capsys, "bounds", *paths, "--p", "2")
+            assert rc == 1, paths
+            assert err.startswith("error: ") and "is not a number" in err
+            assert out == ""
+
     def test_empty_domain_exit_2(self, capsys, ex1_path, tmp_path):
         dom = tmp_path / "empty.json"
         dom.write_text('{"type":"polytope","A":[[1.0],[-1.0]],"b":[-3.0,2.0]}')

@@ -81,6 +81,26 @@ class TestLoadNetwork:
         with pytest.raises(NetworkFormatError):
             load_network("{not json")
 
+    @pytest.mark.parametrize(
+        "weights, bias, message",
+        [
+            ([["1.5", True]], [0.0], r"layer 0: weights: '1\.5' is not a number"),
+            ([[1.5, True]], [0.0], "layer 0: weights: True is not a number"),
+            ([[1.5, 1.0]], [None], "layer 0: bias: None is not a number"),
+            ([[1.5], [1.0, 2.0]], [0.0], "layer 0: weights"),
+            ([[1.5, 1.0]], [10**400], "layer 0: bias: not finite"),
+        ],
+    )
+    def test_non_number_entries_rejected(self, weights, bias, message):
+        # float() would read "1.5" as 1.5 and true as 1.0
+        text = net_json([{"weights": weights, "bias": bias}, {"weights": [[1.0]], "bias": [0.0]}])
+        with pytest.raises(NetworkFormatError, match=message):
+            load_network(text)
+
+    def test_integer_entries_still_numbers(self):
+        net = load_network(net_json([{"weights": [[1, -2]], "bias": [0]}, {"weights": [[3]], "bias": [1]}]))
+        assert net.layers[0].weights.tolist() == [[1.0, -2.0]] and net.layers[1].bias.tolist() == [1.0]
+
 
 class TestForward:
     def test_example1_at_zero(self, ex1):
@@ -248,3 +268,18 @@ class TestDomains:
     def test_unknown_type(self):
         with pytest.raises(DomainFormatError):
             load_domain('{"type":"simplex"}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"type":"box","lower":["-1",false],"upper":[1,1]}', "lower: '-1' is not a number"),
+            ('{"type":"box","lower":[-1,false],"upper":[1,1]}', "lower: False is not a number"),
+            ('{"type":"polytope","A":[[1,0]],"b":[true]}', "b: True is not a number"),
+            ('{"type":"polytope","A":[[1,"0"]],"b":[1]}', "A: '0' is not a number"),
+            ('{"type":"l2ball","center":[0,0],"radius":"2"}', "radius: '2' is not a number"),
+            ('{"type":"l2ball","center":[0,null],"radius":2}', "center: None is not a number"),
+        ],
+    )
+    def test_non_number_entries_rejected(self, text, message):
+        with pytest.raises(DomainFormatError, match=message):
+            load_domain(text)

@@ -14,7 +14,7 @@ from lipbound import (
     relaxed_jacobian,
 )
 from lipbound.network import _jacobian_from_bits, jacobian
-from lipbound.norms import operator_norms
+from lipbound.norms import check_norm_kind, inf_to_str, operator_norms
 from lipbound.sampling import vector_norm
 
 from conftest import random_net
@@ -40,6 +40,18 @@ class TestOperatorNorm:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             operator_norm(np.eye(2), 3)
+
+    @pytest.mark.parametrize("p", [True, False, np.True_])
+    def test_rejects_boolean_p(self, p):
+        # True == 1, so a bare membership test would compute p=1
+        with pytest.raises(ValueError, match="is not a norm order"):
+            check_norm_kind(p)
+        with pytest.raises(ValueError, match="is not a norm order"):
+            operator_norm(np.eye(2), p)
+
+    def test_inf_to_str_round_trips(self):
+        assert [inf_to_str(p) for p in (1, 2, math.inf)] == [1, 2, "inf"]
+        assert [check_norm_kind(inf_to_str(p)) for p in (1, 2, math.inf)] == [1, 2, math.inf]
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

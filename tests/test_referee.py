@@ -1,0 +1,55 @@
+"""The benchmark zoo through both modes: the branch-and-bound's report equals
+the 2^n oracle's outside "stats", and its summed search counters stay at
+their recorded values, so a search change that moves either fails here and
+not only in a benchmark run."""
+
+import functools
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from lipbound import compute_report, load_domain, load_network, report_to_dict
+
+ZOO = Path(__file__).resolve().parents[1] / "perfbench" / "zoo.py"
+EPS = [0.05, 0.2]
+# Seeds 16 and 24 lost eps-curve points in an earlier search.
+SEEDS = (0, 1, 2, 3, 4, 16, 24)
+# Summed bnb counters over zoo seeds 0-2.
+COUNTERS = {"nodes_explored": 9834, "lp_calls": 7908, "warm_lps": 7202, "pivots": 12830}
+
+
+@functools.cache
+def load_zoo():
+    # zoo.py imports only numpy, so it loads by path
+    spec = importlib.util.spec_from_file_location("perfbench_zoo", ZOO)
+    zoo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(zoo)
+    return zoo
+
+
+@functools.cache
+def reports(seed, mode):
+    """report_to_dict of every zoo instance of one seed, stats included."""
+    zoo, out = load_zoo(), []
+    for i in range(zoo.ROTATION):
+        inst = zoo.zoo_instance(seed, i)
+        net, domain = load_network(json.dumps(inst["net"])), load_domain(json.dumps(inst["domain"]))
+        out.append(report_to_dict(compute_report(net, domain, inst["p"], EPS, mode=mode)))
+    return out
+
+
+def without_stats(doc):
+    return {key: value for key, value in doc.items() if key != "stats"}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bnb_equals_oracle_outside_stats(seed):
+    for i, (a, b) in enumerate(zip(reports(seed, "bnb"), reports(seed, "oracle"))):
+        assert without_stats(a) == without_stats(b), (seed, i)
+
+
+def test_summed_bnb_counters():
+    stats = [d["stats"] for seed in range(3) for d in reports(seed, "bnb")]
+    assert {key: sum(s[key] for s in stats) for key in COUNTERS} == COUNTERS

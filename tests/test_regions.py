@@ -91,6 +91,12 @@ class TestLevelChecked:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             witness_at_level(ex1, sigma, box, eps)
 
+    @pytest.mark.parametrize("eps", [True, False, np.True_])
+    def test_boolean_eps_rejected(self, eps):
+        # float(True) is 1.0
+        with pytest.raises(ValueError, match="eps must be a number"):
+            regions.check_eps(eps)
+
 
 class TestMeetsLevel:
     # (slack, level, meets): level None is the open region, a float the
