@@ -163,7 +163,6 @@ def compute_bigM(net: MlpNetwork, p) -> float:
     plain layer norms bounds the whole y-recursion; a 1.01 safety factor
     and a floor of 1.0 guard degenerate all-zero stacks.
     """
-    p = check_norm_kind(p)
     prod = 1.0
     for layer in net.layers:
         prod *= operator_norm(layer.weights, p)
@@ -178,8 +177,6 @@ class _Builder:
         self.quadratic: list[Constraint] = []
 
     def var(self, name, kind=CONTINUOUS, lower=None, upper=None) -> str:
-        if name in self.index:
-            raise ModelFormatError(f"duplicate variable {name}")
         self.index[name] = len(self.variables)
         self.variables.append(Variable(name, kind, lower, upper))
         return name
@@ -417,7 +414,7 @@ def assignment_for_pattern(
     p = check_norm_kind(p)
     widths = net.widths
     L = net.depth
-    x0 = witness_at_level(net, sigma, domain, float(eps))
+    x0 = witness_at_level(net, sigma, domain, eps)
     xs = [np.asarray(x0, float)]
     for k in range(1, L):
         layer = net.layers[k - 1]
@@ -473,8 +470,7 @@ def witness_from_bounds(
 
     Its checked objective equals the reported bound (squared for p=2).
     """
-    p = check_norm_kind(p)
-    eps = float(eps)
+    eps = check_eps(eps)
     if eps == 0.0:
         sigma = report.argmax_upper
     else:

@@ -332,15 +332,10 @@ def load_domain(text: str) -> InputDomain:
     raise DomainFormatError(f"unknown domain type {kind!r}")
 
 
-def domain_dim(domain: InputDomain) -> int | None:
-    """Ambient dimension of the domain, or None for AllSpace."""
-    return None if isinstance(domain, AllSpace) else domain.dim
-
-
 def check_domain_dim(domain: InputDomain, n0: int) -> None:
-    d = domain_dim(domain)
-    if d is not None and d != n0:
-        raise DomainFormatError(f"domain dimension {d} does not match network input dim {n0}")
+    """Raise DomainFormatError unless the domain lives in R^n0; AllSpace always does."""
+    if not isinstance(domain, AllSpace) and domain.dim != n0:
+        raise DomainFormatError(f"domain dimension {domain.dim} does not match network input dim {n0}")
 
 
 # --- core operations -------------------------------------------------------

@@ -27,7 +27,6 @@ import numpy as np
 from .network import ActivationPattern, MlpNetwork, _jacobian_from_bits, jacobian
 
 INF = math.inf
-NORM_KINDS = (1, 2, INF)
 _STACK_ENTRIES = 1 << 22  # bound on one Jacobian stack's intermediates (32 MB)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -56,8 +57,9 @@ def meets_level(slack: float, eps: Optional[float]) -> bool:
 
 
 def check_eps(eps) -> float:
-    """eps as a float; a ValueError unless it is a finite nonnegative number."""
-    if isinstance(eps, (bool, np.bool_)):
+    """eps as a float; a ValueError unless it is a finite nonnegative real
+    number. Strings, bytes and booleans are refused, numpy scalars taken."""
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):  # numpy booleans are not Real
         raise ValueError(f"eps must be a number, got {eps!r}")
     eps = float(eps)
     if not 0.0 <= eps < math.inf:

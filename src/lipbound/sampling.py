@@ -33,7 +33,7 @@ from .network import (
     forward,
     pattern_of,
 )
-from .norms import INF, check_norm_kind, pattern_norm, pattern_norms
+from .norms import check_norm_kind, pattern_norm, pattern_norms
 from .simplex import LE, LinearProgram, lp_solve
 
 # Pre-activations must clear this margin for a sample to count: it keeps
@@ -46,10 +46,7 @@ _CHORD_CAP = 1e3  # truncation for unbounded chords; sampling is heuristic anywa
 
 def vector_norm(v: np.ndarray, p):
     """p-norm of a vector, or of each row of a (m, n) array."""
-    p = check_norm_kind(p)
-    if p == INF:
-        return np.abs(v).max(axis=-1)
-    return np.abs(v).sum(axis=-1) if p == 1 else np.linalg.norm(v, axis=-1)
+    return np.linalg.norm(v, check_norm_kind(p), axis=-1)
 
 
 @dataclass(frozen=True)

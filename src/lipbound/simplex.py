@@ -53,7 +53,9 @@ lockstep loop (_run_stack) pivots every unfinished tableau once per pass,
 each by the same Bland rules and in the same floating-point operations
 as the one-LP loop, and drops a tableau from the pass once it is done;
 so each LP's status, optimum and pivot count are bit-identical to
-lp_solve's. The 2^n enumeration oracle solves its slack LPs this way.
+lp_solve's. The rare LP whose phase-1 auxiliary ends basic is finished
+by lp_solve's own loop (_solve), from its starting tableau. The 2^n
+enumeration oracle solves its slack LPs this way.
 """
 
 from __future__ import annotations
@@ -360,8 +362,8 @@ def lp_stack(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     reports it, the optimum (NaN unless optimal) and the pivot count. Each
     LP takes the same pivots in the same arithmetic as lp_solve, so every
     entry is bit-identical to lp_solve's. An LP whose phase-1 auxiliary
-    stays basic on a row with no other nonzero, a row lp_solve deletes, is
-    solved on its own by lp_solve's loop instead.
+    ends basic is solved again on its own, from its starting tableau, by
+    lp_solve's loop, which pivots the auxiliary out or deletes its row.
     """
     if lp.A.ndim != 3:
         raise ValueError("lp_stack solves a stack of LPs, with rows of shape (k, m, n)")
@@ -392,22 +394,11 @@ def lp_stack(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         infeasible = -T1[:, -1, -1] > FEAS_TOL
         status[one[infeasible]] = "infeasible"
         phase2[one[infeasible]] = False
-        stuck = ((b1 == aux).any(axis=1) & ~infeasible).nonzero()[0]
-        if stuck.size:
-            r = (b1[stuck] == aux).argmax(axis=1)
-            choices = np.abs(T1[stuck, r, :aux]) > PIVOT_MIN
-            out = choices.any(axis=1)
-            for j in stuck[~out]:  # lp_solve deletes the row: solve it that way
-                sol, _ = _solve(T[one[j]].copy(), basis[one[j]].copy(), M, x0, lp.objective)
-                status[one[j]], pivots[one[j]] = sol.status, sol.pivots
-                value[one[j]] = np.nan if sol.value is None else sol.value
-                phase2[one[j]] = False
-            stuck, r, c = stuck[out], r[out], choices[out].argmax(axis=1)
-            Ts = T1[stuck]
-            _pivot_stack(Ts, r, c)
-            T1[stuck] = Ts
-            b1[stuck, r] = c
-            pivots[one[stuck]] += 1
+        for j in one[(b1 == aux).any(axis=1) & ~infeasible]:  # the auxiliary is still basic
+            sol, _ = _solve(T[j].copy(), basis[j].copy(), M, x0, lp.objective)
+            status[j], pivots[j] = sol.status, sol.pivots
+            value[j] = np.nan if sol.value is None else sol.value
+            phase2[j] = False
         T[one], basis[one] = T1, b1
 
     # Phase 2: minimize -c.x over the columns before the auxiliary, which stays at 0.
@@ -499,10 +490,8 @@ def dual_simplex(tab: Tableau, keep: Callable[[float], bool]) -> LpSolution:
             eligible = (row < -PIVOT_MIN).nonzero()[0]
             if eligible.size == 0:
                 return LpSolution("infeasible", None, None, None, it)
-        c = int(eligible[0])
-        if eligible.size > 1:
-            ratios = T[-1, eligible] / -row[eligible]
-            c = int(eligible[(ratios <= ratios.min() + 1e-12).argmax()])  # Bland: lowest index
+        ratios = T[-1, eligible] / -row[eligible]
+        c = int(eligible[(ratios <= ratios.min() + 1e-12).argmax()])  # Bland: lowest index
         _pivot(T, r, c)
         basis[r] = c
     raise SimplexBreakdownError(f"dual simplex did not finish within {_MAX_ITERS} iterations")

@@ -16,11 +16,15 @@ from lipbound import (
     NonPolyhedralDomainError,
     Polytope,
     affine_preactivations,
+    assignment_for_pattern,
+    build_model,
+    compute_report,
     forward,
     max_slack,
     pattern_of,
     region_feasible,
     witness_at_level,
+    witness_from_bounds,
 )
 import lipbound.regions as regions
 from lipbound.regions import TAU_CLOSED, TAU_STRICT, SlackResult, domain_nonempty, max_slacks, meets_level
@@ -91,11 +95,30 @@ class TestLevelChecked:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             witness_at_level(ex1, sigma, box, eps)
 
-    @pytest.mark.parametrize("eps", [True, False, np.True_])
+    @pytest.mark.parametrize("eps", [True, False, np.True_, "0.5", b"0.25", None])
     def test_boolean_eps_rejected(self, eps):
-        # float(True) is 1.0
+        # float(True) is 1.0, and float() reads strings and bytes as well
         with pytest.raises(ValueError, match="eps must be a number"):
             regions.check_eps(eps)
+
+    @pytest.mark.parametrize("eps, value", [(np.float32(0.5), 0.5), (np.int64(1), 1.0), (0, 0.0)])
+    def test_numpy_scalar_eps_accepted(self, eps, value):
+        assert regions.check_eps(eps) == value
+
+    @pytest.mark.parametrize("mode", ["bnb", "oracle"])
+    def test_string_eps_rejected_everywhere(self, ex1, mode):
+        box, sigma = Box([-2.0], [2.0]), ActivationPattern(((1, 0),))
+        report = compute_report(ex1, box, 2, [0.5], mode=mode)
+        calls = [
+            lambda: compute_report(ex1, box, 2, ["0.5"], mode=mode),
+            lambda: witness_from_bounds(ex1, box, 2, "0.5", report),
+            lambda: assignment_for_pattern(ex1, box, 2, "0.5", sigma),
+            lambda: build_model(ex1, box, 2, "0.5"),
+            lambda: region_feasible(ex1, sigma, box, "0.5"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="eps must be a number"):
+                call()
 
 
 class TestMeetsLevel:

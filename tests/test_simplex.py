@@ -565,15 +565,21 @@ class TestStack:
                 seen[st] += 1
         assert min(seen.values()) > 100, seen
 
-    def test_mixed_outcomes_in_one_stack(self):
+    def test_mixed_outcomes_in_one_stack(self, monkeypatch):
         # max x, x >= 0, rows x >= b0 and a x <= b1: the auxiliary ending
-        # basic at zero (3 pivots), a feasible start, an infeasible LP, an
-        # unbounded one and a phase-1 start, all in one stack
+        # basic at zero (3 pivots, TestPhaseOne's LP), a feasible start, an
+        # infeasible LP, an unbounded one and a phase-1 start, all in one
+        # stack. Only the first goes to lp_solve's loop, which pivots its
+        # auxiliary out.
         rows = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
         rhs = [[1.0, 1.0], [-1.0, 2.0], [2.0, 1.0], [1.0, 0.0], [0.5, 3.0]]
         lp = stack_lp([1.0], [GE, LE], rows, rhs, [(0.0, None)])
-        assert assert_stack_is_lp_solve(lp) == ["optimal", "optimal", "infeasible", "unbounded", "optimal"]
+        calls = []
+        solve_one = simplex._solve
+        monkeypatch.setattr(simplex, "_solve", lambda *a: calls.append(1) or solve_one(*a))
         assert list(lp_stack(lp)[2])[0] == 3
+        assert len(calls) == 1
+        assert assert_stack_is_lp_solve(lp) == ["optimal", "optimal", "infeasible", "unbounded", "optimal"]
 
     @pytest.mark.parametrize(
         "objective, rels, rows, rhs, bounds",
