@@ -417,8 +417,7 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
                 gate = bits[starts[h - 1] :]
                 coeff[h], offset[h] = _gated_form(net.layers[h], gate, coeff[h - 1], offset[h - 1])
             if domain is not None and h < len(widths):
-                half = np.full(widths[h], 0.5)
-                rows[h] = (margin_rows(-half, coeff[h], offset[h]), margin_rows(half, coeff[h], offset[h]))
+                rows[h] = tuple(margin_rows(np.full(widths[h], g), coeff[h], offset[h]) for g in (0.0, 1.0))
         best = env.at(s + 2 * TAU_STRICT if s > TAU_STRICT else s)
         ub = bound(k, h) if k == nbits or best > -INF else None
         if ub is not None and ub < best - _PRUNE_MARGIN:

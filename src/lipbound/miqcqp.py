@@ -23,7 +23,6 @@ from .bounds import BoundsReport
 from .errors import ModelFormatError, WitnessUnavailableError
 from .network import (
     ActivationPattern,
-    AllSpace,
     Box,
     InputDomain,
     L2Ball,
@@ -297,8 +296,6 @@ def build_model(
         quad = [(x[0][j], x[0][j], 1.0) for j in range(n0)]
         lin = [(x[0][j], -2.0 * c[j]) for j in range(n0)]
         b.con("dom_ball", lin, LE, float(domain.radius**2 - c @ c), quad)
-    elif not isinstance(domain, AllSpace):
-        raise TypeError(f"unknown domain {type(domain).__name__}")
 
     # per-p blocks
     if p == 2:
@@ -770,9 +767,7 @@ def parse_json(text: str) -> MiqcqpModel:
 
 
 def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")  # + 0.0 prints -0.0 as 0
 
 
 def _render_terms(quad, lin, constant=0.0) -> str:

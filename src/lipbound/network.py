@@ -333,7 +333,10 @@ def load_domain(text: str) -> InputDomain:
 
 
 def check_domain_dim(domain: InputDomain, n0: int) -> None:
-    """Raise DomainFormatError unless the domain lives in R^n0; AllSpace always does."""
+    """Raise TypeError unless the domain is an InputDomain, the one type check
+    of every entry point, and DomainFormatError unless it lives in R^n0."""
+    if not isinstance(domain, InputDomain):
+        raise TypeError(f"unknown domain {type(domain).__name__}")
     if not isinstance(domain, AllSpace) and domain.dim != n0:
         raise DomainFormatError(f"domain dimension {domain.dim} does not match network input dim {n0}")
 
@@ -392,17 +395,17 @@ def _gated_form(layer: Layer, gate, coeff: np.ndarray, offset: np.ndarray) -> tu
     return c, o
 
 
-def _affine_layers(net: MlpNetwork, bits: Sequence[Sequence[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (coeff matrix, offset vector) of every hidden pre-activation
-    under the given gating bits.
+def _affine_layers(net: MlpNetwork, bits: Sequence[Sequence[float]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (coeff matrix, offset vector) of the pre-activation forms of
+    layers 1 through len(bits) + 1 under the given gating bits.
 
-    Layer k's pre-activation form only consumes bits of layers 1..k-1.
-    Per-layer gates of shape (k, n_l) give a stack: coeff (k, n_l, n_0) and
-    offset (k, n_l).
+    Given every hidden layer's gates, the last form is the output layer's,
+    and its coeff is the pattern Jacobian. Per-layer gates of shape (k, n_l)
+    give a stack: coeff (k, n_l, n_0) and offset (k, n_l).
     """
     out = [(net.layers[0].weights, net.layers[0].bias)]
-    for k in range(1, net.depth - 1):
-        out.append(_gated_form(net.layers[k], bits[k - 1], *out[-1]))
+    for k, gate in enumerate(bits, 1):
+        out.append(_gated_form(net.layers[k], gate, *out[-1]))
     return out
 
 
@@ -414,19 +417,16 @@ def affine_preactivations(net: MlpNetwork, sigma: ActivationPattern) -> list[Aff
     """
     _check_pattern(net, sigma)
     forms = []
-    for c, o in _affine_layers(net, sigma.bits):
+    for c, o in _affine_layers(net, sigma.bits[:-1]):
         for i in range(c.shape[0]):
             forms.append(AffineForm(c[i], o[i]))
     return forms
 
 
 def _jacobian_from_bits(net: MlpNetwork, bits: Sequence[Sequence[float]]) -> np.ndarray:
-    """Gated Jacobian; per-layer gates of shape (k, n_l) give a (k, n_L, n_0) stack."""
-    J = net.layers[0].weights
-    for k in range(1, net.depth):
-        gate = np.asarray(bits[k - 1], dtype=float)
-        J = net.layers[k].weights @ (gate[..., None] * J)
-    return J
+    """Gated Jacobian, the output layer's coeff from _affine_layers; per-layer
+    gates of shape (k, n_l) give a (k, n_L, n_0) stack."""
+    return _affine_layers(net, bits)[-1][0]
 
 
 def jacobian(net: MlpNetwork, sigma: ActivationPattern) -> np.ndarray:

@@ -29,7 +29,6 @@ from .network import (
     InputDomain,
     L2Ball,
     MlpNetwork,
-    Polytope,
     _affine_layers,
     _check_pattern,
     check_domain_dim,
@@ -100,14 +99,12 @@ def _domain_rows_bounds(domain: InputDomain, n0: int):
         pass
     elif isinstance(domain, Box):
         bounds = list(zip(domain.lower.tolist(), domain.upper.tolist()))
-    elif isinstance(domain, Polytope):
-        A, b = domain.A, domain.b
     elif isinstance(domain, L2Ball):
         raise NonPolyhedralDomainError(
             "L2 ball domains are not polyhedral; relax to the circumscribed box explicitly"
         )
-    else:
-        raise TypeError(f"unknown domain {type(domain).__name__}")
+    else:  # a Polytope
+        A, b = domain.A, domain.b
     return A, b, bounds
 
 
@@ -122,13 +119,14 @@ def domain_nonempty(domain: InputDomain, n0: int) -> bool:
     return sol.status != "infeasible"
 
 
-def margin_rows(sgn: np.ndarray, coeff: np.ndarray, offset: np.ndarray):
+def margin_rows(gate: np.ndarray, coeff: np.ndarray, offset: np.ndarray):
     """(A, b): the <= rows of the slack LP over (x, t) for neuron forms coeff x + offset.
 
-    A neuron with sign s = sigma - 1/2 gives [-s*coeff, 1] (x, t) <= s*offset,
-    that is t <= s*(coeff.x + offset). Leading axes of sgn, coeff and offset
-    make a stack of row sets.
+    A neuron with gate sigma (0 or 1) has sign s = sigma - 1/2 and gives
+    [-s*coeff, 1] (x, t) <= s*offset, that is t <= s*(coeff.x + offset).
+    Leading axes of gate, coeff and offset make a stack of row sets.
     """
+    sgn = gate - 0.5
     A = np.empty((*sgn.shape, coeff.shape[-1] + 1))
     A[..., :-1] = -sgn[..., None] * coeff
     A[..., -1] = 1.0
@@ -175,11 +173,11 @@ def _pattern_rows(net: MlpNetwork, flats: np.ndarray) -> tuple[np.ndarray, np.nd
     A of shape (k, n, n0 + 1) and b of shape (k, n), one row per hidden
     neuron, layer-major."""
     cuts = list(itertools.accumulate(net.hidden_widths[:-1]))
-    forms = _affine_layers(net, np.hsplit(flats, cuts))
+    forms = _affine_layers(net, np.hsplit(flats, cuts)[:-1])
     k = flats.shape[0]
     coeff = np.concatenate([np.broadcast_to(c, (k, *c.shape[-2:])) for c, _ in forms], axis=-2)
     offset = np.concatenate([np.broadcast_to(o, (k, o.shape[-1])) for _, o in forms], axis=-1)
-    return margin_rows(flats - 0.5, coeff, offset)
+    return margin_rows(flats, coeff, offset)
 
 
 def max_slack(net: MlpNetwork, sigma: ActivationPattern, domain: InputDomain) -> SlackResult:

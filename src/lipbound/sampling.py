@@ -28,7 +28,6 @@ from .network import (
     InputDomain,
     L2Ball,
     MlpNetwork,
-    Polytope,
     check_domain_dim,
     forward,
     pattern_of,
@@ -42,11 +41,6 @@ BOUNDARY_MARGIN = 1e-6
 
 _HIT_AND_RUN_STEPS = 5
 _CHORD_CAP = 1e3  # truncation for unbounded chords; sampling is heuristic anyway
-
-
-def vector_norm(v: np.ndarray, p):
-    """p-norm of a vector, or of each row of a (m, n) array."""
-    return np.linalg.norm(v, check_norm_kind(p), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -108,10 +102,8 @@ def sample_domain(domain: InputDomain, n0: int, n_samples: int, rng) -> np.ndarr
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = domain.radius * rng.uniform(0.0, 1.0, size=(n_samples, 1)) ** (1.0 / n0)
         return domain.center + radii * g
-    if isinstance(domain, Polytope):
-        center, _ = chebyshev_center(domain.A, domain.b)
-        return _hit_and_run(domain.A, domain.b, center, n_samples, rng)
-    raise TypeError(f"unknown domain {type(domain).__name__}")
+    center, _ = chebyshev_center(domain.A, domain.b)  # a Polytope
+    return _hit_and_run(domain.A, domain.b, center, n_samples, rng)
 
 
 def sampled_lower_bound(
@@ -164,10 +156,10 @@ def pairwise_quotient_estimate(
     rng = np.random.default_rng(seed)
     xs = sample_domain(domain, net.input_dim, n_pairs, rng)
     ys = sample_domain(domain, net.input_dim, n_pairs, rng)
-    gaps = vector_norm(ys - xs, p)
+    gaps = np.linalg.norm(ys - xs, p, axis=-1)
     apart = gaps != 0.0  # coincident pairs are skipped
     if not apart.any():
         return 0.0
     fx, _ = forward(net, xs[apart])
     fy, _ = forward(net, ys[apart])
-    return float((vector_norm(fy - fx, p) / gaps[apart]).max())
+    return float((np.linalg.norm(fy - fx, p, axis=-1) / gaps[apart]).max())

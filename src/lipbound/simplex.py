@@ -24,9 +24,10 @@ Berlin). lp_tableau is lp_solve that also keeps an optimal final tableau.
 append_row adds one more <= row to a kept tableau, with its slack basic,
 so the basis stays dual feasible, and dual_simplex re-optimizes it in
 place: the leaving row is the infeasible one with the lowest basic index,
-the entering column the lowest index of least ratio. Every basis it
-visits is dual feasible, so its objective bounds the optimum from above,
-and the caller's keep(bound) test can stop it before optimality.
+the entering column the lowest index that _ratio_ties, the primal loop's
+ratio test too, returns for the cost row over the negated leaving row.
+Every basis it visits is dual feasible, so its objective bounds the
+optimum from above, and the caller's keep(bound) test can stop it early.
 
 A symbolic right-hand side (the big-M method with M kept symbolic:
 Bazaraa, Jarvis & Sherali, Linear Programming and Network Flows; Chvatal
@@ -74,6 +75,7 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9  # ratio-test threshold
 PIVOT_MIN = 1e-12  # below this a pivot is numerically meaningless
+_TIE_TOL = 1e-12  # ratios this close to the least tie, and Bland's rule picks among them
 _MAX_ITERS = 50_000
 
 
@@ -182,6 +184,16 @@ def _pivot(T: np.ndarray, r: int, c: int) -> None:
     T[r] = row
 
 
+def _ratio_ties(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The single-LP ratio test: ascending indices whose den is above PIVOT_TOL
+    (PIVOT_MIN when none is) and whose num/den is within _TIE_TOL of the least."""
+    eligible = (den > PIVOT_TOL).nonzero()[0]
+    if eligible.size == 0:
+        eligible = (den > PIVOT_MIN).nonzero()[0]
+    ratios = num[eligible] / den[eligible]
+    return eligible[ratios <= ratios.min(initial=np.inf) + _TIE_TOL]
+
+
 def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
     """Iterate to optimality. Returns (status, entering column or None, pivots)."""
     rhs = T[:-1, -1]
@@ -190,14 +202,9 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
         c = int(negative.argmax())  # Bland: lowest index
         if not negative[c]:
             return "optimal", None, it
-        col = T[:-1, c]
-        eligible = (col > PIVOT_TOL).nonzero()[0]
-        if eligible.size == 0:
-            eligible = (col > PIVOT_MIN).nonzero()[0]
-            if eligible.size == 0:
-                return "unbounded", c, it
-        ratios = rhs[eligible] / col[eligible]
-        ties = eligible[ratios <= ratios.min() + 1e-12]
+        ties = _ratio_ties(rhs, T[:-1, c])
+        if ties.size == 0:
+            return "unbounded", c, it
         r = int(ties[basis[ties].argmin()])  # Bland: lowest basic index
         _pivot(T, r, c)
         basis[r] = c
@@ -216,8 +223,9 @@ def _run_stack(T: np.ndarray, basis: np.ndarray, ncols: int):
     """_run_simplex on a stack of tableaus in lockstep, each by its own pivots.
 
     Every pass pivots each unfinished tableau once by the same Bland rules,
-    so each ends exactly as _run_simplex would leave it. T and basis are
-    updated in place. Returns (unbounded mask, pivots per tableau).
+    its ratio test _ratio_ties's vectorized, so each ends exactly as
+    _run_simplex would leave it. T and basis are updated in place.
+    Returns (unbounded mask, pivots per tableau).
     """
     k = T.shape[0]
     unbounded = np.zeros(k, dtype=bool)
@@ -245,7 +253,7 @@ def _run_stack(T: np.ndarray, basis: np.ndarray, ncols: int):
             live, Tw, bw = live[go], Tw[go], bw[go]
             i, c, col, eligible = i[: live.size], c[go], col[go], eligible[go]
         ratios = np.divide(Tw[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=eligible)
-        ties = eligible & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
+        ties = eligible & (ratios <= ratios.min(axis=1, keepdims=True) + _TIE_TOL)
         r = np.where(ties, bw, T.shape[-1]).argmin(axis=1)  # Bland: lowest basic index
         _pivot_stack(Tw, r, c)
         bw[i, r] = c
@@ -484,14 +492,10 @@ def dual_simplex(tab: Tableau, keep: Callable[[float], bool]) -> LpSolution:
         if short.size == 0:
             return tab.solution(it)
         r = int(short[0]) if short.size == 1 else int(short[basis[short].argmin()])  # Bland: lowest basic index
-        row = T[r, :w]
-        eligible = (row < -PIVOT_TOL).nonzero()[0]
-        if eligible.size == 0:
-            eligible = (row < -PIVOT_MIN).nonzero()[0]
-            if eligible.size == 0:
-                return LpSolution("infeasible", None, None, None, it)
-        ratios = T[-1, eligible] / -row[eligible]
-        c = int(eligible[(ratios <= ratios.min() + 1e-12).argmax()])  # Bland: lowest index
+        ties = _ratio_ties(T[-1, :w], -T[r, :w])
+        if ties.size == 0:
+            return LpSolution("infeasible", None, None, None, it)
+        c = int(ties[0])  # Bland: lowest index
         _pivot(T, r, c)
         basis[r] = c
     raise SimplexBreakdownError(f"dual simplex did not finish within {_MAX_ITERS} iterations")

@@ -168,6 +168,10 @@ class TestBranchAndBound:
 
 
 class TestFullReports:
+    def test_unknown_mode_rejected(self, ex1):
+        with pytest.raises(ValueError, match="unknown mode 'fast'"):
+            compute_report(ex1, AllSpace(), 2, mode="fast")
+
     @pytest.mark.parametrize("p", PS)
     def test_modes_agree_on_fixtures(self, ex1, ex2, p):
         for net in (ex1, ex2):

@@ -154,6 +154,16 @@ class TestEmitAndCheck:
         model = parse_json(model_path.read_text())
         assert parse_json(model_path.read_text()) == model
 
+    def test_two_eps_exit_1(self, capsys, ex1_path, tmp_path):
+        model_path = tmp_path / "m.json"
+        rc, _, err = run(
+            capsys, "emit", "--net", ex1_path, "--p", "2", "--eps", "0", "--eps", "0.1",
+            "--out", str(model_path),
+        )
+        assert rc == 1
+        assert "emit expects exactly one --eps level" in err
+        assert not model_path.exists()
+
     def test_emit_lp_text_file(self, capsys, ex1_path, tmp_path):
         model_path = tmp_path / "m.json"
         rc, _, _ = run(
@@ -328,6 +338,24 @@ class TestSample:
     def test_zero_samples_usage_error(self, capsys, ex1_path):
         rc, _, err = run(capsys, "sample", "--net", ex1_path, "--p", "2", "--samples", "0")
         assert rc == 1
+
+    def test_zero_pairs_exit_1(self, capsys, ex1_path):
+        rc, _, err = run(capsys, "sample", "--net", ex1_path, "--p", "2", "--pairs", "0")
+        assert rc == 1
+        assert "--pairs must be positive" in err
+
+    def test_all_samples_on_a_boundary_write_null_pattern(self, capsys, tmp_path):
+        # the hidden neuron's pre-activation is 0 everywhere, so no sample counts
+        net = tmp_path / "net.json"
+        layers = [{"weights": [[0.0]], "bias": [0.0]}, {"weights": [[1.0]], "bias": [0.0]}]
+        net.write_text(json.dumps({"layers": layers}))
+        out = tmp_path / "sample.json"
+        rc, stdout, _ = run(capsys, "sample", "--net", str(net), "--p", "2", "--samples", "20", "--out", str(out))
+        assert rc == 0
+        assert "valid_samples=0" in stdout
+        doc = json.loads(out.read_text())
+        assert doc["valid_samples"] == 0
+        assert doc["best_pattern"] is None and doc["best_x"] is None
 
 
 class TestParser:

@@ -33,6 +33,7 @@ from lipbound.miqcqp import (
     MiqcqpModel,
     Objective,
     Variable,
+    _fmt,
     emit_assignment_json,
     parse_assignment_json,
 )
@@ -254,6 +255,7 @@ class TestJsonNumbers:
             ('"lin": [["z", 1.0]]', '"lin": [["z", "1"]]', "objective: linear term"),
             ('"constant": 0.0', '"constant": false', "objective: constant is not a number"),
             ('"constant": 0.0', '"constant": 1' + "0" * 400, "objective: constant is not finite"),
+            ('"lin": [["z", 1.0]]', '"lin": [["z"]]', "objective: linear term"),
         ],
     )
     def test_rejected_with_path(self, old, new, message):
@@ -274,8 +276,31 @@ class TestJsonNumbers:
         with pytest.raises(ModelFormatError, match="format_version"):
             parse_assignment_json('{"format_version": true, "values": {"z": 1.0}}')
 
+    def test_not_json_rejected(self):
+        with pytest.raises(ModelFormatError, match="invalid JSON"):
+            parse_json(self.TEXT[:-1])
+
 
 class TestLpText:
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, -0.0, -3.0, 0.1, 2.5e-7, 123456789012345.0, 999999999999999.0, 1e15, 1e16, 1e17, -1e300],
+    )
+    def test_number_text_matches_integer_rule(self, x):
+        # the reference rule: an integer below 1e15 as str(int(x)), all else as .17g
+        want = str(int(x)) if x == int(x) and abs(x) < 1e15 else format(x, ".17g")
+        assert _fmt(x) == want
+
+    def test_upper_bound_only_variable(self):
+        model = MiqcqpModel(
+            1, 1, 0.0, None, {},
+            (Variable("z", "continuous", None, 5.0),),
+            (),
+            (),
+            Objective("max", (), (("z", 1.0),), 0.0),
+        )
+        assert "Bounds\n z <= 5\n" in emit_lp_text(model)
+
     def test_squared_objective_term(self, ex1):
         text = emit_lp_text(build_model(ex1, AllSpace(), 2, 0.0))
         assert "y2_1 ^ 2" in text
@@ -637,6 +662,28 @@ class TestCheckAssignment:
                 Objective("max", (), (("z", math.inf if field == "objective" else 1.0),), 0.0),
             )
 
+    @pytest.mark.parametrize(
+        "variables, quad, rel, sense, message",
+        [
+            ((Variable("z"), Variable("z")), (), "<=", "max", "duplicate variable names"),
+            ((Variable("z", "integer"),), (), "<=", "max", "variable z: unknown kind 'integer'"),
+            ((Variable("z", BINARY, 0.0, 2.0),), (), "<=", "max", r"binary variable z must carry bounds \[0, 1\]"),
+            ((Variable("z"),), (("z", "w", 1.0),), "<=", "max", "q: unknown variable 'w'"),
+            ((Variable("z"), Variable("a")), (("z", "a", 1.0),), "<=", "max", r"q: quadratic term \(z,a\) is not lower"),
+            ((Variable("z"),), (("z", "z", math.nan),), "<=", "max", r"q: coefficient of z\*z is not finite"),
+            ((Variable("z"),), (), "<", "max", "cap: unknown relation '<'"),
+            ((Variable("z"),), (), "<=", "min", "objective sense must be 'max', got 'min'"),
+        ],
+    )
+    def test_malformed_model_rejected(self, variables, quad, rel, sense, message):
+        with pytest.raises(ModelFormatError, match=message):
+            MiqcqpModel(
+                1, 1, 0.0, None, {}, variables,
+                (Constraint("cap", (), (("z", 1.0),), rel, 5.0),),
+                (Constraint("q", quad, (), "<=", 1.0),),
+                Objective(sense, (), (("z", 1.0),), 0.0),
+            )
+
     def test_linear_constraint_with_quad_terms_rejected(self):
         with pytest.raises(ModelFormatError, match="linear constraint"):
             MiqcqpModel(
@@ -659,6 +706,18 @@ class TestAssignmentFile:
         with pytest.raises(ModelFormatError, match="format_version"):
             parse_assignment_json('{%s"values": {"z": 1.0}}' % head)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1.0]", 'needs a "values" object'),
+            ('{"format_version": 1}', 'needs a "values" object'),
+            ('{"format_version": 1, "values": [1.0]}', '"values" must map variable names'),
+        ],
+    )
+    def test_malformed_file_rejected(self, text, message):
+        with pytest.raises(ModelFormatError, match=message):
+            parse_assignment_json(text)
+
 
 class TestWitnessFromBounds:
     def test_example1_p2_objective_is_squared_upper(self, ex1):
@@ -678,6 +737,11 @@ class TestWitnessFromBounds:
         res = check_assignment(model, a)
         assert res.feasible
         assert res.objective == pytest.approx(1.0, abs=1e-7)
+
+    def test_eps_outside_report_raises(self, ex2):
+        report = brute_force_bounds(ex2, AllSpace(), 1, [0.1])
+        with pytest.raises(WitnessUnavailableError, match="no argmax pattern for eps=0.3"):
+            witness_from_bounds(ex2, AllSpace(), 1, 0.3, report)
 
     def test_infeasible_level_raises(self, ex2):
         report = brute_force_bounds(ex2, Box([-3.0], [3.0]), 1, [10.0])

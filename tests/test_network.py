@@ -14,12 +14,15 @@ from lipbound import (
     Polytope,
     RelaxedPattern,
     affine_preactivations,
+    build_model,
+    compute_report,
     forward,
     jacobian,
     load_domain,
     load_network,
     pattern_of,
     relaxed_jacobian,
+    sampled_lower_bound,
 )
 from lipbound.errors import DomainFormatError
 
@@ -97,6 +100,25 @@ class TestLoadNetwork:
         with pytest.raises(NetworkFormatError, match=message):
             load_network(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"nets": []}', 'missing top-level "layers" list'),
+            (net_json([{"weights": [[1.0]]}]), 'layer 0: needs "weights" and "bias"'),
+            (
+                net_json([{"weights": [1.0], "bias": [0.0]}, {"weights": [[1.0]], "bias": [0.0]}]),
+                "layer 0: weights must be 2-D",
+            ),
+            (
+                net_json([{"weights": [[]], "bias": [0.0]}, {"weights": [[1.0]], "bias": [0.0]}]),
+                r"layer 0: empty weight matrix \(1, 0\)",
+            ),
+        ],
+    )
+    def test_malformed_structure_rejected(self, text, message):
+        with pytest.raises(NetworkFormatError, match=message):
+            load_network(text)
+
     def test_integer_entries_still_numbers(self):
         net = load_network(net_json([{"weights": [[1, -2]], "bias": [0]}, {"weights": [[3]], "bias": [1]}]))
         assert net.layers[0].weights.tolist() == [[1.0, -2.0]] and net.layers[1].bias.tolist() == [1.0]
@@ -133,6 +155,16 @@ class TestPatternOf:
         # forward takes a batch, but a pattern is the pattern of one point
         with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
             pattern_of(ex1, np.zeros(shape))
+
+
+class TestActivationPattern:
+    def test_non_binary_bit_rejected(self):
+        with pytest.raises(ValueError, match="pattern bit 2 is not binary"):
+            ActivationPattern(((1, 2),))
+
+    def test_from_flat_counts_bits(self):
+        with pytest.raises(ValueError, match="expected 2 bits, got 3"):
+            ActivationPattern.from_flat((2,), (1, 0, 1))
 
 
 class TestAffinePreactivations:
@@ -236,6 +268,14 @@ class TestRelaxedJacobian:
         with pytest.raises(ValueError):
             RelaxedPattern(((1.5, 0.0),))
 
+    def test_nested_lists_taken_as_gates(self, ex1):
+        want = relaxed_jacobian(ex1, RelaxedPattern(((0.5, 0.25),)))
+        assert np.array_equal(relaxed_jacobian(ex1, [[0.5, 0.25]]), want)
+
+    def test_wrong_gate_shape_rejected(self, ex1):
+        with pytest.raises(ValueError, match=r"gate shape \(1,\) does not match hidden widths \(2,\)"):
+            relaxed_jacobian(ex1, [[0.5]])
+
 
 class TestDomains:
     def test_load_all(self):
@@ -278,8 +318,39 @@ class TestDomains:
             ('{"type":"polytope","A":[[1,"0"]],"b":[1]}', "A: '0' is not a number"),
             ('{"type":"l2ball","center":[0,0],"radius":"2"}', "radius: '2' is not a number"),
             ('{"type":"l2ball","center":[0,null],"radius":2}', "center: None is not a number"),
+            # json.loads reads the NaN and Infinity literals as floats
+            ('{"type":"box","lower":[NaN],"upper":[1]}', "box bounds must be finite"),
+            ('{"type":"polytope","A":[[Infinity]],"b":[1]}', "polytope has non-finite entries"),
+            ('{"type":"l2ball","center":[-Infinity],"radius":1}', "ball center must be a finite vector"),
         ],
     )
     def test_non_number_entries_rejected(self, text, message):
         with pytest.raises(DomainFormatError, match=message):
             load_domain(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "invalid JSON"),
+            ('{"lower": [0]}', 'missing "type" field'),
+            ('{"type":"box","lower":[0]}', "domain type 'box': missing field 'upper'"),
+            ('{"type":"box","lower":[0,0],"upper":[1]}', "vectors of equal length"),
+        ],
+    )
+    def test_malformed_domain_rejected(self, text, message):
+        with pytest.raises(DomainFormatError, match=message):
+            load_domain(text)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net, d: compute_report(net, d, 2, mode="bnb"),
+            lambda net, d: compute_report(net, d, 2, mode="oracle"),
+            lambda net, d: build_model(net, d, 2, 0.0),
+            lambda net, d: sampled_lower_bound(net, d, 2, 10, 0),
+        ],
+        ids=["bnb", "oracle", "build_model", "sampled_lower_bound"],
+    )
+    def test_unknown_domain_is_a_type_error(self, ex1, call):
+        with pytest.raises(TypeError, match="unknown domain dict"):
+            call(ex1, {"type": "box", "lower": [-1.0], "upper": [1.0]})

@@ -1,9 +1,10 @@
 """The benchmark zoo through both modes: the branch-and-bound's report equals
-the 2^n oracle's outside "stats", and its summed search counters stay at
-their recorded values, so a search change that moves either fails here and
-not only in a benchmark run."""
+the 2^n oracle's outside "stats", its summed search counters stay at their
+recorded values, and the reports' bytes stay pinned, so a search change
+that moves any of them fails here and not only in a benchmark run."""
 
 import functools
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -18,6 +19,9 @@ EPS = [0.05, 0.2]
 SEEDS = (0, 1, 2, 3, 4, 16, 24)
 # Summed bnb counters over zoo seeds 0-2.
 COUNTERS = {"nodes_explored": 9834, "lp_calls": 7908, "warm_lps": 7202, "pivots": 12830}
+# sha256 of json.dumps(report, sort_keys=True) of every zoo report of seeds
+# 0-2, stats included, bnb before oracle, seed by seed.
+REPORTS_SHA256 = "014611f62316c13b3faebe1a2182cb12ed91586cf7015e63e86227318a33e554"
 
 
 @functools.cache
@@ -53,3 +57,15 @@ def test_bnb_equals_oracle_outside_stats(seed):
 def test_summed_bnb_counters():
     stats = [d["stats"] for seed in range(3) for d in reports(seed, "bnb")]
     assert {key: sum(s[key] for s in stats) for key in COUNTERS} == COUNTERS
+
+
+def test_report_bytes_pinned():
+    """A change meant to keep every output keeps these bytes. A deliberate
+    byte change, such as rounding the reported norms outward, updates the
+    pin and gives its reason in CHANGES.md."""
+    digest = hashlib.sha256()
+    for mode in ("bnb", "oracle"):
+        for seed in range(3):
+            for doc in reports(seed, mode):
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == REPORTS_SHA256

@@ -6,6 +6,7 @@ import pytest
 from lipbound import (
     AllSpace,
     Box,
+    DomainEmptyError,
     L2Ball,
     MlpNetwork,
     Polytope,
@@ -283,6 +284,10 @@ class TestDomainSamplers:
         center, radius = chebyshev_center(A, b)
         assert center == pytest.approx([0.0, 0.0], abs=1e-9)
         assert radius == pytest.approx(1.0, abs=1e-9)
+
+    def test_chebyshev_center_of_empty_polytope(self):
+        with pytest.raises(DomainEmptyError, match="polytope is empty"):
+            chebyshev_center([[1.0], [-1.0]], [-1.0, -1.0])  # x <= -1 and x >= 1
 
     def test_allspace_scale(self):
         rng = np.random.default_rng(3)

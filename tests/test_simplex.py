@@ -112,6 +112,10 @@ class TestConstructor:
         with pytest.raises(ValueError, match=match):
             LinearProgram(np.array([1.0, 1.0]), *stacked(rows, 2), bounds)
 
+    def test_nan_objective_rejected(self):
+        with pytest.raises(ValueError, match="objective has non-finite entries"):
+            LinearProgram(np.array([1.0, np.nan]), *stacked(self.ROWS, 2), self.BOUNDS)
+
     def test_shape_mismatch_rejected(self):
         A, rel, b = stacked(self.ROWS, 2)
         objective = np.array([1.0, 1.0])
