@@ -107,7 +107,7 @@ class BoundsReport:
     lower_empty: bool = False
     eps_values: dict[float, float] = field(default_factory=dict)
     eps_empty: set[float] = field(default_factory=set)
-    curve: Optional[list[CurveSegment]] = None
+    curve: list[CurveSegment] = field(default_factory=list)
     argmax_upper: Optional[ActivationPattern] = None
     argmax_lower: Optional[ActivationPattern] = None
     eps_argmax: dict[float, ActivationPattern] = field(default_factory=dict)
@@ -118,10 +118,9 @@ class BoundsReport:
         if self.upper is not None and self.lower is not None:
             if self.lower > self.upper + 1e-9:
                 raise AssertionError(f"lower {self.lower} exceeds upper {self.upper}")
-        if self.curve is not None:
-            values = [seg.value for seg in self.curve]
-            if any(b > a for a, b in zip(values, values[1:])):
-                raise AssertionError("curve values must be non-increasing")
+        values = [seg.value for seg in self.curve]
+        if any(b > a for a, b in zip(values, values[1:])):
+            raise AssertionError("curve values must be non-increasing")
 
 
 # --- shared aggregation ----------------------------------------------------
@@ -453,17 +452,14 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
 
 
 def branch_and_bound(
-    net: MlpNetwork, domain: InputDomain, p, target, *, eps_list: Sequence[float] = ()
+    net: MlpNetwork, domain: InputDomain, p, eps_list: Sequence[float] = ()
 ) -> BoundsReport:
     """The full report from one pruned search; agrees with brute_force_bounds.
 
-    target: "upper", "lower", or a finite nonnegative eps value, which joins
-    eps_list. Every target comes out of the same search, so the report
-    always carries upper, lower, every eps value and the curve.
+    Upper, lower, every eps value of eps_list and the curve all come out of
+    the same search.
     """
     p = check_norm_kind(p)
-    if target not in ("upper", "lower"):
-        eps_list = [*eps_list, target]
     eps_list = _eps_values(eps_list)
     stats = SearchStats(lp_calls=_check_domain(net, domain))
     flats, norms = _search(net, domain, p, stats)
@@ -499,7 +495,7 @@ def compute_report(
         return brute_force_bounds(net, domain, p, eps_list)
     if mode != "bnb":
         raise ValueError(f"unknown mode {mode!r}")
-    return branch_and_bound(net, domain, p, "upper", eps_list=eps_list)
+    return branch_and_bound(net, domain, p, eps_list)
 
 
 # --- serialization ---------------------------------------------------------
@@ -524,9 +520,7 @@ def report_to_dict(report: BoundsReport) -> dict:
         "lower_empty": report.lower_empty,
         "eps_values": {_eps_key(e): v for e, v in report.eps_values.items()},
         "eps_empty": sorted(_eps_key(e) for e in report.eps_empty),
-        "curve": None
-        if report.curve is None
-        else [
+        "curve": [
             {"eps": inf_to_str(seg.eps_end), "value": seg.value, **({"empty": True} if seg.empty else {})}
             for seg in report.curve
         ],

@@ -151,7 +151,7 @@ def _cmd_bounds(args) -> int:
 
     def summary(report):
         parts = [f"upper={_fmt_value(report.upper)}", f"lower={_fmt_value(report.lower)}"]
-        parts += [f"L_{e:g}={_fmt_value(report.eps_values[e])}" for e in eps_list]
+        parts += [f"L_{e:g}={_fmt_value(v)}" for e, v in report.eps_values.items()]
         return " ".join(parts)
 
     net, domain, report = _report(args, eps_list, summary)

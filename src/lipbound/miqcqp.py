@@ -29,6 +29,7 @@ from .network import (
     MlpNetwork,
     Polytope,
     _NUMBER_TYPES,
+    _json_doc,
     check_domain_dim,
     jacobian,
 )
@@ -617,13 +618,6 @@ _TERM_SHAPES = {
 }
 
 
-def _load(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc}") from exc
-
-
 def _get(doc, key, path, default=_REQUIRED):
     try:
         return doc[key]
@@ -724,7 +718,7 @@ def _constraint(raw, path, linear) -> Constraint:
 
 def parse_json(text: str) -> MiqcqpModel:
     """Read a model file; names, ids, kind, rel and sense must be JSON strings."""
-    doc = _load(text)
+    doc = _json_doc(text, ModelFormatError)
     version = _check_version(doc)
     meta = _get(doc, "metadata", "$")
     groups = _get(meta, "groups", "metadata", {})
@@ -841,7 +835,7 @@ def emit_assignment_json(assignment: dict) -> str:
 
 
 def parse_assignment_json(text: str) -> dict:
-    doc = _load(text)
+    doc = _json_doc(text, ModelFormatError)
     if not isinstance(doc, dict) or "values" not in doc:
         raise ModelFormatError('assignment file needs a "values" object')
     _check_version(doc)

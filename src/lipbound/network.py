@@ -123,16 +123,21 @@ def _json_floats(raw, what: str, error: type[Exception]) -> np.ndarray:
         raise error(f"{what}: not finite") from None
 
 
+def _json_doc(text: str, error: type[Exception]):
+    """The document that text holds; text that is not JSON raises error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON: {exc}") from exc
+
+
 def load_network(text: str) -> MlpNetwork:
     """Parse a network from its JSON description.
 
     Schema: ``{"layers": [{"weights": [[...], ...], "bias": [...]}, ...]}``
     with row-major weights, layers ordered input to output.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"invalid JSON: {exc}") from exc
+    doc = _json_doc(text, NetworkFormatError)
     if not isinstance(doc, dict) or "layers" not in doc:
         raise NetworkFormatError('missing top-level "layers" list')
     raw = doc["layers"]
@@ -180,16 +185,13 @@ class ActivationPattern:
     def flat(self) -> tuple[int, ...]:
         return tuple(b for layer in self.bits for b in layer)
 
-    def matches(self, net: MlpNetwork) -> bool:
-        return tuple(len(layer) for layer in self.bits) == net.hidden_widths
 
-
-def _check_pattern(net: MlpNetwork, sigma: ActivationPattern) -> None:
-    if not sigma.matches(net):
-        raise ValueError(
-            f"pattern shape {tuple(len(b) for b in sigma.bits)} does not match "
-            f"hidden widths {net.hidden_widths}"
-        )
+def _check_pattern(net: MlpNetwork, layers: Sequence[Sequence], what: str) -> None:
+    """Raise ValueError unless layers, a pattern's bits or a relaxed
+    pattern's gates, holds one entry per hidden neuron of net."""
+    shape = tuple(len(layer) for layer in layers)
+    if shape != net.hidden_widths:
+        raise ValueError(f"{what} shape {shape} does not match hidden widths {net.hidden_widths}")
 
 
 @dataclass(frozen=True)
@@ -205,9 +207,6 @@ class RelaxedPattern:
                 if not (0.0 <= v <= 1.0):
                     raise ValueError(f"gate {v} outside [0, 1]")
         object.__setattr__(self, "values", norm)
-
-    def matches(self, net: MlpNetwork) -> bool:
-        return tuple(len(layer) for layer in self.values) == net.hidden_widths
 
 
 @dataclass(frozen=True)
@@ -307,10 +306,7 @@ def load_domain(text: str) -> InputDomain:
     {"type":"polytope","A":[[...]],"b":[...]} |
     {"type":"l2ball","center":[...],"radius":r}``.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainFormatError(f"invalid JSON: {exc}") from exc
+    doc = _json_doc(text, DomainFormatError)
     if not isinstance(doc, dict) or "type" not in doc:
         raise DomainFormatError('missing "type" field')
     kind = doc["type"]
@@ -415,7 +411,7 @@ def affine_preactivations(net: MlpNetwork, sigma: ActivationPattern) -> list[Aff
     Returned flat, layer-major and neuron-minor; form (k, i) evaluates to
     theta_k^i(x) wherever the inputs realize sigma.
     """
-    _check_pattern(net, sigma)
+    _check_pattern(net, sigma.bits, "pattern")
     forms = []
     for c, o in _affine_layers(net, sigma.bits[:-1]):
         for i in range(c.shape[0]):
@@ -431,7 +427,7 @@ def _jacobian_from_bits(net: MlpNetwork, bits: Sequence[Sequence[float]]) -> np.
 
 def jacobian(net: MlpNetwork, sigma: ActivationPattern) -> np.ndarray:
     """Jacobian of the affine map selected by sigma (shape n_L x n_0)."""
-    _check_pattern(net, sigma)
+    _check_pattern(net, sigma.bits, "pattern")
     return _jacobian_from_bits(net, sigma.bits)
 
 
@@ -439,9 +435,5 @@ def relaxed_jacobian(net: MlpNetwork, gates: RelaxedPattern) -> np.ndarray:
     """Jacobian with continuous gates in [0, 1] instead of binary bits."""
     if not isinstance(gates, RelaxedPattern):
         gates = RelaxedPattern(tuple(tuple(layer) for layer in gates))
-    if not gates.matches(net):
-        raise ValueError(
-            f"gate shape {tuple(len(v) for v in gates.values)} does not match "
-            f"hidden widths {net.hidden_widths}"
-        )
+    _check_pattern(net, gates.values, "gate")
     return _jacobian_from_bits(net, gates.values)

@@ -184,7 +184,7 @@ def max_slack(net: MlpNetwork, sigma: ActivationPattern, domain: InputDomain) ->
     """Maximal common margin of the pattern's region inside the domain: the
     slack LP over the margins of every hidden neuron, with its witness and,
     when the slack is unbounded, its ray."""
-    _check_pattern(net, sigma)
+    _check_pattern(net, sigma.bits, "pattern")
     check_domain_dim(domain, net.input_dim)
     A, b = _pattern_rows(net, np.array([sigma.flat]))
     return slack_result(lp_solve(slack_lp(domain, net.input_dim, A[0], b[0])))

@@ -121,14 +121,12 @@ def test_criterion_3_oracle_equivalence():
         net, box = instances()[idx]
         for p in PS:
             ora = oracle(idx, p)
-            up = branch_and_bound(net, box, p, "upper")
-            lo = branch_and_bound(net, box, p, "lower")
-            ep = branch_and_bound(net, box, p, EPS_TARGET)
-            assert abs(up.upper - ora.upper) <= 1e-9
-            assert lo.lower_empty == ora.lower_empty
-            assert abs(lo.lower - ora.lower) <= 1e-9
-            assert (EPS_TARGET in ep.eps_empty) == (EPS_TARGET in ora.eps_empty)
-            assert abs(ep.eps_values[EPS_TARGET] - ora.eps_values[EPS_TARGET]) <= 1e-9
+            r = branch_and_bound(net, box, p, [EPS_TARGET])
+            assert abs(r.upper - ora.upper) <= 1e-9
+            assert r.lower_empty == ora.lower_empty
+            assert abs(r.lower - ora.lower) <= 1e-9
+            assert (EPS_TARGET in r.eps_empty) == (EPS_TARGET in ora.eps_empty)
+            assert abs(r.eps_values[EPS_TARGET] - ora.eps_values[EPS_TARGET]) <= 1e-9
             checked += 3
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

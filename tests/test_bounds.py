@@ -126,14 +126,12 @@ class TestBranchAndBound:
             net = random_net(seed)
             box = unit_box(net)
             oracle = brute_force_bounds(net, box, p, [0.05])
-            up = branch_and_bound(net, box, p, "upper")
-            lo = branch_and_bound(net, box, p, "lower")
-            ep = branch_and_bound(net, box, p, 0.05)
-            assert up.upper == pytest.approx(oracle.upper, abs=1e-9)
-            assert lo.lower == pytest.approx(oracle.lower, abs=1e-9)
-            assert lo.lower_empty == oracle.lower_empty
-            assert ep.eps_values[0.05] == pytest.approx(oracle.eps_values[0.05], abs=1e-9)
-            assert (0.05 in ep.eps_empty) == (0.05 in oracle.eps_empty)
+            r = branch_and_bound(net, box, p, [0.05])
+            assert r.upper == pytest.approx(oracle.upper, abs=1e-9)
+            assert r.lower == pytest.approx(oracle.lower, abs=1e-9)
+            assert r.lower_empty == oracle.lower_empty
+            assert r.eps_values[0.05] == pytest.approx(oracle.eps_values[0.05], abs=1e-9)
+            assert (0.05 in r.eps_empty) == (0.05 in oracle.eps_empty)
 
     def test_argmax_ties_lexicographic(self):
         # two symmetric hidden units give tied optima; both searches must
@@ -142,7 +140,7 @@ class TestBranchAndBound:
             [([[1.0], [1.0]], [0.3, 0.3]), ([[1.0, -1.0]], [0.0])]
         )
         oracle = brute_force_bounds(net, AllSpace(), math.inf, [])
-        bnb = branch_and_bound(net, AllSpace(), math.inf, "upper")
+        bnb = branch_and_bound(net, AllSpace(), math.inf)
         assert oracle.argmax_upper.bits == bnb.argmax_upper.bits
 
     def test_prunes_infeasible_first_layer(self):
@@ -154,17 +152,17 @@ class TestBranchAndBound:
                 ([[1.0, 1.0]], [0.0]),
             ]
         )
-        r = branch_and_bound(net, AllSpace(), 1, "lower")
-        full = branch_and_bound(net, AllSpace(), 1, "upper")
+        r = branch_and_bound(net, AllSpace(), 1)
         # the all-on prefix (1,1) dies at the first layer boundary, so the
         # four completions below it are never visited
         assert r.stats.nodes_explored < 2 ** (net.total_hidden_bits + 1) - 1
-        assert full.upper is not None
+        assert r.upper is not None
 
     def test_example_targets(self, ex1, ex2):
-        assert branch_and_bound(ex1, AllSpace(), 2, "upper").upper == pytest.approx(2.0)
-        assert branch_and_bound(ex2, AllSpace(), 2, 0.5).eps_values[0.5] == pytest.approx(1.0)
-        assert branch_and_bound(ex2, AllSpace(), 2, 0.6).eps_values[0.6] == pytest.approx(0.0)
+        assert branch_and_bound(ex1, AllSpace(), 2).upper == pytest.approx(2.0)
+        r = branch_and_bound(ex2, AllSpace(), 2, [0.5, 0.6])
+        assert r.eps_values[0.5] == pytest.approx(1.0)
+        assert r.eps_values[0.6] == pytest.approx(0.0)
 
 
 class TestFullReports:

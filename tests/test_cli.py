@@ -43,6 +43,12 @@ class TestBounds:
         assert rc == 0
         assert "L_0.4=1" in out and "L_0.6=0" in out
 
+    def test_repeated_eps_printed_once(self, capsys, ex1_path):
+        # the report holds one value per distinct eps, and so does the summary
+        rc, out, _ = run(capsys, "bounds", "--net", ex1_path, "--p", "inf", "--eps", "0.1", "--eps", "0.1")
+        assert rc == 0
+        assert out == "upper=2 lower=1 L_0.1=1\n"
+
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "bounds", "--net", "/no/such/file.json", "--p", "2")
         assert rc == 1

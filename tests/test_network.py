@@ -10,21 +10,28 @@ from lipbound import (
     Box,
     L2Ball,
     MlpNetwork,
+    ModelFormatError,
     NetworkFormatError,
     Polytope,
     RelaxedPattern,
     affine_preactivations,
+    assignment_for_pattern,
     build_model,
     compute_report,
     forward,
     jacobian,
     load_domain,
     load_network,
+    max_slack,
+    parse_json,
     pattern_of,
+    region_feasible,
     relaxed_jacobian,
     sampled_lower_bound,
+    witness_at_level,
 )
 from lipbound.errors import DomainFormatError
+from lipbound.miqcqp import parse_assignment_json
 
 from conftest import random_net
 
@@ -79,10 +86,6 @@ class TestLoadNetwork:
     def test_single_layer_rejected(self):
         with pytest.raises(NetworkFormatError):
             MlpNetwork.from_arrays([([[1.0]], [0.0])])
-
-    def test_bad_json(self):
-        with pytest.raises(NetworkFormatError):
-            load_network("{not json")
 
     @pytest.mark.parametrize(
         "weights, bias, message",
@@ -248,6 +251,43 @@ class TestJacobian:
         assert np.array_equal(a, b)
 
 
+# Each function that takes a pattern or gates, called on ex1 (hidden widths
+# (2,)) with three entries in its one hidden layer.
+SHAPE_CALLS = {
+    "jacobian": lambda net, bits: jacobian(net, ActivationPattern(bits)),
+    "max_slack": lambda net, bits: max_slack(net, ActivationPattern(bits), AllSpace()),
+    "region_feasible": lambda net, bits: region_feasible(net, ActivationPattern(bits), AllSpace()),
+    "witness_at_level": lambda net, bits: witness_at_level(net, ActivationPattern(bits), AllSpace(), 0.0),
+    "assignment_for_pattern": lambda net, bits: assignment_for_pattern(
+        net, AllSpace(), 2, 0.0, ActivationPattern(bits)
+    ),
+    "affine_preactivations": lambda net, bits: affine_preactivations(net, ActivationPattern(bits)),
+    "relaxed_jacobian": lambda net, bits: relaxed_jacobian(net, RelaxedPattern(bits)),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_CALLS)
+def test_wrong_pattern_shape_rejected(ex1, name):
+    what = "gate" if name == "relaxed_jacobian" else "pattern"
+    with pytest.raises(ValueError, match=rf"^{what} shape \(3,\) does not match hidden widths \(2,\)$"):
+        SHAPE_CALLS[name](ex1, ((1, 0, 1),))
+
+
+@pytest.mark.parametrize(
+    "reader, error",
+    [
+        (load_network, NetworkFormatError),
+        (load_domain, DomainFormatError),
+        (parse_json, ModelFormatError),
+        (parse_assignment_json, ModelFormatError),
+    ],
+    ids=["load_network", "load_domain", "parse_json", "parse_assignment_json"],
+)
+def test_invalid_json_rejected(reader, error):
+    with pytest.raises(error, match="^invalid JSON: "):
+        reader("{not json")
+
+
 class TestRelaxedJacobian:
     def test_binary_endpoints_exact(self):
         for seed in range(4):
@@ -331,7 +371,6 @@ class TestDomains:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("{not json", "invalid JSON"),
             ('{"lower": [0]}', 'missing "type" field'),
             ('{"type":"box","lower":[0]}', "domain type 'box': missing field 'upper'"),
             ('{"type":"box","lower":[0,0],"upper":[1]}', "vectors of equal length"),

@@ -1,5 +1,6 @@
-"""Every name a lipbound module imports is used in that module, and every
-name a module defines is read by some module or exported by the package."""
+"""Every name a lipbound module imports is used in that module, every
+name a module defines is read by some module or exported by the package,
+and every method and property of its classes is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import lipbound
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lipbound"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -83,3 +85,52 @@ def test_a_dead_name_is_caught():
         "b": "from .a import Y\ndef g():\n    return f()\n",
     }
     assert dead_names(modules, ["C"]) == ["a.Y", "a.Z", "b.g"]
+
+
+def methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, name) of every method and property of a module's top-level
+    classes, dunder methods left out: Python calls those itself."""
+    return [
+        (cls.name, node.name)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def dead_methods(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The methods and properties of the classes of modules (name -> source)
+    that no attribute access in readers (sources) reads."""
+    read = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}.{cls}.{name}"
+        for module, source in modules.items()
+        for cls, name in methods(ast.parse(source))
+        if name not in read
+    )
+
+
+def test_no_dead_methods():
+    modules = {path.stem: path.read_text() for path in MODULES}
+    readers = [path.read_text() for path in (*SRC.glob("*.py"), *TESTS.glob("*.py"))]
+    assert dead_methods(modules, readers) == []
+
+
+def test_a_dead_method_is_caught():
+    modules = {
+        "a": (
+            "class C:\n    def __init__(self):\n        self.unread = 0\n"
+            "    def used(self):\n        return self.size\n"
+            "    @property\n    def size(self):\n        return 1\n"
+            "    def unread(self):\n        pass\n"
+            "    @property\n    def flag(self):\n        return True\n"
+        ),
+    }
+    assert dead_methods(modules, [modules["a"], "C().used()\n"]) == ["a.C.flag", "a.C.unread"]
