@@ -35,9 +35,9 @@ from .network import (
 )
 from .norms import INF, check_norm_kind, inf_to_str, norm_witness, operator_norm
 from .regions import check_eps, witness_at_level
-from .simplex import EQ, GE, LE
 
 FORMAT_VERSION = 1
+LE, GE, EQ = "<=", ">=", "="
 
 CONTINUOUS = "continuous"
 BINARY = "binary"

@@ -283,13 +283,15 @@ class L2Ball:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, float))
-        r = float(self.radius)
+        r = np.asarray(self.radius, float)
         if c.ndim != 1 or not np.isfinite(c).all():
             raise DomainFormatError("ball center must be a finite vector")
+        if r.ndim:
+            raise DomainFormatError(f"ball radius must be a number, got {r.tolist()}")
         if not (r > 0 and math.isfinite(r)):
             raise DomainFormatError(f"ball radius must be positive and finite, got {r}")
         object.__setattr__(self, "center", _readonly(c))
-        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "radius", float(r))
 
     @property
     def dim(self) -> int:

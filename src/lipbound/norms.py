@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +92,7 @@ def norm_witness(A: Sequence, p) -> np.ndarray:
     Ties (p=1 column choice, p=inf row choice) resolve to the lowest index.
     For p=2 the sign, which LAPACK leaves open, makes the entry of largest
     magnitude positive, the lowest index among (near-)equal magnitudes.
-    A zero matrix yields e_1 with a warning; any unit vector is as good.
+    A zero matrix yields e_1, which attains its norm 0 exactly.
     """
     p = check_norm_kind(p)
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -101,7 +100,6 @@ def norm_witness(A: Sequence, p) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     n = A.shape[1]
     if not np.any(A):
-        warnings.warn("zero matrix: witness is arbitrary", UserWarning)
         y = np.zeros(n)
         y[0] = 1.0
         return y

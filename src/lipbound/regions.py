@@ -34,7 +34,7 @@ from .network import (
     check_domain_dim,
     forward,
 )
-from .simplex import LE, LinearProgram, LpSolution, lp_solve, lp_stack
+from .simplex import LinearProgram, LpSolution, lp_solve, lp_stack
 
 # The two tolerances of meets_level, the one rule that turns a slack into a
 # feasibility decision: the open region needs a slack above TAU_STRICT, the
@@ -114,8 +114,7 @@ def domain_nonempty(domain: InputDomain, n0: int) -> bool:
     A, b, bounds = _domain_rows_bounds(domain, n0)
     if not b.size:
         return True  # boxes and all-space are nonempty by construction
-    rel = np.full(b.size, LE, dtype=object)
-    sol = lp_solve(LinearProgram(np.zeros(n0), A, rel, b, bounds))
+    sol = lp_solve(LinearProgram(np.zeros(n0), A, b, bounds))
     return sol.status != "infeasible"
 
 
@@ -149,7 +148,7 @@ def slack_lp(domain: InputDomain, n0: int, A: np.ndarray, b: np.ndarray) -> Line
     rhs = np.empty(rows.shape[:-1])
     rhs[..., : b_dom.size] = b_dom
     rhs[..., b_dom.size :] = b
-    return LinearProgram(objective, rows, np.full(rhs.shape[-1], LE, dtype=object), rhs, xb + [(None, None)])
+    return LinearProgram(objective, rows, rhs, xb + [(None, None)])
 
 
 def slack_result(sol: LpSolution) -> SlackResult:

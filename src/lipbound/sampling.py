@@ -33,7 +33,7 @@ from .network import (
     pattern_of,
 )
 from .norms import check_norm_kind, pattern_norm, pattern_norms
-from .simplex import LE, LinearProgram, lp_solve
+from .simplex import LinearProgram, lp_solve
 
 # Pre-activations must clear this margin for a sample to count: it keeps
 # every sampled pattern strictly inside its region.
@@ -59,13 +59,12 @@ def chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """
     A = np.atleast_2d(np.asarray(A, float))
     b = np.atleast_1d(np.asarray(b, float))
-    m, n = A.shape
+    n = A.shape[1]
     rows = np.hstack([A, np.linalg.norm(A, axis=1)[:, None]])
-    rel = np.full(m, LE, dtype=object)
     obj = np.zeros(n + 1)
     obj[-1] = 1.0
     bounds = [(None, None)] * n + [(0.0, _CHORD_CAP)]
-    sol = lp_solve(LinearProgram(obj, rows, rel, b, bounds))
+    sol = lp_solve(LinearProgram(obj, rows, b, bounds))
     if sol.status == "infeasible":
         raise DomainEmptyError("polytope is empty")
     return sol.x[:n], float(sol.x[n])

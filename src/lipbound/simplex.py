@@ -1,12 +1,12 @@
 """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
-Solves  max c.x  subject to rows  a_i.x (<=, >=, =) b_i  and optional
-per-variable lower/upper bounds. Variables with a finite lower bound are
-shifted, those with only an upper bound reflected, and free ones split,
-so that x = x0 + M s with s >= 0. Every row is then put in <= form: a >=
-row is negated, an = row becomes two <= rows, and a finite upper bound on
-a shifted variable adds one more. Each row gets a slack, and the slack
-basis is the start.
+Solves  max c.x  subject to the rows  A x <= b  and optional per-variable
+lower/upper bounds. That is the one row form: every LP lipbound builds has
+only <= rows (a >= row is stated negated, an = row as such a pair). Variables
+with a finite lower bound are shifted, those with only an upper bound
+reflected, and free ones split, so that x = x0 + M s with s >= 0. A finite
+upper bound on a shifted variable adds one more row. Each row gets a slack,
+and the slack basis is the start.
 
 Phase 1 (Chvatal 1983, Linear Programming, ch. 3) adds one auxiliary
 column with -1 on every row whose right-hand side is negative, pivots it
@@ -47,16 +47,16 @@ exceeds OPT_TOL; such an optimum is reported with no point. The cap's
 slack is basic exactly when the LP without the cap is bounded, and
 append_row then drops the cap's row and column.
 
-Stacks. lp_stack solves k LPs that share the objective, the relations and
-the bounds, and differ only in their rows, as one array of k tableaus.
-One builder (_tableau) makes the tableaus of one LP or of a stack. The
-lockstep loop (_run_stack) pivots every unfinished tableau once per pass,
-each by the same Bland rules and in the same floating-point operations
-as the one-LP loop, and drops a tableau from the pass once it is done;
-so each LP's status, optimum and pivot count are bit-identical to
-lp_solve's. The rare LP whose phase-1 auxiliary ends basic is finished
-by lp_solve's own loop (_solve), from its starting tableau. The 2^n
-enumeration oracle solves its slack LPs this way.
+Stacks. lp_stack solves k LPs that share the objective and the bounds,
+and differ only in their rows, as one array of k tableaus. One builder
+(_tableau) makes the tableaus of one LP or of a stack. The lockstep loop
+(_run_stack) pivots every unfinished tableau once per pass, each by the
+same Bland rules and in the same floating-point operations as the one-LP
+loop, and drops a tableau from the pass once it is done; so each LP's
+status, optimum and pivot count are bit-identical to lp_solve's. The rare
+LP whose phase-1 auxiliary ends basic is finished by lp_solve's own loop
+(_solve), from its starting tableau. The 2^n enumeration oracle solves
+its slack LPs this way.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ import numpy as np
 
 from .errors import SimplexBreakdownError
 
-LE, GE, EQ = "<=", ">=", "="
-
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9  # ratio-test threshold
@@ -80,33 +78,28 @@ _MAX_ITERS = 50_000
 
 
 class LinearProgram:
-    """max objective.x subject to rows A[i].x rel[i] b[i] and per-variable bounds.
+    """max objective.x subject to the rows A x <= b and per-variable bounds.
 
     bounds: per-variable (lower, upper) with None meaning unbounded on that
     side, kept as lo and up with None as -inf and +inf. Construction checks
-    the shapes, the relations and that every entry is finite. A of shape
-    (k, m, n) and b of shape (k, m) make a stack of k LPs for lp_stack,
-    sharing the objective, the relations and the bounds.
+    the shapes and that every entry is finite. A of shape (k, m, n) and b of
+    shape (k, m) make a stack of k LPs for lp_stack, sharing the objective
+    and the bounds.
     """
 
-    def __init__(self, objective, A, rel, b, bounds):
+    def __init__(self, objective, A, b, bounds):
         objective = np.atleast_1d(np.asarray(objective, dtype=float))
-        A = np.asarray(A, dtype=float)
-        rel, b = np.asarray(rel, dtype=object), np.asarray(b, dtype=float)
+        A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
         n = objective.shape[0]
         if A.ndim not in (2, 3) or A.shape[-1] != n:
             raise ValueError(f"row 0: {A.shape[-1]} coefficients for {n} variables")
-        m = A.shape[-2]
-        if rel.shape != (m,) or b.shape != A.shape[:-1]:
+        if b.shape != A.shape[:-1]:
             rhs = b.shape[-1] if b.ndim else b.size
-            raise ValueError(f"{m} rows, {rel.size} relations, {rhs} right-hand sides")
+            raise ValueError(f"{A.shape[-2]} rows, {rhs} right-hand sides")
         if len(bounds) != n:
             raise ValueError(f"{len(bounds)} bounds for {n} variables")
         if not np.isfinite(objective).all():
             raise ValueError("objective has non-finite entries")
-        bad = [i for i, r in enumerate(rel.tolist()) if r not in (LE, GE, EQ)]
-        if bad:
-            raise ValueError(f"row {bad[0]}: unknown relation {rel[bad[0]]!r}")
         bad = ~(np.isfinite(A).all(axis=-1) & np.isfinite(b))
         if bad.any():
             raise ValueError(f"row {int(np.argwhere(bad)[0, -1])}: non-finite entry")
@@ -117,12 +110,12 @@ class LinearProgram:
             j = int(bad.argmax())
             raise ValueError(f"variable {j}: lower bound {lo[j]} exceeds upper bound {up[j]}")
         self.objective = objective
-        self.A, self.rel, self.b, self.lo, self.up = A, rel, b, lo, up
+        self.A, self.b, self.lo, self.up = A, b, lo, up
 
     @property
-    def rows(self) -> list[tuple[np.ndarray, str, float]]:
-        """The rows as (coeffs, relation, rhs) tuples."""
-        return list(zip(self.A, self.rel.tolist(), self.b.tolist()))
+    def rows(self) -> list[tuple[np.ndarray, float]]:
+        """The rows as (coeffs, rhs) pairs."""
+        return list(zip(self.A, self.b.tolist()))
 
     @property
     def n(self) -> int:
@@ -268,8 +261,8 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 def _tableau(lp: LinearProgram):
     """Standard form and starting tableau of lp, or of a stack of LPs.
 
-    lp.A has shape (..., m, n) and lp.b (..., m); the objective, relations
-    and bounds are shared, so x = x0 + M s is too. Returns (T, basis, M,
+    lp.A has shape (..., m, n) and lp.b (..., m); the objective and the
+    bounds are shared, so x = x0 + M s is too. Returns (T, basis, M,
     x0) with T of shape (..., m' + 1, width + 2) and the slack basis.
     """
     n = lp.n
@@ -284,25 +277,18 @@ def _tableau(lp: LinearProgram):
     M[free, start[free] + 1] = -1.0
     x0 = np.where(has_lo, lp.lo, np.where(has_up, lp.up, 0.0))
 
-    # <= form: >= rows negated, = rows doubled, a row per boxed variable.
-    sign = np.where(lp.rel == GE, -1.0, 1.0)
-    eq = (lp.rel == EQ).nonzero()[0]
+    # Tableau: the rows, a row per boxed variable, one slack per row, the
+    # auxiliary, the rhs.
     boxed = (has_lo & has_up).nonzero()[0]
-    A_s = lp.A @ M
-    b_s = lp.b - lp.A @ x0
-    m1, m2 = sign.size, sign.size + eq.size
-    m = m2 + boxed.size
-
-    # Tableau: structural columns, one slack per row, the auxiliary, the rhs.
+    m1 = lp.b.shape[-1]
+    m = m1 + boxed.size
     aux = ns + m
     T = np.zeros((*lp.b.shape[:-1], m + 1, aux + 2))
-    T[..., :m1, :ns] = sign[:, None] * A_s
-    T[..., m1:m2, :ns] = -A_s[..., eq, :]
-    T[..., m2:m, :ns] = M[boxed]
+    T[..., :m1, :ns] = lp.A @ M
+    T[..., m1:m, :ns] = M[boxed]
     T[..., :m, ns:aux] = np.eye(m)
-    T[..., :m1, -1] = sign * b_s
-    T[..., m1:m2, -1] = -b_s[..., eq]
-    T[..., m2:m, -1] = (lp.up - lp.lo)[boxed]
+    T[..., :m1, -1] = lp.b - lp.A @ x0
+    T[..., m1:m, -1] = (lp.up - lp.lo)[boxed]
     basis = np.empty(T.shape[:-2] + (m,), dtype=int)
     basis[...] = np.arange(ns, aux)
     return T, basis, M, x0

@@ -192,7 +192,6 @@ def test_criterion_6_monotone_curve():
     announce("C6", f"curves non-increasing with values from the pattern-norm set, {N_INSTANCES} nets")
 
 
-@pytest.mark.filterwarnings("ignore:zero matrix")
 def test_criterion_7_model_engine_agreement():
     done = 0
     idx = 0

@@ -89,6 +89,27 @@ class TestBounds:
             assert err.startswith("error: ") and "is not a number" in err
             assert out == ""
 
+    @pytest.mark.parametrize("radius", ["[1.0]", "[]", "[1.0, 2.0]"])
+    def test_list_radius_exit_1(self, capsys, ex1_path, tmp_path, radius):
+        dom = tmp_path / "ball.json"
+        dom.write_text(f'{{"type":"l2ball","center":[0.0],"radius":{radius}}}')
+        rc, out, err = run(capsys, "bounds", "--net", ex1_path, "--p", "2", "--domain", str(dom))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ball radius must be a number") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_output_net_witness_is_silent(self, capsys, tmp_path):
+        # every pattern Jacobian is zero; e_1 is an exact witness, and nothing is warned
+        net = tmp_path / "net.json"
+        net.write_text('{"layers":[{"weights":[[1.0],[-1.0]],"bias":[0.5,0.5]},'
+                       '{"weights":[[0.0,0.0]],"bias":[1.0]}]}')
+        for p in ("1", "2", "inf"):
+            witness = tmp_path / f"w{p}.json"
+            rc, out, err = run(capsys, "bounds", "--net", str(net), "--p", p, "--eps", "0.1",
+                               "--emit-witness", str(witness))
+            assert (rc, out, err) == (0, "upper=0 lower=0 L_0.1=0\n", ""), p
+            assert witness.exists()
+
     def test_empty_domain_exit_2(self, capsys, ex1_path, tmp_path):
         dom = tmp_path / "empty.json"
         dom.write_text('{"type":"polytope","A":[[1.0],[-1.0]],"b":[-3.0,2.0]}')

@@ -749,7 +749,6 @@ class TestWitnessFromBounds:
         with pytest.raises(WitnessUnavailableError):
             witness_from_bounds(ex2, Box([-3.0], [3.0]), 1, 10.0, report)
 
-    @pytest.mark.filterwarnings("ignore:zero matrix")
     @pytest.mark.parametrize("p", PS)
     def test_engine_agreement_on_random_nets(self, p):
         # scoring every feasible pattern through the checker reproduces the
@@ -792,7 +791,6 @@ def _violated(model, assignment, name, value):
 class TestLinearizationBlocks:
     # The emitted u/nu (input) and w/mu (output) rows, evaluated by the checker.
 
-    @pytest.mark.filterwarnings("ignore:zero matrix")
     def test_absolute_value_identity(self):
         # mag = |y| holds all rows; any other mag breaks a named abs row
         for model, a, depth in _p1_witnesses():
@@ -806,7 +804,6 @@ class TestLinearizationBlocks:
                     lo = _violated(model, a, f"{tag}_{i}", mag - 0.5)
                     assert lo & {f"{tag}_abs_lo1[{i}]", f"{tag}_abs_lo2[{i}]"}
 
-    @pytest.mark.filterwarnings("ignore:zero matrix")
     def test_six_inequality_block_reproduces_abs(self):
         # the sign binary is [y <= 0]; flipping it at a nonzero y breaks a sign row
         flipped = 0

@@ -374,6 +374,9 @@ class TestDomains:
             ('{"lower": [0]}', 'missing "type" field'),
             ('{"type":"box","lower":[0]}', "domain type 'box': missing field 'upper'"),
             ('{"type":"box","lower":[0,0],"upper":[1]}', "vectors of equal length"),
+            ('{"type":"l2ball","center":[0.0],"radius":[1.0]}', r"ball radius must be a number, got \[1.0\]"),
+            ('{"type":"l2ball","center":[0.0],"radius":[]}', r"ball radius must be a number, got \[\]"),
+            ('{"type":"l2ball","center":[0.0],"radius":[1.0, 2.0]}', "ball radius must be a number"),
         ],
     )
     def test_malformed_domain_rejected(self, text, message):

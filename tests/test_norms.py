@@ -177,10 +177,11 @@ class TestNormWitness:
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
             norm_witness([[1.0, math.nan]], 2)
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_matrix_flagged(self):
-        with pytest.warns(UserWarning, match="zero matrix"):
-            y = norm_witness(np.zeros((2, 2)), 1)
-        assert np.linalg.norm(y, 1) == pytest.approx(1.0)
+        # e_1 attains the zero matrix's norm 0 exactly, with no warning
+        for p in PS:
+            assert norm_witness(np.zeros((2, 2)), p).tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("p", PS)
     def test_witness_consistency(self, p):

@@ -316,7 +316,7 @@ class TestMaxSlacks:
                 lp, (status, value, lp_pivots) = stacks[-1]
                 bounds = [(None if np.isinf(a) else a, None if np.isinf(b) else b) for a, b in zip(lp.lo, lp.up)]
                 for j, flat in enumerate(flats):
-                    one = lp_solve(LinearProgram(lp.objective, lp.A[j], lp.rel, lp.b[j], bounds))
+                    one = lp_solve(LinearProgram(lp.objective, lp.A[j], lp.b[j], bounds))
                     assert (status[j], lp_pivots[j]) == (one.status, one.pivots)
                     assert np.float64(value[j]).tobytes() == np.float64(np.nan if one.value is None else one.value).tobytes()
                     seen[one.status] += 1

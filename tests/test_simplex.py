@@ -4,15 +4,15 @@ from scipy.optimize import linprog
 
 from lipbound import LinearProgram, lp_solve
 import lipbound.simplex as simplex
-from lipbound.simplex import EQ, GE, LE, append_row, dual_simplex, lp_stack, lp_tableau, symbolic_rhs
+from lipbound.simplex import append_row, dual_simplex, lp_stack, lp_tableau, symbolic_rhs
 
 
 def stacked(rows, n):
-    """(A, rel, b) of (coeffs, relation, rhs) row tuples over n variables."""
+    """(A, b) of (coeffs, rhs) row pairs over n variables, each coeffs.x <= rhs."""
     if not rows:
-        return np.zeros((0, n)), np.array([], dtype=object), np.zeros(0)
-    coeffs, rels, rhs = zip(*rows)
-    return np.array(coeffs, dtype=float), np.array(rels, dtype=object), np.array(rhs)
+        return np.zeros((0, n)), np.zeros(0)
+    coeffs, rhs = zip(*rows)
+    return np.array(coeffs, dtype=float), np.array(rhs)
 
 
 def solve(objective, rows, bounds):
@@ -22,7 +22,7 @@ def solve(objective, rows, bounds):
 
 class TestBasics:
     def test_bounded_maximum(self):
-        sol = solve([1.0], [([1.0], LE, 3.0)], [(0.0, None)])
+        sol = solve([1.0], [([1.0], 3.0)], [(0.0, None)])
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(3.0)
         assert sol.x == pytest.approx([3.0])
@@ -33,16 +33,17 @@ class TestBasics:
         assert sol.ray is not None and sol.ray[0] > 0
 
     def test_infeasible(self):
-        sol = solve([0.0], [([1.0], LE, -1.0)], [(0.0, None)])
+        sol = solve([0.0], [([1.0], -1.0)], [(0.0, None)])
         assert sol.status == "infeasible"
 
     def test_equality_constraint(self):
-        sol = solve([1.0, 0.0], [([1.0, 1.0], EQ, 2.0)], [(0.0, None), (0.0, None)])
+        # x + y = 2 as the rows x + y <= 2 and -x - y <= -2
+        sol = solve([1.0, 0.0], [([1.0, 1.0], 2.0), ([-1.0, -1.0], -2.0)], [(0.0, None), (0.0, None)])
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(2.0)
 
     def test_free_variable_negative_optimum(self):
-        sol = solve([-1.0], [([1.0], GE, -5.0)], [(None, None)])
+        sol = solve([-1.0], [([-1.0], 5.0)], [(None, None)])  # x >= -5
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(5.0)
         assert sol.x == pytest.approx([-5.0])
@@ -58,12 +59,12 @@ class TestBasics:
         assert sol.x == pytest.approx([-2.0])
 
     def test_fixed_variable(self):
-        sol = solve([1.0, 1.0], [([1.0, 1.0], LE, 10.0)], [(3.0, 3.0), (0.0, None)])
+        sol = solve([1.0, 1.0], [([1.0, 1.0], 10.0)], [(3.0, 3.0), (0.0, None)])
         assert sol.value == pytest.approx(10.0)
         assert sol.x[0] == pytest.approx(3.0)
 
     def test_unbounded_ray_improves(self):
-        sol = solve([1.0, -1.0], [([1.0, -1.0], GE, 1.0)], [(None, None), (None, None)])
+        sol = solve([1.0, -1.0], [([-1.0, 1.0], -1.0)], [(None, None), (None, None)])  # x - y >= 1
         assert sol.status == "unbounded"
         assert np.dot([1.0, -1.0], sol.ray) > 0
 
@@ -73,27 +74,27 @@ class TestBasics:
 
     def test_bad_row_shape_rejected(self):
         with pytest.raises(ValueError):
-            solve([1.0], [([1.0, 2.0], LE, 0.0)], [(0.0, None)])
+            solve([1.0], [([1.0, 2.0], 0.0)], [(0.0, None)])
 
     def test_degenerate_many_ties(self):
         # several constraints active at the optimum; Bland must terminate
-        rows = [([1.0, 1.0], LE, 1.0), ([1.0, 0.0], LE, 1.0), ([0.0, 1.0], LE, 1.0),
-                ([2.0, 2.0], LE, 2.0)]
+        rows = [([1.0, 1.0], 1.0), ([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([2.0, 2.0], 2.0)]
         sol = solve([1.0, 1.0], rows, [(0.0, None), (0.0, None)])
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(1.0)
 
 
 class TestConstructor:
-    ROWS = [([1.0, 2.0], LE, 4.0), ([1.0, -1.0], GE, -1.0), ([0.0, 1.0], EQ, 1.0)]
+    # x + 2y <= 4, x - y >= -1 and y = 1, the last as a pair of rows
+    ROWS = [([1.0, 2.0], 4.0), ([-1.0, 1.0], 1.0), ([0.0, 1.0], 1.0), ([0.0, -1.0], -1.0)]
     BOUNDS = [(0.0, None), (None, 3.0)]
 
     def test_keeps_rows_as_arrays(self):
         lp = LinearProgram(np.array([1.0, 1.0]), *stacked(self.ROWS, 2), self.BOUNDS)
-        assert lp.A.shape == (3, 2) and lp.rel.tolist() == [LE, GE, EQ]
+        assert lp.A.shape == (4, 2) and lp.b.tolist() == [4.0, 1.0, 1.0, -1.0]
         assert np.array_equal(lp.lo, [0.0, -np.inf]) and np.array_equal(lp.up, [np.inf, 3.0])
-        assert len(lp.rows) == 3
-        assert lp.rows[1][1:] == (GE, -1.0)
+        assert len(lp.rows) == 4
+        assert lp.rows[1][0].tolist() == [-1.0, 1.0] and lp.rows[1][1] == 1.0
         sol = lp_solve(lp)
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(3.0) and sol.x == pytest.approx([2.0, 1.0])
@@ -101,11 +102,10 @@ class TestConstructor:
     @pytest.mark.parametrize(
         "rows, bounds, match",
         [
-            ([([1.0, 0.0], "<", 1.0)], BOUNDS, "row 0: unknown relation"),
-            ([([1.0, 0.0], LE, 1.0), ([np.nan, 0.0], LE, 1.0)], BOUNDS, "row 1: non-finite"),
-            ([([1.0, 0.0], LE, np.inf)], BOUNDS, "row 0: non-finite"),
-            ([([1.0, 0.0], LE, 1.0)], [(0.0, None)], "1 bounds for 2 variables"),
-            ([([1.0, 0.0], LE, 1.0)], [(0.0, None), (2.0, 1.0)], "variable 1: lower bound"),
+            ([([1.0, 0.0], 1.0), ([np.nan, 0.0], 1.0)], BOUNDS, "row 1: non-finite"),
+            ([([1.0, 0.0], np.inf)], BOUNDS, "row 0: non-finite"),
+            ([([1.0, 0.0], 1.0)], [(0.0, None)], "1 bounds for 2 variables"),
+            ([([1.0, 0.0], 1.0)], [(0.0, None), (2.0, 1.0)], "variable 1: lower bound"),
         ],
     )
     def test_rejects_bad_input(self, rows, bounds, match):
@@ -117,37 +117,39 @@ class TestConstructor:
             LinearProgram(np.array([1.0, np.nan]), *stacked(self.ROWS, 2), self.BOUNDS)
 
     def test_shape_mismatch_rejected(self):
-        A, rel, b = stacked(self.ROWS, 2)
+        A, b = stacked(self.ROWS, 2)
         objective = np.array([1.0, 1.0])
         with pytest.raises(ValueError, match="row 0: 3 coefficients for 2 variables"):
-            LinearProgram(objective, np.hstack([A, A[:, :1]]), rel, b, self.BOUNDS)
-        with pytest.raises(ValueError, match="3 rows, 2 relations"):
-            LinearProgram(objective, A, rel[:2], b, self.BOUNDS)
-        with pytest.raises(ValueError, match="3 rows, 3 relations, 2 right-hand sides"):
-            LinearProgram(objective, A, rel, b[:2], self.BOUNDS)
+            LinearProgram(objective, np.hstack([A, A[:, :1]]), b, self.BOUNDS)
+        with pytest.raises(ValueError, match="4 rows, 3 right-hand sides"):
+            LinearProgram(objective, A, b[:3], self.BOUNDS)
 
 
 class TestPhaseOne:
     def test_duplicated_equality_rows(self):
-        rows = [([1.0, 1.0], EQ, 2.0), ([1.0, 1.0], EQ, 2.0), ([2.0, 2.0], EQ, 4.0)]
+        # x + y = 2 twice and 2x + 2y = 4, each as a pair of rows
+        rows = [([1.0, 1.0], 2.0), ([1.0, 1.0], 2.0), ([2.0, 2.0], 4.0),
+                ([-1.0, -1.0], -2.0), ([-1.0, -1.0], -2.0), ([-2.0, -2.0], -4.0)]
         sol = solve([1.0, 0.0], rows, [(0.0, None), (0.0, None)])
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(2.0)
         assert sol.x == pytest.approx([2.0, 0.0])
 
     def test_redundant_equalities_pin_the_point(self):
-        rows = [([1.0, 1.0], EQ, 2.0), ([2.0, 2.0], EQ, 4.0), ([1.0, -1.0], EQ, 0.0)]
+        # x + y = 2, 2x + 2y = 4 and x - y = 0, each as a pair of rows
+        rows = [([1.0, 1.0], 2.0), ([2.0, 2.0], 4.0), ([1.0, -1.0], 0.0),
+                ([-1.0, -1.0], -2.0), ([-2.0, -2.0], -4.0), ([-1.0, 1.0], 0.0)]
         sol = solve([1.0, 2.0], rows, [(0.0, None), (0.0, None)])
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(3.0)
         assert sol.x == pytest.approx([1.0, 1.0])
 
     def test_auxiliary_ends_basic_at_zero(self):
-        # x >= 1 brings the auxiliary in; x then enters with a ratio tie
+        # -x <= -1 brings the auxiliary in; x then enters with a ratio tie
         # between its row and x <= 1, Bland's rule lets the slack of x <= 1
         # leave, and the auxiliary stays basic at zero until it is pivoted
         # out: three pivots in all
-        sol = solve([1.0], [([1.0], GE, 1.0), ([1.0], LE, 1.0)], [(0.0, None)])
+        sol = solve([1.0], [([-1.0], -1.0), ([1.0], 1.0)], [(0.0, None)])
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(1.0)
         assert sol.x == pytest.approx([1.0])
@@ -155,12 +157,13 @@ class TestPhaseOne:
 
     def test_every_row_violated_infeasible(self):
         # the slack basis violates both rows; the smallest violation is 1
-        sol = solve([0.0], [([1.0], LE, -1.0), ([1.0], GE, 1.0)], [(None, None)])
+        sol = solve([0.0], [([1.0], -1.0), ([-1.0], -1.0)], [(None, None)])
         assert sol.status == "infeasible"
         assert sol.x is None and sol.pivots > 0
 
     def test_every_row_violated_feasible(self):
-        rows = [([1.0, 0.0], GE, 1.0), ([0.0, 1.0], GE, 2.0), ([1.0, 1.0], GE, 4.0)]
+        # x >= 1, y >= 2 and x + y >= 4
+        rows = [([-1.0, 0.0], -1.0), ([0.0, -1.0], -2.0), ([-1.0, -1.0], -4.0)]
         sol = solve([-1.0, -1.0], rows, [(0.0, None), (0.0, None)])
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(-4.0)
@@ -177,10 +180,26 @@ class TestPhaseOne:
         assert sol.x == pytest.approx([2.0, -1.0])
 
     def test_feasible_start_skips_phase_one(self):
-        sol = solve([1.0, 1.0], [([1.0, 2.0], LE, 4.0), ([3.0, 1.0], LE, 6.0)], [(0.0, None)] * 2)
+        sol = solve([1.0, 1.0], [([1.0, 2.0], 4.0), ([3.0, 1.0], 6.0)], [(0.0, None)] * 2)
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(2.8)
         assert sol.pivots == 2
+
+
+def random_rows(rng, n, m, kind_last=False):
+    """m random rows over n variables, each drawn as a <=, >= or = row and
+    stated in <= form: a >= row negated in place, an = row kept in place
+    and its negation appended after the last row."""
+    rows, negated = [], []
+    for _ in range(m):
+        if kind_last:
+            a, b, kind = rng.normal(size=n), float(rng.normal()), rng.integers(0, 3)
+        else:
+            kind, a, b = rng.integers(0, 3), rng.normal(size=n), float(rng.normal())
+        rows.append((-a, -b) if kind == 1 else (a, b))
+        if kind == 2:
+            negated.append((-a, -b))
+    return rows + negated
 
 
 class TestFeasibilityOfReturnedPoints:
@@ -189,10 +208,7 @@ class TestFeasibilityOfReturnedPoints:
         for _ in range(200):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(0, 6))
-            rows = []
-            for _ in range(m):
-                rel = (LE, GE, EQ)[rng.integers(0, 3)]
-                rows.append((rng.normal(size=n), rel, float(rng.normal())))
+            rows = random_rows(rng, n, m)
             bounds = []
             for _ in range(n):
                 kind = rng.integers(0, 4)
@@ -203,14 +219,8 @@ class TestFeasibilityOfReturnedPoints:
             if sol.status == "infeasible":
                 continue
             x = sol.x
-            for a, rel, b in rows:
-                v = float(np.dot(a, x))
-                if rel == LE:
-                    assert v <= b + 1e-8
-                elif rel == GE:
-                    assert v >= b - 1e-8
-                else:
-                    assert v == pytest.approx(b, abs=1e-8)
+            for a, b in rows:
+                assert float(np.dot(a, x)) <= b + 1e-8
             for j, (lo, up) in enumerate(bounds):
                 if lo is not None:
                     assert x[j] >= lo - 1e-8
@@ -226,24 +236,8 @@ class TestAgainstScipy:
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 7))
             c = rng.normal(size=n)
-            rows = []
-            A_ub, b_ub, A_eq, b_eq = [], [], [], []
-            for _ in range(m):
-                a = rng.normal(size=n)
-                b = float(rng.normal())
-                kind = rng.integers(0, 3)
-                if kind == 0:
-                    rows.append((a, LE, b))
-                    A_ub.append(a)
-                    b_ub.append(b)
-                elif kind == 1:
-                    rows.append((a, GE, b))
-                    A_ub.append(-a)
-                    b_ub.append(-b)
-                else:
-                    rows.append((a, EQ, b))
-                    A_eq.append(a)
-                    b_eq.append(b)
+            rows = random_rows(rng, n, m, kind_last=True)
+            A_ub, b_ub = stacked(rows, n)
             bounds = []
             for _ in range(n):
                 kind = rng.integers(0, 4)
@@ -253,15 +247,7 @@ class TestAgainstScipy:
             mine = solve(c, rows, bounds)
 
             def scipy_solve(obj):
-                return linprog(
-                    obj,
-                    A_ub=np.array(A_ub) if A_ub else None,
-                    b_ub=np.array(b_ub) if b_ub else None,
-                    A_eq=np.array(A_eq) if A_eq else None,
-                    b_eq=np.array(b_eq) if b_eq else None,
-                    bounds=bounds,
-                    method="highs",
-                )
+                return linprog(obj, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
             ref = scipy_solve(-c)
             statuses[mine.status] += 1
@@ -272,15 +258,7 @@ class TestAgainstScipy:
                 # HiGHS conflates infeasible/unbounded; verify the certificate
                 x, ray = mine.x, mine.ray
                 assert float(np.dot(c, ray)) > 1e-9
-                for a, rel, b in rows:
-                    v, d = float(np.dot(a, x)), float(np.dot(a, ray))
-                    if rel == LE:
-                        assert v <= b + 1e-8 and d <= 1e-9
-                    elif rel == GE:
-                        assert v >= b - 1e-8 and d >= -1e-9
-                    else:
-                        assert v == pytest.approx(b, abs=1e-8)
-                        assert d == pytest.approx(0.0, abs=1e-9)
+                assert np.all(A_ub @ x <= b_ub + 1e-8) and np.all(A_ub @ ray <= 1e-9)
                 for j, (lo, up) in enumerate(bounds):
                     if lo is not None:
                         assert x[j] >= lo - 1e-8 and ray[j] >= -1e-9
@@ -296,12 +274,6 @@ class TestAgainstScipy:
 
 
 # --- warm starts: append a row, re-optimize with the dual simplex ----------
-
-
-def le_lp(c, A, b, bounds):
-    """max c.x subject to A x <= b and the bounds."""
-    rel = np.full(len(b), LE, dtype=object)
-    return LinearProgram(np.asarray(c, float), np.asarray(A, float), rel, np.asarray(b, float), bounds)
 
 
 def highs(c, A, b, bounds):
@@ -359,7 +331,7 @@ class TestWarmStart:
         outcomes = {"optimal": 0, "infeasible": 0}
         for _ in range(300):
             c, A, b, bounds = make(rng)
-            first, tab = lp_tableau(le_lp(c, A[:-1], b[:-1], bounds))
+            first, tab = lp_tableau(LinearProgram(c, A[:-1], b[:-1], bounds))
             if tab is None:
                 assert first.status != "optimal"
                 continue
@@ -367,7 +339,7 @@ class TestWarmStart:
             child = append_row(tab, A[-1], b[-1])
             warm = dual_simplex(child, lambda bound: True)
             assert np.array_equal(tab.T, before)  # the parent tableau is untouched
-            cold = lp_solve(le_lp(c, A, b, bounds))
+            cold = lp_solve(LinearProgram(c, A, b, bounds))
             assert warm.status == cold.status
             outcomes[warm.status] += 1
             ref = highs(c, A, b, bounds)
@@ -387,11 +359,11 @@ class TestWarmStart:
             A = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(6, n))])
             b = np.concatenate([np.ones(2 * n), rng.normal(size=6) + 0.5])
             c, bounds = rng.normal(size=n), [(None, None)] * n
-            sol, tab = lp_tableau(le_lp(c, A[: 2 * n], b[: 2 * n], bounds))
+            sol, tab = lp_tableau(LinearProgram(c, A[: 2 * n], b[: 2 * n], bounds))
             for m in range(2 * n + 1, A.shape[0] + 1):
                 tab = append_row(tab, A[m - 1], b[m - 1])
                 sol = dual_simplex(tab, lambda bound: True)
-                cold = lp_solve(le_lp(c, A[:m], b[:m], bounds))
+                cold = lp_solve(LinearProgram(c, A[:m], b[:m], bounds))
                 assert sol.status == cold.status
                 if cold.status != "optimal":
                     break
@@ -405,8 +377,8 @@ class TestWarmStart:
         checked = 0
         for _ in range(300):
             c, A, b, bounds = make(rng)
-            _, tab = lp_tableau(le_lp(c, A[:-1], b[:-1], bounds))
-            cold = lp_solve(le_lp(c, A, b, bounds))
+            _, tab = lp_tableau(LinearProgram(c, A[:-1], b[:-1], bounds))
+            cold = lp_solve(LinearProgram(c, A, b, bounds))
             if tab is None or cold.status != "optimal":
                 continue
             checked += 1
@@ -419,7 +391,7 @@ class TestWarmStart:
         assert checked > 100
 
     def test_infeasible_append(self):
-        _, tab = lp_tableau(le_lp([1.0], [[1.0]], [1.0], [(None, None)]))
+        _, tab = lp_tableau(LinearProgram([1.0], [[1.0]], [1.0], [(None, None)]))
         sol = dual_simplex(append_row(tab, np.array([-1.0]), -2.0), lambda bound: True)
         assert sol.status == "infeasible"
 
@@ -427,7 +399,7 @@ class TestWarmStart:
         rng = np.random.default_rng(3)
         for _ in range(50):
             c, A, b, bounds = random_case(rng)
-            lp = le_lp(c, A, b, bounds)
+            lp = LinearProgram(c, A, b, bounds)
             sol, tab = lp_tableau(lp)
             assert (tab is not None) == (sol.status == "optimal")
             again = lp_solve(lp)
@@ -444,7 +416,7 @@ def capped_root(A, b, bounds):
     then that row's right-hand side raised to W. None when A x <= b is empty."""
     n = A.shape[1]
     rows = np.vstack([np.hstack([A, np.zeros((A.shape[0], 1))]), np.eye(1, n + 1, n)])
-    lp = le_lp(np.eye(1, n + 1, n)[0], rows, np.append(b, 0.0), [*bounds, (None, None)])
+    lp = LinearProgram(np.eye(1, n + 1, n)[0], rows, np.append(b, 0.0), [*bounds, (None, None)])
     sol, tab = lp_tableau(lp)
     return None if tab is None else symbolic_rhs(tab, A.shape[0])
 
@@ -462,7 +434,7 @@ class TestSymbolicRhs:
             n = c.size
             root = capped_root(A[:-1], b[:-1], bounds)
             if root is None:
-                assert lp_solve(le_lp(c, A[:-1], b[:-1], bounds)).status == "infeasible"
+                assert lp_solve(LinearProgram(c, A[:-1], b[:-1], bounds)).status == "infeasible"
                 continue
             assert root.infinite()
             tab = append_row(root, np.append(-c, 1.0), 0.0)  # t <= c.x
@@ -470,7 +442,7 @@ class TestSymbolicRhs:
                 if rows is A:
                     tab = append_row(tab, np.append(A[-1], 0.0), b[-1])
                 sol = dual_simplex(tab, lambda bound: True)
-                cold = lp_solve(le_lp(c, rows, b[: len(rows)], bounds))
+                cold = lp_solve(LinearProgram(c, rows, b[: len(rows)], bounds))
                 ref = highs(c, rows, b[: len(rows)], bounds)
                 outcomes[cold.status] += 1
                 if cold.status == "infeasible":
@@ -522,15 +494,10 @@ class TestSymbolicRhs:
 # --- stacks: many LPs in one lockstep simplex -------------------------------
 
 
-def stack_lp(objective, rels, rows, rhs, bounds):
+def stack_lp(objective, rows, rhs, bounds):
     """One LinearProgram holding a stack of LPs: rows (k, m, n), rhs (k, m)."""
-    return LinearProgram(
-        np.asarray(objective, float),
-        np.asarray(rows, float).reshape(len(rhs), len(rels), len(objective)),
-        np.array(rels, dtype=object),
-        np.asarray(rhs, float).reshape(len(rhs), len(rels)),
-        bounds,
-    )
+    rhs = np.asarray(rhs, float)
+    return LinearProgram(objective, np.asarray(rows, float).reshape(*rhs.shape, len(objective)), rhs, bounds)
 
 
 def bits(v):
@@ -543,7 +510,7 @@ def assert_stack_is_lp_solve(lp):
     status, value, pivots = lp_stack(lp)
     bounds = [(None if np.isinf(lo) else lo, None if np.isinf(up) else up) for lo, up in zip(lp.lo, lp.up)]
     for j in range(lp.A.shape[0]):
-        one = lp_solve(LinearProgram(lp.objective, lp.A[j], lp.rel, lp.b[j], bounds))
+        one = lp_solve(LinearProgram(lp.objective, lp.A[j], lp.b[j], bounds))
         assert (status[j], pivots[j]) == (one.status, one.pivots), j
         assert bits(value[j]) == bits(one.value), (j, value[j], one.value)
     return list(status)
@@ -558,26 +525,30 @@ class TestStack:
         seen = {"optimal": 0, "unbounded": 0, "infeasible": 0}
         for _ in range(300):
             n, m, k = (int(v) for v in rng.integers(1, [6, 7, 9]))
-            rels = [(LE, GE, EQ)[i] for i in rng.integers(0, 3, size=m)]
+            kinds = rng.integers(0, 3, size=m)  # <=, >= or =, stated as random_rows states them
             if rng.random() < 0.3:  # integer grid: ties and degenerate vertices
                 rows = rng.integers(-1, 2, size=(k, m, n))
                 rhs = rng.integers(-1, 2, size=(k, m))
             else:
                 rows, rhs = rng.normal(size=(k, m, n)), rng.normal(size=(k, m))
-            lp = stack_lp(rng.normal(size=n), rels, rows, rhs, random_bounds(rng, n))
+            sign = np.where(kinds == 1, -1.0, 1.0)
+            rows, rhs = sign[:, None] * rows, sign * rhs
+            rows = np.concatenate([rows, -rows[:, kinds == 2]], axis=1)
+            rhs = np.concatenate([rhs, -rhs[:, kinds == 2]], axis=1)
+            lp = stack_lp(rng.normal(size=n), rows, rhs, random_bounds(rng, n))
             for st in assert_stack_is_lp_solve(lp):
                 seen[st] += 1
         assert min(seen.values()) > 100, seen
 
     def test_mixed_outcomes_in_one_stack(self, monkeypatch):
-        # max x, x >= 0, rows x >= b0 and a x <= b1: the auxiliary ending
+        # max x, x >= 0, rows -x <= -b0 and a x <= b1: the auxiliary ending
         # basic at zero (3 pivots, TestPhaseOne's LP), a feasible start, an
         # infeasible LP, an unbounded one and a phase-1 start, all in one
         # stack. Only the first goes to lp_solve's loop, which pivots its
         # auxiliary out.
-        rows = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
-        rhs = [[1.0, 1.0], [-1.0, 2.0], [2.0, 1.0], [1.0, 0.0], [0.5, 3.0]]
-        lp = stack_lp([1.0], [GE, LE], rows, rhs, [(0.0, None)])
+        rows = [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0]]
+        rhs = [[-1.0, 1.0], [1.0, 2.0], [-2.0, 1.0], [-1.0, 0.0], [-0.5, 3.0]]
+        lp = stack_lp([1.0], rows, rhs, [(0.0, None)])
         calls = []
         solve_one = simplex._solve
         monkeypatch.setattr(simplex, "_solve", lambda *a: calls.append(1) or solve_one(*a))
@@ -586,33 +557,34 @@ class TestStack:
         assert assert_stack_is_lp_solve(lp) == ["optimal", "optimal", "infeasible", "unbounded", "optimal"]
 
     @pytest.mark.parametrize(
-        "objective, rels, rows, rhs, bounds",
+        "objective, rows, rhs, bounds",
         [
-            # duplicated and scaled equality rows; the last LP is infeasible
-            ([1.0, 0.0], [EQ, EQ, EQ], [[1, 1, 1, 1, 2, 2]] * 4,
-             [[2, 2, 4], [1, 1, 2], [3, 3, 6], [2, 2, 5]], [(0.0, None)] * 2),
-            ([1.0, 2.0], [EQ, EQ, EQ], [[1, 1, 2, 2, 1, -1]] * 3,
-             [[2, 4, 0], [2, 4, 1], [1, 2, 0]], [(0.0, None)] * 2),
+            # duplicated and scaled equality rows, each as a pair; the last LP is infeasible
+            ([1.0, 0.0], [[1, 1, 1, 1, 2, 2, -1, -1, -1, -1, -2, -2]] * 4,
+             [[2, 2, 4, -2, -2, -4], [1, 1, 2, -1, -1, -2], [3, 3, 6, -3, -3, -6], [2, 2, 5, -2, -2, -5]],
+             [(0.0, None)] * 2),
+            ([1.0, 2.0], [[1, 1, 2, 2, 1, -1, -1, -1, -2, -2, -1, 1]] * 3,
+             [[2, 4, 0, -2, -4, 0], [2, 4, 1, -2, -4, -1], [1, 2, 0, -1, -2, 0]], [(0.0, None)] * 2),
             # every row violated at the start, infeasible or not
-            ([0.0], [LE, GE], [[1, 1]] * 3, [[-1, 1], [1, -1], [-1, -2]], [(None, None)]),
-            ([-1.0, -1.0], [GE, GE, GE], [[1, 0, 0, 1, 1, 1], [1, 0, 0, 1, 2, 1]],
-             [[1, 2, 4], [1, 2, 2]], [(0.0, None)] * 2),
+            ([0.0], [[1, -1]] * 3, [[-1, -1], [1, 1], [-1, 2]], [(None, None)]),
+            ([-1.0, -1.0], [[-1, 0, 0, -1, -1, -1], [-1, 0, 0, -1, -2, -1]],
+             [[-1, -2, -4], [-1, -2, -2]], [(0.0, None)] * 2),
             # a feasible start, phase 2 only
-            ([1.0, 1.0], [LE, LE], [[1, 2, 3, 1], [2, 1, 1, 3]], [[4, 6], [4, 6]], [(0.0, None)] * 2),
+            ([1.0, 1.0], [[1, 2, 3, 1], [2, 1, 1, 3]], [[4, 6], [4, 6]], [(0.0, None)] * 2),
             # unbounded along a free direction
-            ([1.0, -1.0], [GE], [[1, -1], [1, 1], [-1, 1]], [[1], [1], [0]], [(None, None)] * 2),
+            ([1.0, -1.0], [[-1, 1], [-1, -1], [1, -1]], [[-1], [-1], [0]], [(None, None)] * 2),
             # boxed and one-sided bounds, no rows at all
-            ([1.0, -1.0], [], np.zeros((3, 0, 2)), np.zeros((3, 0)), [(0.0, 2.0), (-1.0, 3.0)]),
-            ([1.0, -1.0], [], np.zeros((2, 0, 2)), np.zeros((2, 0)), [(None, 2.0), (-1.0, None)]),
+            ([1.0, -1.0], np.zeros((3, 0, 2)), np.zeros((3, 0)), [(0.0, 2.0), (-1.0, 3.0)]),
+            ([1.0, -1.0], np.zeros((2, 0, 2)), np.zeros((2, 0)), [(None, 2.0), (-1.0, None)]),
             # a fixed variable and a boxed one under a row
-            ([1.0, 1.0], [LE], [[1, 1], [1, 2], [2, 1]], [[10], [4], [-10]], [(3.0, 3.0), (0.0, 5.0)]),
+            ([1.0, 1.0], [[1, 1], [1, 2], [2, 1]], [[10], [4], [-10]], [(3.0, 3.0), (0.0, 5.0)]),
             # many ties at a degenerate optimum
-            ([1.0, 1.0], [LE, LE, LE, LE], [[1, 1, 1, 0, 0, 1, 2, 2]] * 3,
+            ([1.0, 1.0], [[1, 1, 1, 0, 0, 1, 2, 2]] * 3,
              [[1, 1, 1, 2], [0, 0, 0, 0], [1, 0, 1, 2]], [(0.0, None)] * 2),
         ],
     )
-    def test_hand_written_cases(self, objective, rels, rows, rhs, bounds):
-        assert_stack_is_lp_solve(stack_lp(objective, rels, rows, rhs, bounds))
+    def test_hand_written_cases(self, objective, rows, rhs, bounds):
+        assert_stack_is_lp_solve(stack_lp(objective, rows, rhs, bounds))
 
     def test_deleted_auxiliary_row(self, monkeypatch):
         # lp_solve deletes the row of an auxiliary that ends phase 1 basic
@@ -621,10 +593,10 @@ class TestStack:
         # auxiliary entry), so PIVOT_MIN is raised to force it: the stack must
         # then hand exactly those LPs to lp_solve's loop.
         monkeypatch.setattr(simplex, "PIVOT_MIN", 10.0)
-        # the first, third and fourth LPs pin x with a >= and a <= row
-        rows = [[1.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [1.0, 1.0], [1.0, 2.0]]
-        rhs = [[1.0, 1.0], [2.0, 3.0], [2.0, 1.0], [1.0, 2.0], [-1.0, 2.0], [3.0, 1.0]]
-        lp = stack_lp([1.0], [GE, LE], rows, rhs, [(0.0, None)])
+        # the first, third and fourth LPs pin x with the rows -a0 x <= -b0 and a1 x <= b1
+        rows = [[-1.0, 1.0], [-1.0, 1.0], [-2.0, 1.0], [-1.0, 2.0], [-1.0, 1.0], [-1.0, 2.0]]
+        rhs = [[-1.0, 1.0], [-2.0, 3.0], [-2.0, 1.0], [-1.0, 2.0], [1.0, 2.0], [-3.0, 1.0]]
+        lp = stack_lp([1.0], rows, rhs, [(0.0, None)])
         calls = []
         solve_one = simplex._solve
         monkeypatch.setattr(simplex, "_solve", lambda *a: calls.append(1) or solve_one(*a))
@@ -633,13 +605,13 @@ class TestStack:
         assert assert_stack_is_lp_solve(lp) == ["optimal"] * 5 + ["infeasible"]
 
     def test_shapes_checked(self):
-        lp = LinearProgram([1.0], [[1.0]], [LE], [1.0], [(0.0, None)])
+        lp = LinearProgram([1.0], [[1.0]], [1.0], [(0.0, None)])
         with pytest.raises(ValueError, match="stack"):
             lp_stack(lp)
-        stacked = stack_lp([1.0], [LE], [[1.0], [2.0]], [[1.0], [1.0]], [(0.0, None)])
+        stacked = stack_lp([1.0], [[1.0], [2.0]], [[1.0], [1.0]], [(0.0, None)])
         with pytest.raises(ValueError, match="one LP"):
             lp_tableau(stacked)
-        with pytest.raises(ValueError, match="1 rows, 1 relations, 2 right-hand sides"):
-            LinearProgram([1.0], np.ones((2, 1, 1)), [LE], np.ones((2, 2)), [(0.0, None)])
+        with pytest.raises(ValueError, match="1 rows, 2 right-hand sides"):
+            LinearProgram([1.0], np.ones((2, 1, 1)), np.ones((2, 2)), [(0.0, None)])
         with pytest.raises(ValueError, match="row 1: non-finite"):
-            LinearProgram([1.0], np.ones((2, 2, 1)), [LE, LE], [[1.0, 1.0], [1.0, np.inf]], [(0.0, None)])
+            LinearProgram([1.0], np.ones((2, 2, 1)), [[1.0, 1.0], [1.0, np.inf]], [(0.0, None)])
