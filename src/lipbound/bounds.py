@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainEmptyError, EnumerationGuardError
 from .network import ActivationPattern, InputDomain, MlpNetwork, Polytope, _gated_form, _jacobian_from_bits
-from .norms import INF, check_norm_kind, inf_to_str, operator_norm, pattern_norms
+from .norms import INF, _operator_norms, check_norm_kind, inf_to_str, operator_norm, pattern_norms
 from .regions import (
     TAU_STRICT,
     check_eps,
@@ -239,12 +239,13 @@ def _aggregate(net, domain, p, eps_list, slacks, norms, flats, stats) -> BoundsR
 
 
 def _lp_entries(net: MlpNetwork, domain: InputDomain) -> int:
-    """A bound on the tableau entries of one pattern's slack LP: one row per
-    margin, box bound and polytope row, plus the cost row; two columns per
-    variable, one slack per row, the auxiliary and the right-hand side."""
+    """A bound on the entries of one pattern's compact tableau in lp_stack:
+    one row per margin, box bound and polytope row, plus the cost row; two
+    columns per variable, the auxiliary and the right-hand side. The
+    slacks' unit columns are not stored, so they take no entries."""
     n0 = net.input_dim
     rows = net.total_hidden_bits + n0 + (domain.A.shape[0] if isinstance(domain, Polytope) else 0)
-    return (rows + 1) * (2 * (n0 + 1) + rows + 2)
+    return (rows + 1) * (2 * (n0 + 1) + 2)
 
 
 def _closed_points(net: MlpNetwork, domain: InputDomain, count: int, stack, stats: SearchStats):
@@ -253,9 +254,11 @@ def _closed_points(net: MlpNetwork, domain: InputDomain, count: int, stack, stat
 
     stack(i, j) gives the flat bits (j - i, n) and the norms (j - i,) of
     patterns i..j-1. They go to max_slacks in stacks of at most
-    _STACK_ENTRIES tableau entries, so each slack and pivot count is
-    max_slack's for that pattern alone, whatever the stack. lp_calls and
-    pivots count these LPs, and patterns_feasible the patterns kept.
+    _STACK_ENTRIES compact tableau entries, _lp_entries per pattern, so a
+    stack holds about three times the LPs that full tableaus would fit.
+    Each slack and pivot count is max_slack's for that pattern alone,
+    whatever the stack. lp_calls and pivots count these LPs, and
+    patterns_feasible the patterns kept.
     """
     step = max(1, _STACK_ENTRIES // _lp_entries(net, domain))
     parts = [(np.empty(0), np.empty(0), np.empty((0, net.total_hidden_bits), dtype=int))]
@@ -324,7 +327,9 @@ def _node_bound(c: np.ndarray, fixed: Sequence[int], later: Sequence[tuple], p) 
     [W+ lo + W- hi, W+ hi + W- lo], and every later hidden gate widens it
     to [min(lo, 0), max(hi, 0)]. The induced 1-, 2- and inf-norms are
     monotone in the entrywise absolute value, so the norm of
-    max(-lo, hi) bounds them all.
+    max(-lo, hi) bounds them all. p is as check_norm_kind returns it, and
+    the norm is taken unchecked: an interval that overflows gives an inf
+    or NaN bound, which prunes nothing.
     """
     k = len(fixed)
     lo, hi = np.minimum(c, 0.0), np.maximum(c, 0.0)
@@ -333,7 +338,7 @@ def _node_bound(c: np.ndarray, fixed: Sequence[int], later: Sequence[tuple], p) 
         if j:
             lo, hi = np.minimum(lo, 0.0), np.maximum(hi, 0.0)
         lo, hi = pos @ lo + neg @ hi, pos @ hi + neg @ lo
-    return operator_norm(np.maximum(-lo, hi), p)
+    return float(_operator_norms(np.maximum(-lo, hi), p))
 
 
 def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStats):

@@ -55,6 +55,12 @@ def operator_norms(A: Sequence, p) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
+    return _operator_norms(A, p)
+
+
+def _operator_norms(A: np.ndarray, p) -> np.ndarray:
+    """operator_norms without its checks, for a float array A and p as
+    check_norm_kind returns it. A non-finite entry gives inf or NaN."""
     if p == 1:
         return np.abs(A).sum(axis=-2).max(axis=-1)
     if p == INF:

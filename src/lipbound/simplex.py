@@ -48,11 +48,20 @@ slack is basic exactly when the LP without the cap is bounded, and
 append_row then drops the cap's row and column.
 
 Stacks. lp_stack solves k LPs that share the objective and the bounds,
-and differ only in their rows, as one array of k tableaus. One builder
-(_tableau) makes the tableaus of one LP or of a stack. The lockstep loop
-(_run_stack) pivots every unfinished tableau once per pass, each by the
-same Bland rules and in the same floating-point operations as the one-LP
-loop, and drops a tableau from the pass once it is done; so each LP's
+and differ only in their rows, as one array of k compact tableaus, the
+dictionary form (Chvatal 1983, ch. 2-3): the rows and the cost row over
+the structural columns, the auxiliary and the right-hand side, and an
+array that names each column's variable. The m basic variables' unit
+columns, which never change and fill most of a slack LP's full tableau,
+are left out. One builder (_tableau) makes the compact tableaus of one LP or
+of a stack, and _solve inserts the unit columns into one. The lockstep
+loop (_run_compact) pivots every unfinished tableau once per pass and
+drops it from the pass once it is done. Bland's entering rule takes the
+lowest variable index; the leaving variable takes over the entering
+one's column, which the pivot updates as the full tableau updates the
+leaving variable's unit column: 1/piv in the pivot row, 0 - a_i * (1/piv)
+elsewhere. Every entry sees the full tableau's floating-point operations
+(a zero can differ in sign, which no comparison sees), so each LP's
 status, optimum and pivot count are bit-identical to lp_solve's. The rare
 LP whose phase-1 auxiliary ends basic is finished by lp_solve's own loop
 (_solve), from its starting tableau. The 2^n enumeration oracle solves
@@ -204,52 +213,60 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
     raise SimplexBreakdownError(f"simplex did not finish within {_MAX_ITERS} iterations")
 
 
-def _pivot_stack(T: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
-    """_pivot on every tableau of a stack, tableau i on (r[i], c[i])."""
+def _pivot_compact(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, r, p, col) -> None:
+    """_pivot on every compact tableau of a stack, tableau i on row r[i] of
+    column p[i], whose entries before the pivot are col[i]. That column's
+    variable enters the basis; the leaving one takes the column over as
+    its unit column, which the pivot then updates as the full tableau's."""
     i = np.arange(T.shape[0])
-    row = T[i, r] / T[i, r, c][:, None]
-    T -= T[i, :, c][:, :, None] * row[:, None, :]
+    T[i, :, p] = 0.0
+    T[i, r, p] = 1.0
+    row = T[i, r] / col[i, r][:, None]
+    T -= col[:, :, None] * row[:, None, :]
     T[i, r] = row
+    basis[i, r], nonbasic[i, p] = nonbasic[i, p], basis[i, r]
 
 
-def _run_stack(T: np.ndarray, basis: np.ndarray, ncols: int):
-    """_run_simplex on a stack of tableaus in lockstep, each by its own pivots.
+def _run_compact(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, ncols: int):
+    """_run_simplex on a stack of compact tableaus in lockstep, each by its own pivots.
 
-    Every pass pivots each unfinished tableau once by the same Bland rules,
-    its ratio test _ratio_ties's vectorized, so each ends exactly as
-    _run_simplex would leave it. T and basis are updated in place.
-    Returns (unbounded mask, pivots per tableau).
+    Every pass pivots each unfinished tableau once by the same Bland rules
+    over the variables below ncols, its ratio test _ratio_ties's
+    vectorized, so each ends as _run_simplex would leave its full tableau.
+    T, basis and nonbasic are updated in place. Returns (unbounded mask,
+    pivots per tableau).
     """
     k = T.shape[0]
     unbounded = np.zeros(k, dtype=bool)
     pivots = np.zeros(k, dtype=int)
-    live = np.arange(k)  # the unfinished tableaus; Tw and bw hold them
-    Tw, bw = T, basis
+    live = np.arange(k)  # the unfinished tableaus; Tw, bw and nw hold them
+    Tw, bw, nw = T, basis, nonbasic
+    i = np.arange(k)
     for it in range(_MAX_ITERS):
-        i = np.arange(live.size)
-        negative = Tw[:, -1, :ncols] < -OPT_TOL
-        c = negative.argmax(axis=1)  # Bland: lowest index
-        col = Tw[i, :-1, c]
-        eligible = col > PIVOT_TOL
-        short = ~eligible.any(axis=1)
-        eligible[short] = col[short] > PIVOT_MIN
-        optimal = ~negative[i, c]
-        ray = ~optimal & ~eligible.any(axis=1)
-        done = optimal | ray
+        enter = np.where(Tw[:, -1, :-1] < -OPT_TOL, nw, ncols)
+        p = enter.argmin(axis=1)  # Bland: lowest variable index
+        col = Tw[i, :, p]
+        eligible = col[:, :-1] > PIVOT_TOL
+        pivotable = eligible.any(axis=1)
+        if not pivotable.all():
+            short = ~pivotable
+            eligible[short] = col[short, :-1] > PIVOT_MIN
+            pivotable = eligible.any(axis=1)
+        optimal = enter[i, p] == ncols
+        done = optimal | ~pivotable
         if done.any():
-            T[live[done]], basis[live[done]] = Tw[done], bw[done]
-            unbounded[live[ray]] = True
+            T[live[done]], basis[live[done]], nonbasic[live[done]] = Tw[done], bw[done], nw[done]
+            unbounded[live[done & ~optimal]] = True
             pivots[live[done]] = it
             go = ~done
             if not go.any():
                 return unbounded, pivots
-            live, Tw, bw = live[go], Tw[go], bw[go]
-            i, c, col, eligible = i[: live.size], c[go], col[go], eligible[go]
-        ratios = np.divide(Tw[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=eligible)
+            live, Tw, bw, nw = live[go], Tw[go], bw[go], nw[go]
+            i, p, col, eligible = i[: live.size], p[go], col[go], eligible[go]
+        ratios = np.divide(Tw[:, :-1, -1], col[:, :-1], out=np.full(eligible.shape, np.inf), where=eligible)
         ties = eligible & (ratios <= ratios.min(axis=1, keepdims=True) + _TIE_TOL)
-        r = np.where(ties, bw, T.shape[-1]).argmin(axis=1)  # Bland: lowest basic index
-        _pivot_stack(Tw, r, c)
-        bw[i, r] = c
+        r = np.where(ties, bw, ncols).argmin(axis=1)  # Bland: lowest basic index
+        _pivot_compact(Tw, bw, nw, r, p, col)
     raise SimplexBreakdownError(f"simplex did not finish within {_MAX_ITERS} iterations")
 
 
@@ -259,11 +276,13 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 
 
 def _tableau(lp: LinearProgram):
-    """Standard form and starting tableau of lp, or of a stack of LPs.
+    """Standard form and compact starting tableau of lp, or of a stack of LPs.
 
     lp.A has shape (..., m, n) and lp.b (..., m); the objective and the
-    bounds are shared, so x = x0 + M s is too. Returns (T, basis, M,
-    x0) with T of shape (..., m' + 1, width + 2) and the slack basis.
+    bounds are shared, so x = x0 + M s is too. Returns (T, basis, M, x0)
+    with the slack basis and T of shape (..., m' + 1, ns + 2): the
+    structural columns, the auxiliary and the rhs, without the slacks' unit
+    columns.
     """
     n = lp.n
     has_lo, has_up = np.isfinite(lp.lo), np.isfinite(lp.up)
@@ -277,20 +296,17 @@ def _tableau(lp: LinearProgram):
     M[free, start[free] + 1] = -1.0
     x0 = np.where(has_lo, lp.lo, np.where(has_up, lp.up, 0.0))
 
-    # Tableau: the rows, a row per boxed variable, one slack per row, the
-    # auxiliary, the rhs.
+    # Tableau: the rows and a row per boxed variable, each with its slack basic.
     boxed = (has_lo & has_up).nonzero()[0]
     m1 = lp.b.shape[-1]
     m = m1 + boxed.size
-    aux = ns + m
-    T = np.zeros((*lp.b.shape[:-1], m + 1, aux + 2))
+    T = np.zeros((*lp.b.shape[:-1], m + 1, ns + 2))
     T[..., :m1, :ns] = lp.A @ M
     T[..., m1:m, :ns] = M[boxed]
-    T[..., :m, ns:aux] = np.eye(m)
     T[..., :m1, -1] = lp.b - lp.A @ x0
     T[..., m1:m, -1] = (lp.up - lp.lo)[boxed]
     basis = np.empty(T.shape[:-2] + (m,), dtype=int)
-    basis[...] = np.arange(ns, aux)
+    basis[...] = np.arange(ns, ns + m)
     return T, basis, M, x0
 
 
@@ -302,10 +318,11 @@ def lp_tableau(lp: LinearProgram) -> tuple[LpSolution, Optional[Tableau]]:
 
 
 def _solve(T, basis, M, x0, objective) -> tuple[LpSolution, Optional[Tableau]]:
-    """Both phases on one starting tableau from _tableau."""
+    """Both phases on the full tableau of one compact starting tableau from _tableau."""
     m = basis.size
     ns = M.shape[1]
     aux = ns + m
+    T = np.concatenate((T[:, :ns], np.eye(m + 1, m), T[:, ns:]), axis=1)  # the slacks' unit columns
     b = T[:m, -1]
     pivots = 0
 
@@ -354,10 +371,12 @@ def lp_stack(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (status, value, pivots), one entry per LP: status as lp_solve
     reports it, the optimum (NaN unless optimal) and the pivot count. Each
-    LP takes the same pivots in the same arithmetic as lp_solve, so every
-    entry is bit-identical to lp_solve's. An LP whose phase-1 auxiliary
-    ends basic is solved again on its own, from its starting tableau, by
-    lp_solve's loop, which pivots the auxiliary out or deletes its row.
+    LP is a compact tableau, nonbasic naming its columns' variables: the ns
+    structural ones, then the m slacks, then the auxiliary. It takes the
+    same pivots in the same arithmetic as lp_solve, so every entry is
+    bit-identical to lp_solve's. An LP whose phase-1 auxiliary ends basic
+    is solved again on its own, from its starting tableau, by lp_solve's
+    loop, which pivots the auxiliary out or deletes its row.
     """
     if lp.A.ndim != 3:
         raise ValueError("lp_stack solves a stack of LPs, with rows of shape (k, m, n)")
@@ -365,6 +384,7 @@ def lp_stack(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k, m = basis.shape
     ns = M.shape[1]
     aux = ns + m
+    nonbasic = np.tile([*range(ns), aux], (k, 1))
     status = np.full(k, "optimal", dtype=object)
     value = np.full(k, np.nan)
     pivots = np.zeros(k, dtype=int)
@@ -374,14 +394,11 @@ def lp_stack(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     violated = b < 0
     one = violated.any(axis=1).nonzero()[0]
     if one.size:
-        T1, b1 = T[one], basis[one]
-        i = np.arange(one.size)
-        T1[:, :m, aux] = np.where(violated[one], -1.0, 0.0)
-        T1[:, -1, aux] = 1.0  # phase-1 cost: minimize the auxiliary
-        r = b[one].argmin(axis=1)
-        _pivot_stack(T1, r, np.full(one.size, aux))
-        b1[i, r] = aux
-        unbounded, its = _run_stack(T1, b1, aux + 1)
+        T1, b1, n1 = T[one], basis[one], nonbasic[one]
+        T1[:, :m, ns] = np.where(violated[one], -1.0, 0.0)
+        T1[:, -1, ns] = 1.0  # phase-1 cost: minimize the auxiliary
+        _pivot_compact(T1, b1, n1, b[one].argmin(axis=1), np.full(one.size, ns), T1[:, :, ns].copy())
+        unbounded, its = _run_compact(T1, b1, n1, aux + 1)
         if unbounded.any():
             raise SimplexBreakdownError("phase 1 reported unbounded; the auxiliary is bounded below")
         pivots[one] = 1 + its
@@ -389,21 +406,23 @@ def lp_stack(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         status[one[infeasible]] = "infeasible"
         phase2[one[infeasible]] = False
         for j in one[(b1 == aux).any(axis=1) & ~infeasible]:  # the auxiliary is still basic
-            sol, _ = _solve(T[j].copy(), basis[j].copy(), M, x0, lp.objective)
+            sol, _ = _solve(T[j], basis[j].copy(), M, x0, lp.objective)
             status[j], pivots[j] = sol.status, sol.pivots
             value[j] = np.nan if sol.value is None else sol.value
             phase2[j] = False
-        T[one], basis[one] = T1, b1
+        T[one], basis[one], nonbasic[one] = T1, b1, n1
 
-    # Phase 2: minimize -c.x over the columns before the auxiliary, which stays at 0.
+    # Phase 2: minimize -c.x over the variables before the auxiliary, which stays at 0.
     two = phase2.nonzero()[0]
     if two.size:
-        T2, b2 = T[two], basis[two]
+        T2, b2, n2 = T[two], basis[two], nonbasic[two]
         i = np.arange(two.size)
-        T2[:, -1] = 0.0
-        T2[:, -1, :ns] = -(lp.objective @ M)
-        T2[:, -1] -= (T2[i[:, None], -1, b2][:, None, :] @ T2[:, :-1])[:, 0]
-        unbounded, its = _run_stack(T2, b2, aux)
+        cost = np.zeros(aux + 1)  # each variable's phase-2 cost
+        cost[:ns] = -(lp.objective @ M)
+        T2[:, -1, :-1] = cost[n2]
+        T2[:, -1, -1] = 0.0
+        T2[:, -1] -= (cost[b2][:, None, :] @ T2[:, :-1])[:, 0]
+        unbounded, its = _run_compact(T2, b2, n2, aux)
         pivots[two] += its
         status[two[unbounded]] = "unbounded"
         s = np.zeros((two.size, aux))

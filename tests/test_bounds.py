@@ -492,6 +492,35 @@ class TestOracleStacks:
         assert sizes == [3] * 341 + [1]
         assert got == want
 
+    @pytest.mark.parametrize("domain", ["box", "polytope", "all"])
+    def test_lp_entries_bounds_the_pivoted_tableau(self, monkeypatch, domain):
+        # the stacks are sized by _lp_entries: it must bound the entries of
+        # the tableau that lp_stack pivots for one pattern, and not loosely,
+        # or a layout change would leave the stacks silently mis-sized
+        import lipbound.bounds as bounds_module
+        import lipbound.simplex as simplex
+
+        net = _seeded_net(5, (3, 4, 4, 1))
+        n0 = net.input_dim
+        domain = {
+            "box": unit_box(net),
+            "polytope": Polytope(np.vstack([np.eye(n0), -np.eye(n0), np.ones((2, n0))]), np.ones(2 * n0 + 2)),
+            "all": AllSpace(),
+        }[domain]
+        sizes = []
+        build = simplex._tableau
+
+        def spy(lp):
+            out = build(lp)
+            sizes.append(out[0][0].size)  # the first LP's starting tableau
+            return out
+
+        monkeypatch.setattr(simplex, "_tableau", spy)
+        bounds_module.max_slacks(net, np.ones((1, net.total_hidden_bits), dtype=int), domain)
+        entries = bounds_module._lp_entries(net, domain)
+        assert len(sizes) == 1
+        assert sizes[0] <= entries <= 1.5 * sizes[0]
+
     @pytest.mark.parametrize("name", ["max_slacks", "pattern_norms"])
     def test_stacked_values_rechecked(self, monkeypatch, name):
         # the lower argmax is solved and normed again on its own; a stacked

@@ -325,6 +325,32 @@ class TestMaxSlacks:
                     assert pivots[j] == res.pivots
         assert min(seen.values()) > 100, seen
 
+    @pytest.mark.parametrize("kind", range(3), ids=["box", "polytope", "all"])
+    def test_wide_tableaus_of_a_16_bit_net(self, monkeypatch, kind):
+        # 16 margin rows make wider tableaus than the zoo's; the phase-2 cost
+        # row is a matmul over the tableau's width, whose BLAS blocking
+        # depends on it, and each slack must still be lp_solve's and
+        # max_slack's, bit for bit
+        stacks = []
+        stack_solve = regions.lp_stack
+        monkeypatch.setattr(regions, "lp_stack", lambda lp: stacks.append((lp, stack_solve(lp))) or stacks[-1][1])
+        rng = np.random.default_rng(16)
+        net = MlpNetwork.from_arrays(
+            [(rng.normal(size=(16, 4)) / 2.0, 0.5 * rng.normal(size=16)), (rng.normal(size=(1, 16)) / 4.0, [0.1])]
+        )
+        flats = rng.integers(0, 2, size=(256, 16))
+        domain = zoo_style_domains(net, 16)[kind]
+        slacks, pivots = max_slacks(net, flats, domain)
+        lp, (status, value, lp_pivots) = stacks[0]
+        bounds = [(None if np.isinf(a) else a, None if np.isinf(b) else b) for a, b in zip(lp.lo, lp.up)]
+        for j, flat in enumerate(flats):
+            one = lp_solve(LinearProgram(lp.objective, lp.A[j], lp.b[j], bounds))
+            assert (status[j], lp_pivots[j]) == (one.status, one.pivots)
+            assert value[j].tobytes() == np.float64(np.nan if one.value is None else one.value).tobytes()
+            res = max_slack(net, ActivationPattern.from_flat(net.hidden_widths, tuple(flat)), domain)
+            assert slacks[j].tobytes() == np.float64(res.slack).tobytes()
+            assert pivots[j] == res.pivots
+
     def test_one_pattern_and_checks(self, ex2):
         slacks, pivots = max_slacks(ex2, np.array([[0, 1], [1, 1]]), AllSpace())
         assert slacks[0] == pytest.approx(0.5, abs=1e-9)
