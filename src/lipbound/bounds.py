@@ -7,9 +7,9 @@ at least eps. All of them are one maximization over (region depth, norm)
 points with different depth thresholds, so one aggregator reads every
 bound, every eps value and the exact eps-curve (the decreasing envelope
 of the points, with breakpoints at the region depths themselves) off one
-set of points. The enumeration oracle feeds it all 2^n patterns, their
-slack LPs solved in stacks by one lockstep simplex and their Jacobians
-normed a stack at a time, bit-identical to one pattern at a time; the
+set of points. The enumeration oracle solves the slack LPs of all 2^n
+patterns in stacks by one lockstep simplex, then norms the Jacobians of
+the closed-feasible ones alone, bit-identical to one at a time; the
 branch-and-bound feeds it the leaves of one depth-first search that
 checks the prefix slack LP after every fixed bit and prunes only
 closed-infeasible or strictly dominated prefixes. The root's LP caps the
@@ -249,26 +249,24 @@ def _lp_entries(net: MlpNetwork, domain: InputDomain) -> int:
 
 
 def _closed_points(net: MlpNetwork, domain: InputDomain, count: int, stack, stats: SearchStats):
-    """(slacks, norms, flats) of those of patterns 0..count-1 whose closed
-    region meets the domain, by the slack of each one's own full LP.
+    """The slacks and the indices (kept) of those of patterns 0..count-1
+    whose closed region meets the domain, by the slack of each one's own LP.
 
-    stack(i, j) gives the flat bits (j - i, n) and the norms (j - i,) of
-    patterns i..j-1. They go to max_slacks in stacks of at most
-    _STACK_ENTRIES compact tableau entries, _lp_entries per pattern, so a
-    stack holds about three times the LPs that full tableaus would fit.
-    Each slack and pivot count is max_slack's for that pattern alone,
-    whatever the stack. lp_calls and pivots count these LPs, and
-    patterns_feasible the patterns kept.
+    stack(i, j) gives the flat bits (j - i, n) of patterns i..j-1. They go
+    to max_slacks in stacks of at most _STACK_ENTRIES compact tableau
+    entries, _lp_entries per pattern, so a stack holds about three times
+    the LPs that full tableaus would fit. Each slack and pivot count is
+    max_slack's for that pattern alone, whatever the stack. lp_calls and
+    pivots count these LPs, and patterns_feasible the patterns kept.
     """
     step = max(1, _STACK_ENTRIES // _lp_entries(net, domain))
-    parts = [(np.empty(0), np.empty(0), np.empty((0, net.total_hidden_bits), dtype=int))]
+    parts = [(np.empty(0), np.empty(0, dtype=int))]
     for i in range(0, count, step):
-        flats, norms = stack(i, min(i + step, count))
-        slacks, pivots = max_slacks(net, flats, domain)
+        slacks, pivots = max_slacks(net, stack(i, min(i + step, count)), domain)
         stats.pivots += int(pivots.sum())
-        keep = meets_level(slacks, 0.0)
-        stats.patterns_feasible += int(keep.sum())
-        parts.append((slacks[keep], norms[keep], flats[keep]))
+        keep = np.flatnonzero(meets_level(slacks, 0.0))
+        stats.patterns_feasible += keep.size
+        parts.append((slacks[keep], i + keep))
     stats.lp_calls += count
     return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -280,13 +278,13 @@ def brute_force_bounds(
 
     The oracle for the branch-and-bound: one full LP per pattern and no
     pruning. The patterns go in itertools.product order through
-    _closed_points, which solves their LPs a stack at a time; each stack's
-    Jacobians are normed by pattern_norms, bit-identical to one pattern at
-    a time. lp_calls counts the 2^n pattern LPs, the domain probe when it
-    solves an LP, and the lower argmax's max_slack, which gives its
-    witness; pivots sums the pivots of the pattern LPs and of that last
-    one. Refuses networks with more than ENUMERATION_GUARD_BITS hidden
-    neurons.
+    _closed_points, which solves their LPs a stack at a time; then one
+    pattern_norms call norms the Jacobians of the closed-feasible ones
+    alone, bit-identical to one pattern at a time. lp_calls counts the 2^n
+    pattern LPs, the domain probe when it solves an LP, and the lower
+    argmax's max_slack, which gives its witness; pivots sums the pivots of
+    the pattern LPs and of that last one. Refuses networks with more than
+    ENUMERATION_GUARD_BITS hidden neurons.
     """
     p = check_norm_kind(p)
     eps_list = _eps_values(eps_list)
@@ -297,13 +295,12 @@ def brute_force_bounds(
         )
     stats = SearchStats(lp_calls=_check_domain(net, domain), nodes_explored=1 << nbits)
     shifts = np.arange(nbits - 1, -1, -1)
-
-    def stack(i: int, j: int):
-        flats = (np.arange(i, j)[:, None] >> shifts) & 1
-        return flats, pattern_norms(net, flats, p)
-
-    points = _closed_points(net, domain, 1 << nbits, stack, stats)
-    return _aggregate(net, domain, p, eps_list, *points, stats)
+    slacks, kept = _closed_points(
+        net, domain, 1 << nbits, lambda i, j: (np.arange(i, j)[:, None] >> shifts) & 1, stats
+    )
+    flats = (kept[:, None] >> shifts) & 1
+    norms = pattern_norms(net, flats, p) if kept.size else np.empty(0)
+    return _aggregate(net, domain, p, eps_list, slacks, norms, flats, stats)
 
 
 # --- branch and bound ------------------------------------------------------
@@ -468,8 +465,8 @@ def branch_and_bound(
     eps_list = _eps_values(eps_list)
     stats = SearchStats(lp_calls=_check_domain(net, domain))
     flats, norms = _search(net, domain, p, stats)
-    points = _closed_points(net, domain, len(flats), lambda i, j: (flats[i:j], norms[i:j]), stats)
-    return _aggregate(net, domain, p, eps_list, *points, stats)
+    slacks, kept = _closed_points(net, domain, len(flats), lambda i, j: flats[i:j], stats)
+    return _aggregate(net, domain, p, eps_list, slacks, norms[kept], flats[kept], stats)
 
 
 def unconstrained_bound(net: MlpNetwork, p) -> float:

@@ -88,6 +88,9 @@ class MiqcqpModel:
     objective: Objective
 
     def __post_init__(self):
+        _check_version(self.format_version)
+        if type(_p_from_json(self.p)) is not type(self.p):  # 2.0 would be written as 2.0 and read as 2
+            raise ModelFormatError(f"metadata.p: unsupported norm order {self.p!r}; expected 1, 2, or inf")
         index = self.variable_index
         if len(index) != len(self.variables):
             raise ModelFormatError("duplicate variable names")
@@ -629,8 +632,7 @@ def _get(doc, key, path, default=_REQUIRED):
         return default
 
 
-def _check_version(doc) -> int:
-    version = _get(doc, "format_version", "$")
+def _check_version(version) -> int:
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version}")
     return version
@@ -719,7 +721,7 @@ def _constraint(raw, path, linear) -> Constraint:
 def parse_json(text: str) -> MiqcqpModel:
     """Read a model file; names, ids, kind, rel and sense must be JSON strings."""
     doc = _json_doc(text, ModelFormatError)
-    version = _check_version(doc)
+    version = _check_version(_get(doc, "format_version", "$"))
     meta = _get(doc, "metadata", "$")
     groups = _get(meta, "groups", "metadata", {})
     if not isinstance(groups, dict):
@@ -838,7 +840,7 @@ def parse_assignment_json(text: str) -> dict:
     doc = _json_doc(text, ModelFormatError)
     if not isinstance(doc, dict) or "values" not in doc:
         raise ModelFormatError('assignment file needs a "values" object')
-    _check_version(doc)
+    _check_version(_get(doc, "format_version", "$"))
     values = doc["values"]
     if not isinstance(values, dict):
         raise ModelFormatError('"values" must map variable names to numbers')

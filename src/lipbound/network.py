@@ -164,12 +164,11 @@ class ActivationPattern:
     bits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        norm = tuple(tuple(int(b) for b in layer) for layer in self.bits)
-        for layer in norm:
+        for layer in self.bits:
             for b in layer:
-                if b not in (0, 1):
-                    raise ValueError(f"pattern bit {b} is not binary")
-        object.__setattr__(self, "bits", norm)
+                if b not in (0, 1):  # before int(), which would read 1.5 as 1 and "1" as 1
+                    raise ValueError(f"pattern bit {b!r} is not binary")
+        object.__setattr__(self, "bits", tuple(tuple(int(b) for b in layer) for layer in self.bits))
 
     @classmethod
     def from_flat(cls, hidden_widths: Sequence[int], flat: Sequence[int]) -> "ActivationPattern":

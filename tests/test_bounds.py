@@ -540,6 +540,70 @@ class TestOracleStacks:
         with pytest.raises(AssertionError, match="differs from its pattern's own"):
             brute_force_bounds(net, unit_box(net), 2, [])
 
+    @pytest.mark.parametrize("i", range(len(EQUIVALENCE_NETS)))
+    def test_norms_only_the_kept_patterns(self, monkeypatch, i):
+        # a closed-infeasible pattern adds nothing to any target, so the
+        # oracle forms and norms the Jacobians of the kept patterns alone
+        import lipbound.bounds as bounds_module
+
+        rows = []
+        norms = bounds_module.pattern_norms
+        monkeypatch.setattr(
+            bounds_module, "pattern_norms", lambda n, flats, p: rows.append(len(flats)) or norms(n, flats, p)
+        )
+        net = EQUIVALENCE_NETS[i]
+        for domain in _domains(net, i):
+            for p in PS:
+                rows.clear()
+                r = brute_force_bounds(net, domain, p, [0.05])
+                assert sum(rows) == r.stats.patterns_feasible, (type(domain).__name__, p)
+
+    def test_no_kept_pattern(self, monkeypatch):
+        # should every exact LP miss the closed level, both modes report no
+        # upper bound and an empty lower set, with nothing to norm
+        import lipbound.bounds as bounds_module
+
+        stacked = bounds_module.max_slacks
+
+        def closed_infeasible(*args):
+            slacks, pivots = stacked(*args)
+            return np.full_like(slacks, -np.inf), pivots
+
+        monkeypatch.setattr(bounds_module, "max_slacks", closed_infeasible)
+        net = _seeded_net(11, (2, 6, 1))
+        reports = [report_to_dict(compute_report(net, unit_box(net), 2, [0.05], mode=m)) for m in ("oracle", "bnb")]
+        for r in reports:
+            assert r.pop("stats")["patterns_feasible"] == 0
+        assert reports[0] == reports[1]
+        assert reports[0]["upper"] is None and reports[0]["lower_empty"]
+
+    # the Jacobian of every pattern with neurons (0,0) and (1,0) on is about
+    # 1e320, and (0,0) needs x >= 10
+    OVERFLOW_NET = MlpNetwork.from_arrays(
+        [([[1.0], [1.0]], [-10.0, 0.0]), ([[1e160, 0.0], [0.0, 1.0]], [0.0, 0.0]), ([[1e160, 1.0]], [0.0])]
+    )
+
+    @pytest.mark.parametrize("p", PS)
+    def test_overflowing_closed_infeasible_pattern(self, p):
+        # the box ends at 1, so no kept pattern overflows and both modes
+        # give one report
+        box = Box([-1.0], [1.0])
+        oracle = report_to_dict(compute_report(self.OVERFLOW_NET, box, p, [0.1], mode="oracle"))
+        bnb = report_to_dict(compute_report(self.OVERFLOW_NET, box, p, [0.1], mode="bnb"))
+        oracle.pop("stats")
+        bnb.pop("stats")
+        assert oracle == bnb
+        assert oracle["upper"] == 1.0 and oracle["argmax_upper"] == [[0, 1], [0, 1]]
+
+    @pytest.mark.parametrize("mode", ["oracle", "bnb"])
+    @pytest.mark.parametrize("p", PS)
+    def test_overflowing_kept_pattern_raises(self, p, mode):
+        # on [-20, 20] the overflowing patterns meet the box: the checked
+        # norms refuse them (the matmul's overflow warning is an error here)
+        box = Box([-20.0], [20.0])
+        with pytest.raises((ValueError, RuntimeWarning), match="non-finite|overflow"):
+            compute_report(self.OVERFLOW_NET, box, p, [0.1], mode=mode)
+
     @pytest.mark.parametrize(
         "net, domain, p",
         [

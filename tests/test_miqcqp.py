@@ -489,14 +489,14 @@ def _stdlib_json(model):
 
 def _hand_model(p=2, big_m=None, names=("a", "b"), groups=None, lin=(), quad=(), obj_lin=(),
                 obj_quad=(), lower=None, upper=None, eps=0.0, rhs=1.0, constant=0.0,
-                with_rows=True):
+                with_rows=True, version=1):
     """Continuous a and binary b, with one linear and one quadratic row
     unless with_rows is False."""
     a, b = names
     rows = (Constraint(f"row {a}", (), lin or ((a, 1.0),), "<=", rhs),) if with_rows else ()
     qrows = (Constraint(f"q {b}", quad or ((b, a, 1.0),), lin, ">=", rhs),) if with_rows else ()
     return MiqcqpModel(
-        1, p, eps, big_m, {"x": ((a,), (b,))} if groups is None else groups,
+        version, p, eps, big_m, {"x": ((a,), (b,))} if groups is None else groups,
         (Variable(a, "continuous", lower, upper), Variable(b, BINARY, 0.0, 1.0)),
         rows, qrows, Objective("max", obj_quad, obj_lin, constant),
     )
@@ -683,6 +683,25 @@ class TestCheckAssignment:
                 (Constraint("q", quad, (), "<=", 1.0),),
                 Objective(sense, (), (("z", 1.0),), 0.0),
             )
+
+    @pytest.mark.parametrize(
+        "version, p, message",
+        [
+            (2, 1, "unsupported format_version 2"),
+            (math.nan, 1, "unsupported format_version nan"),
+            (True, 1, "unsupported format_version True"),
+            (1, 3, "metadata.p: unsupported norm order 3"),
+            (1, "x", "metadata.p: unsupported norm order 'x'"),
+            (1, True, r"metadata.p: True is not a norm order"),
+            (1, 2.0, "metadata.p: unsupported norm order 2.0"),
+            (1, "inf", "metadata.p: unsupported norm order 'inf'"),
+        ],
+    )
+    def test_header_parse_json_refuses_rejected(self, version, p, message):
+        # emit_json would write such a header, and parse_json refuse it or,
+        # for p 2.0, read it back as 2 and so change the model's bytes
+        with pytest.raises(ModelFormatError, match=message):
+            _hand_model(p=p, version=version)
 
     def test_linear_constraint_with_quad_terms_rejected(self):
         with pytest.raises(ModelFormatError, match="linear constraint"):

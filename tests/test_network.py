@@ -165,6 +165,12 @@ class TestActivationPattern:
         with pytest.raises(ValueError, match="pattern bit 2 is not binary"):
             ActivationPattern(((1, 2),))
 
+    @pytest.mark.parametrize("bit", [1.5, 0.7, -0.2, "1", "0", None])
+    def test_bit_checked_before_int(self, bit):
+        # int() would read 1.5 and "1" as 1 and 0.7 as 0
+        with pytest.raises(ValueError, match=r"pattern bit .* is not binary"):
+            ActivationPattern(((bit, 0),))
+
     def test_from_flat_counts_bits(self):
         with pytest.raises(ValueError, match="expected 2 bits, got 3"):
             ActivationPattern.from_flat((2,), (1, 0, 1))

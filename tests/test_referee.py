@@ -9,9 +9,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lipbound import compute_report, load_domain, load_network, report_to_dict
+from lipbound import Box, MlpNetwork, compute_report, load_domain, load_network, report_to_dict
 
 ZOO = Path(__file__).resolve().parents[1] / "perfbench" / "zoo.py"
 EPS = [0.05, 0.2]
@@ -52,6 +53,17 @@ def without_stats(doc):
 def test_bnb_equals_oracle_outside_stats(seed):
     for i, (a, b) in enumerate(zip(reports(seed, "bnb"), reports(seed, "oracle"))):
         assert without_stats(a) == without_stats(b), (seed, i)
+
+
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+def test_sparse_fourteen_bits(p):
+    # 95 of the 2^14 patterns of this [3,7,7,1] net meet the box, so most of
+    # the oracle's stacks keep no pattern at all, which no zoo net shows
+    shape = (3, 7, 7, 1)
+    net = MlpNetwork.from_arrays(load_zoo()._layers(np.random.default_rng([0, *shape]), shape, 0.5))
+    box = Box(-np.ones(3), np.ones(3))
+    bnb, oracle = (report_to_dict(compute_report(net, box, p, EPS, mode=mode)) for mode in ("bnb", "oracle"))
+    assert without_stats(bnb) == without_stats(oracle)
 
 
 def test_summed_bnb_counters():
