@@ -299,8 +299,7 @@ def brute_force_bounds(
         net, domain, 1 << nbits, lambda i, j: (np.arange(i, j)[:, None] >> shifts) & 1, stats
     )
     flats = (kept[:, None] >> shifts) & 1
-    norms = pattern_norms(net, flats, p) if kept.size else np.empty(0)
-    return _aggregate(net, domain, p, eps_list, slacks, norms, flats, stats)
+    return _aggregate(net, domain, p, eps_list, slacks, pattern_norms(net, flats, p), flats, stats)
 
 
 # --- branch and bound ------------------------------------------------------

@@ -28,7 +28,6 @@ from .network import (
     L2Ball,
     MlpNetwork,
     Polytope,
-    _NUMBER_TYPES,
     _json_doc,
     check_domain_dim,
     jacobian,
@@ -43,9 +42,36 @@ CONTINUOUS = "continuous"
 BINARY = "binary"
 
 
-def _check_finite(what: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ModelFormatError(f"{what} is not finite, got {value!r}")
+def _finite(x) -> bool:
+    """Whether the number x, an int or a float (np.float64 included), is
+    finite as a float; an int beyond the float range is not. Anything else,
+    a bool, np.bool_ or np.int64 too, raises TypeError: the writer would
+    spell it true, or not at all."""
+    if type(x) is not int and not isinstance(x, float):
+        raise TypeError(f"{x!r} is not a number")
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _check_number(x, what: str) -> None:
+    try:
+        finite = _finite(x)
+    except TypeError:
+        raise ModelFormatError(f"{what} is not a number") from None
+    if not finite:
+        raise ModelFormatError(f"{what} is not finite")
+
+
+def _json_plain(v) -> bool:
+    """v is made of what the reader builds from JSON: tuples, str-keyed
+    dicts, str, bool, None and numbers."""
+    if type(v) is tuple:
+        return all(map(_json_plain, v))
+    if type(v) is dict:
+        return all(type(k) is str and _json_plain(x) for k, x in v.items())
+    return v is None or type(v) in (str, bool, int) or isinstance(v, float)
 
 
 @dataclass(frozen=True)
@@ -77,6 +103,12 @@ class Objective:
 
 @dataclass(frozen=True)
 class MiqcqpModel:
+    """A model whose every field is checked at construction, with the
+    messages of the reader, which checks no value itself: names, ids, kinds,
+    rel and sense are str; variables, rows and terms are tuples; a number is
+    an int or a float and finite (_finite); groups hold JSON values. So
+    emit_json writes every model, and parse_json reads it back equal."""
+
     format_version: int
     p: float
     eps: float
@@ -88,53 +120,95 @@ class MiqcqpModel:
     objective: Objective
 
     def __post_init__(self):
+        # A plain finite float passes each number's first test; only other
+        # values reach _finite, and a message is formatted only to raise.
         _check_version(self.format_version)
         if type(_p_from_json(self.p)) is not type(self.p):  # 2.0 would be written as 2.0 and read as 2
             raise ModelFormatError(f"metadata.p: unsupported norm order {self.p!r}; expected 1, 2, or inf")
-        index = self.variable_index
-        if len(index) != len(self.variables):
-            raise ModelFormatError("duplicate variable names")
-        for v in self.variables:
+        _check_number(self.eps, "metadata: eps")
+        if self.big_m is not None:
+            _check_number(self.big_m, "metadata: big_m")
+        if type(self.groups) is not dict or not _json_plain(self.groups):
+            raise ModelFormatError("metadata: groups must be an object of JSON values")
+        rows = (("linear_constraints", self.linear_constraints),
+                ("quadratic_constraints", self.quadratic_constraints))
+        for key, records in (("variables", self.variables), *rows):
+            if type(records) is not tuple:
+                raise ModelFormatError(f"{key} must be a tuple")
+        for i, v in enumerate(self.variables):
+            if type(v.name) is not str or type(v.kind) is not str:
+                field = "kind" if type(v.name) is str else "name"
+                raise ModelFormatError(f"variables[{i}]: {field} is not a string")
+            for key, bound in (("lower", v.lower), ("upper", v.upper)):
+                if bound is not None and (type(bound) is not float or not -INF < bound < INF):
+                    _check_number(bound, f"variables[{i}]: {key}")
             if v.kind not in (CONTINUOUS, BINARY):
                 raise ModelFormatError(f"variable {v.name}: unknown kind {v.kind!r}")
             if v.kind == BINARY and (v.lower, v.upper) != (0.0, 1.0):
                 raise ModelFormatError(f"binary variable {v.name} must carry bounds [0, 1]")
-            for bound in (v.lower, v.upper):
-                if bound is not None:
-                    _check_finite(f"variable {v.name}: bound", bound)
-        _check_finite("metadata: eps", self.eps)
-        if self.big_m is not None:
-            _check_finite("metadata: big_m", self.big_m)
+        index = self.variable_index
+        if len(index) != len(self.variables):
+            raise ModelFormatError("duplicate variable names")
 
-        def check_terms(cid, lin, quad):
-            for name, coef in lin:
-                if name not in index:
-                    raise ModelFormatError(f"{cid}: unknown variable {name!r}")
-                if not -INF < coef < INF:
-                    raise ModelFormatError(f"{cid}: coefficient of {name} is not finite")
-            for a, b, coef in quad:
-                ia, ib = index.get(a), index.get(b)
-                if ia is None or ib is None:
-                    raise ModelFormatError(f"{cid}: unknown variable {a if ia is None else b!r}")
-                if ia < ib:
-                    raise ModelFormatError(
-                        f"{cid}: quadratic term ({a},{b}) is not lower-triangular"
-                    )
-                if not -INF < coef < INF:
-                    raise ModelFormatError(f"{cid}: coefficient of {a}*{b} is not finite")
+        def check_terms(key, i, label, lin, quad):
+            """Record i of key, or the objective for i None. A term of the wrong
+            shape or types raises TypeError (a name that is no str is not in
+            index, or unhashable) and is named by path, other faults by label."""
+            shape = "terms must be tuples"
+            try:
+                if type(lin) is not tuple or type(quad) is not tuple:
+                    raise TypeError
+                shape = 'linear term must be ["name", coef]'
+                for t in lin:
+                    if type(t) is not tuple or len(t) != 2:
+                        raise TypeError
+                    name, coef = t
+                    if name not in index:
+                        if type(name) is not str:
+                            raise TypeError
+                        raise ModelFormatError(f"{label}: unknown variable {name!r}")
+                    if (type(coef) is not float or not -INF < coef < INF) and not _finite(coef):
+                        raise ModelFormatError(f"{label}: coefficient of {name} is not finite")
+                shape = 'quadratic term must be ["a", "b", coef]'
+                for t in quad:
+                    if type(t) is not tuple or len(t) != 3:
+                        raise TypeError
+                    a, b, coef = t
+                    ia, ib = index.get(a), index.get(b)
+                    if ia is None or ib is None:
+                        if type(a) is not str or type(b) is not str:
+                            raise TypeError
+                        raise ModelFormatError(f"{label}: unknown variable {a if ia is None else b!r}")
+                    if ia < ib:
+                        raise ModelFormatError(
+                            f"{label}: quadratic term ({a},{b}) is not lower-triangular"
+                        )
+                    if (type(coef) is not float or not -INF < coef < INF) and not _finite(coef):
+                        raise ModelFormatError(f"{label}: coefficient of {a}*{b} is not finite")
+            except TypeError:
+                where = key if i is None else f"{key}[{i}]"
+                raise ModelFormatError(f"{where}: {shape}") from None
 
-        for c in self.linear_constraints:
-            if c.quad:
-                raise ModelFormatError(f"{c.cid}: a linear constraint has quadratic terms")
-        for c in self.linear_constraints + self.quadratic_constraints:
-            if c.rel not in (LE, GE, EQ):
-                raise ModelFormatError(f"{c.cid}: unknown relation {c.rel!r}")
-            _check_finite(f"{c.cid}: rhs", c.rhs)
-            check_terms(c.cid, c.lin, c.quad)
-        if self.objective.sense != "max":
-            raise ModelFormatError(f"objective sense must be 'max', got {self.objective.sense!r}")
-        check_terms("objective", self.objective.lin, self.objective.quad)
-        _check_finite("objective: constant", self.objective.constant)
+        for key, records in rows:
+            for i, c in enumerate(records):
+                cid, rel, rhs = c.cid, c.rel, c.rhs
+                if type(cid) is not str or type(rel) is not str:
+                    field = "rel" if type(cid) is str else "id"
+                    raise ModelFormatError(f"{key}[{i}]: {field} is not a string")
+                if type(rhs) is not float or not -INF < rhs < INF:
+                    _check_number(rhs, f"{key}[{i}]: rhs")
+                if rel not in (LE, GE, EQ):
+                    raise ModelFormatError(f"{cid}: unknown relation {rel!r}")
+                if c.quad and key == "linear_constraints":
+                    raise ModelFormatError(f"{cid}: a linear constraint has quadratic terms")
+                check_terms(key, i, cid, c.lin, c.quad)
+        obj = self.objective
+        if type(obj.sense) is not str:
+            raise ModelFormatError("objective: sense is not a string")
+        if obj.sense != "max":
+            raise ModelFormatError(f"objective sense must be 'max', got {obj.sense!r}")
+        check_terms("objective", None, "objective", obj.lin, obj.quad)
+        _check_number(obj.constant, "objective: constant")
 
     @property
     def variable_index(self) -> dict[str, int]:
@@ -500,44 +574,21 @@ _float_repr = float.__repr__
 
 
 def _number(x) -> str:
-    """A JSON number, null or boolean as json.dumps writes it.
+    """A checked number or None as json.dumps writes it.
 
-    Floats go through float.__repr__, so an np.float64 prints as 1.5 and
-    not as np.float64(1.5); ints stay ints.
+    MiqcqpModel lets through only None, ints and finite floats, so no
+    NaN, infinity or boolean spelling is needed. Floats go through
+    float.__repr__, so an np.float64 prints as 1.5 and not as
+    np.float64(1.5); ints stay ints.
     """
     if x is None:
         return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
+    if type(x) is int:
         return int.__repr__(x)
-    if x != x:
-        return "NaN"
-    if x == INF or x == -INF:
-        return "Infinity" if x > 0 else "-Infinity"
     return _float_repr(x)
 
 
-def _value(v, pad: str) -> str:
-    """Any JSON value whose opening line is indented by pad."""
-    if isinstance(v, str):
-        return _enc(v)
-    inner = pad + "  "
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        items = ",\n".join([inner + _value(x, inner) for x in v])
-        return f"[\n{items}\n{pad}]"
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        items = ",\n".join([f"{inner}{_enc(k)}: {_value(x, inner)}" for k, x in v.items()])
-        return f"{{\n{items}\n{pad}}}"
-    return _number(v)
-
-
-# A model's coefficients are finite (checked at construction), so an exact
-# float needs no NaN or infinity spelling and goes straight to float repr.
+# A float coefficient skips the call to _number.
 def _lin_json(lin, pad: str) -> str:
     """[name, coef] terms as a list whose items are indented by pad."""
     if not lin:
@@ -573,15 +624,11 @@ def _records_json(records) -> str:
 
 
 def emit_json(model: MiqcqpModel) -> str:
-    """Serialize the model; parse_json(emit_json(m)) is structurally m.
-
-    The text is byte-identical to json.dumps(doc, indent=2) + "\\n" of the
-    document {"format_version", "metadata": {"p", "eps", "big_m", "groups"},
-    "variables", "linear_constraints", "quadratic_constraints",
-    "objective"}, in that key order, but written from the schema: one
-    f-string per variable, record and term instead of the stdlib's
-    pure-Python indenting encoder.
-    """
+    """The model as json.dumps(doc, indent=2) + "\\n" writes the document
+    {"format_version", "metadata": {"p", "eps", "big_m", "groups"},
+    "variables", "linear_constraints", "quadratic_constraints", "objective"},
+    byte for byte, but with one f-string per variable, record and term; only
+    p and groups go through json.dumps. parse_json reads the text back equal."""
     variables = [
         f'    {{\n      "name": {_enc(v.name)},\n      "kind": {_enc(v.kind)},\n'
         f'      "lower": {_number(v.lower)},\n      "upper": {_number(v.upper)}\n    }}'
@@ -599,11 +646,12 @@ def emit_json(model: MiqcqpModel) -> str:
         for c in model.quadratic_constraints
     ]
     obj = model.objective
+    groups = json.dumps(model.groups, indent=2).replace("\n", "\n    ")
     return (
         f'{{\n  "format_version": {_number(model.format_version)},\n'
-        f'  "metadata": {{\n    "p": {_value(inf_to_str(model.p), "    ")},\n'
+        f'  "metadata": {{\n    "p": {json.dumps(inf_to_str(model.p))},\n'
         f'    "eps": {_number(model.eps)},\n    "big_m": {_number(model.big_m)},\n'
-        f'    "groups": {_value(model.groups, "    ")}\n  }},\n'
+        f'    "groups": {groups}\n  }},\n'
         f'  "variables": {_records_json(variables)},\n'
         f'  "linear_constraints": {_records_json(linear)},\n'
         f'  "quadratic_constraints": {_records_json(quadratic)},\n'
@@ -615,10 +663,6 @@ def emit_json(model: MiqcqpModel) -> str:
 
 
 _REQUIRED = object()
-_TERM_SHAPES = {
-    2: 'linear term must be ["name", coef]',
-    3: 'quadratic term must be ["a", "b", coef]',
-}
 
 
 def _get(doc, key, path, default=_REQUIRED):
@@ -632,29 +676,9 @@ def _get(doc, key, path, default=_REQUIRED):
         return default
 
 
-def _check_version(version) -> int:
-    if isinstance(version, bool) or version != FORMAT_VERSION:
+def _check_version(version) -> None:
+    if type(version) not in (int, float) or version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version}")
-    return version
-
-
-# (name types..., coefficient type) of a well-formed term; str() would read
-# a name 7 as "7".
-_TERM_TYPES = {
-    2: {(str, t) for t in _NUMBER_TYPES},
-    3: {(str, str, t) for t in _NUMBER_TYPES},
-}
-
-
-def _num(raw, what, nullable=False) -> Optional[float]:
-    if raw is None and nullable:
-        return None
-    if type(raw) not in _NUMBER_TYPES:
-        raise ModelFormatError(f"{what} is not a number")
-    try:
-        return float(raw)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ModelFormatError(f"{what} is not finite") from None
 
 
 def _list(raw, what) -> list:
@@ -663,47 +687,26 @@ def _list(raw, what) -> list:
     return raw
 
 
-def _terms(raw, path, width) -> tuple:
-    raw = _list(raw, f"{path}: terms")
-    try:
-        if set(map(type, raw)) <= {list}:  # a string like "z5" would unpack as a term
-            if width == 2:
-                terms = tuple([(n, float(c)) for n, c in raw])
-                types = {(type(n), type(c)) for n, c in raw}
-            else:
-                terms = tuple([(a, b, float(c)) for a, b, c in raw])
-                types = {(type(a), type(b), type(c)) for a, b, c in raw}
-            if types <= _TERM_TYPES[width]:
-                return terms
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ModelFormatError(f"{path}: {_TERM_SHAPES[width]}")
-
-
-def _check_strings(records, path, fields) -> None:
-    """Each (attribute, key) field of each record was a JSON string.
-
-    One type-set test covers the list; str() would have read 7 as "7" and
-    null as "None". On failure the first offender is named.
-    """
-    if {type(getattr(r, attr)) for r in records for attr, _ in fields} <= {str}:
-        return
-    for i, r in enumerate(records):
-        for attr, key in fields:
-            if type(getattr(r, attr)) is not str:
-                raise ModelFormatError(f"{path}[{i}]: {key} is not a string")
-
-
 def _tuples(raw):
-    return tuple(map(_tuples, raw)) if isinstance(raw, list) else raw
+    """raw with every JSON array in it a tuple, as a model holds it."""
+    if isinstance(raw, list):
+        return tuple(map(_tuples, raw))
+    if isinstance(raw, dict):
+        return {k: _tuples(v) for k, v in raw.items()}
+    return raw
+
+
+def _terms(raw, path) -> tuple:
+    """A list of terms, each term a tuple when it is a list."""
+    return tuple([tuple(t) if type(t) is list else t for t in _list(raw, f"{path}: terms")])
 
 
 def _variable(raw, path) -> Variable:
     return Variable(
         _get(raw, "name", path),
         _get(raw, "kind", path),
-        _num(_get(raw, "lower", path, None), f"{path}: lower", nullable=True),
-        _num(_get(raw, "upper", path, None), f"{path}: upper", nullable=True),
+        _get(raw, "lower", path, None),
+        _get(raw, "upper", path, None),
     )
 
 
@@ -711,50 +714,48 @@ def _constraint(raw, path, linear) -> Constraint:
     """A linear record carries "coeffs"; a quadratic one "quad" and "lin"."""
     return Constraint(
         _get(raw, "id", path),
-        () if linear else _terms(_get(raw, "quad", path), path, 3),
-        _terms(_get(raw, "coeffs", path) if linear else _get(raw, "lin", path, []), path, 2),
+        () if linear else _terms(_get(raw, "quad", path), path),
+        _terms(_get(raw, "coeffs", path) if linear else _get(raw, "lin", path, []), path),
         _get(raw, "rel", path),
-        _num(_get(raw, "rhs", path), f"{path}: rhs"),
+        _get(raw, "rhs", path),
     )
 
 
 def parse_json(text: str) -> MiqcqpModel:
-    """Read a model file; names, ids, kind, rel and sense must be JSON strings."""
+    """Read a model file.
+
+    Only the document's shape is read here: its objects, lists and keys,
+    p's "inf" spelling, and JSON arrays as tuples. Every value goes to
+    MiqcqpModel as the file spells it, an integer literal as an int, and
+    MiqcqpModel checks them all.
+    """
     doc = _json_doc(text, ModelFormatError)
-    version = _check_version(_get(doc, "format_version", "$"))
     meta = _get(doc, "metadata", "$")
-    groups = _get(meta, "groups", "metadata", {})
-    if not isinstance(groups, dict):
-        raise ModelFormatError("metadata: groups must be an object")
     variables = tuple(
         _variable(v, f"variables[{i}]")
         for i, v in enumerate(_list(_get(doc, "variables", "$"), "variables"))
     )
-    _check_strings(variables, "variables", (("name", "name"), ("kind", "kind")))
-    constraints = {}
-    for key in ("linear_constraints", "quadratic_constraints"):
-        constraints[key] = tuple(
+    constraints = {
+        key: tuple(
             _constraint(c, f"{key}[{i}]", key == "linear_constraints")
             for i, c in enumerate(_list(_get(doc, key, "$", []), key))
         )
-        _check_strings(constraints[key], key, (("cid", "id"), ("rel", "rel")))
+        for key in ("linear_constraints", "quadratic_constraints")
+    }
     raw_obj = _get(doc, "objective", "$")
-    sense = _get(raw_obj, "sense", "objective")
-    if type(sense) is not str:
-        raise ModelFormatError("objective: sense is not a string")
     return MiqcqpModel(
-        format_version=version,
+        format_version=_get(doc, "format_version", "$"),
         p=_p_from_json(_get(meta, "p", "metadata")),
-        eps=_num(_get(meta, "eps", "metadata"), "metadata: eps"),
-        big_m=_num(_get(meta, "big_m", "metadata", None), "metadata: big_m", nullable=True),
-        groups={k: _tuples(v) for k, v in groups.items()},
+        eps=_get(meta, "eps", "metadata"),
+        big_m=_get(meta, "big_m", "metadata", None),
+        groups=_tuples(_get(meta, "groups", "metadata", {})),
         variables=variables,
         **constraints,
         objective=Objective(
-            sense,
-            _terms(_get(raw_obj, "quad", "objective", []), "objective", 3),
-            _terms(_get(raw_obj, "lin", "objective", []), "objective", 2),
-            _num(_get(raw_obj, "constant", "objective", 0.0), "objective: constant"),
+            _get(raw_obj, "sense", "objective"),
+            _terms(_get(raw_obj, "quad", "objective", []), "objective"),
+            _terms(_get(raw_obj, "lin", "objective", []), "objective"),
+            _get(raw_obj, "constant", "objective", 0.0),
         ),
     )
 
@@ -844,8 +845,6 @@ def parse_assignment_json(text: str) -> dict:
     values = doc["values"]
     if not isinstance(values, dict):
         raise ModelFormatError('"values" must map variable names to numbers')
-    out = {}
     for k, v in values.items():
-        out[str(k)] = _num(v, f"values[{k!r}]")
-        _check_finite(f"values[{k!r}]", out[str(k)])
-    return out
+        _check_number(v, f"values[{k!r}]")
+    return {k: float(v) for k, v in values.items()}

@@ -82,14 +82,16 @@ def pattern_norms(net: MlpNetwork, flats: np.ndarray, p) -> np.ndarray:
     """pattern_norm of each row of flat pattern bits, shape (k, n) -> (k,).
 
     The Jacobians are formed and normed in stacks of bounded size; each
-    value is bit-identical to pattern_norm of that pattern alone.
+    value is bit-identical to pattern_norm of that pattern alone. No rows
+    give shape (0,).
     """
     cuts = list(itertools.accumulate(net.hidden_widths[:-1]))
     step = max(1, _STACK_ENTRIES // (max(net.widths) * net.input_dim))
-    return np.concatenate([
+    norms = [
         operator_norms(_jacobian_from_bits(net, np.hsplit(flats[i : i + step], cuts)), p)
         for i in range(0, len(flats), step)
-    ])
+    ]
+    return np.concatenate(norms) if norms else np.empty(0)
 
 
 def norm_witness(A: Sequence, p) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipbound import (
     ActivationPattern,
@@ -594,6 +595,112 @@ class TestJsonStrings:
         with pytest.raises(ModelFormatError, match=r"variables\[0\]: name is not a string"):
             parse_json(text)
         assert parse_json(json.dumps(doc).replace('"x0_1"', '"7"')).variables[0].name == "7"
+
+
+def _row_model(name="a", cid="r", lower=None, rhs=1.0, term=("a", 1.0), eps=0.0, constant=0.0):
+    """Variable a, and a variable named name unless it is "a", with one <= row
+    cid holding term."""
+    variables = (Variable("a", "continuous", lower),) + (() if name == "a" else (Variable(name),))
+    return MiqcqpModel(
+        1, 2, eps, None, {}, variables, (Constraint(cid, (), (term,), "<=", rhs),), (),
+        Objective("max", (), (), constant),
+    )
+
+
+# What code can put where a model holds a name or a number, and the numbers
+# every check accepts.
+POOL = ("a", "b", "", 7, 2.5, 3, -0.0, 1e308, 5e-324, math.nan, math.inf, -math.inf, 10**400,
+        True, np.bool_(False), np.float64(0.5), np.int64(3), None)
+NUMBERS = (1.0, -2.5, 0, 3, -0.0, 1e308, -1e308, 5e-324, np.float64(0.5))
+
+
+def _term_lists(names, width, coef):
+    """Tuples of up to three terms of width, each of names then coef."""
+    term = st.tuples(*[st.sampled_from(n) for n in names[: width - 1]], coef)
+    return st.lists(term, max_size=3).map(tuple)
+
+
+_number, _any = st.sampled_from(NUMBERS), st.sampled_from(POOL)
+# Fields of _hand_model that a model accepts however they are drawn
+_good = {
+    "p": st.sampled_from((1, 2, math.inf)),
+    "groups": st.sampled_from(({"x": (("a",), ("b",))}, {}, {"x": {"y": (1, 2.5, None, True, "z")}})),
+    "lin": _term_lists([("a", "b")], 2, _number),
+    "quad": _term_lists([("b",), ("a", "b")], 3, _number),
+    "obj_lin": _term_lists([("a", "b")], 2, _number),
+    "obj_quad": _term_lists([("b", "a"), ("a",)], 3, _number),
+    "lower": st.sampled_from((None,) + NUMBERS), "upper": st.sampled_from((None,) + NUMBERS),
+    "eps": _number, "big_m": st.sampled_from((None,) + NUMBERS), "rhs": _number,
+    "constant": _number, "with_rows": st.booleans(),
+}
+# ...and values for them, most of them refused; a model takes at most one
+_wild = {
+    "p": st.sampled_from((2.0, "inf", True, np.int64(2), 3, -math.inf)),
+    "version": st.sampled_from((1.0, 2, True, np.int64(1), math.nan)),
+    "names": st.tuples(_any, st.sampled_from(("a", "b"))),
+    "groups": st.sampled_from(({"x": [("a",)]}, {7: ()}, {"x": (np.int64(1),)}, None, ())),
+    "lin": st.one_of(_term_lists([POOL], 2, _any), st.just([("a", 1.0)]),
+                     st.lists(st.tuples(_any), min_size=1, max_size=2).map(tuple),
+                     st.lists(st.tuples(_any, _any, _any), min_size=1, max_size=2).map(tuple)),
+    "quad": st.one_of(_term_lists([POOL, POOL], 3, _any), st.just((("a", "b", 1.0),)),
+                      st.lists(st.tuples(_any, _any), min_size=1, max_size=2).map(tuple)),
+    "obj_lin": _term_lists([POOL], 2, _any),
+    "obj_quad": _term_lists([POOL, POOL], 3, _any),
+    **{key: _any for key in ("lower", "upper", "eps", "big_m", "rhs", "constant")},
+}
+_one_wild = st.one_of(
+    st.just({}), st.sampled_from(sorted(_wild)).flatmap(lambda k: _wild[k].map(lambda v: {k: v}))
+)
+
+
+class TestOneCheck:
+    """MiqcqpModel refuses in code each value that parse_json refuses in a
+    file, so every model it accepts is written and read back equal."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=_good), _one_wild)
+    def test_refused_or_round_trips(self, good, wild):
+        try:
+            model = _hand_model(**{**good, **wild})
+        except ModelFormatError:
+            return
+        text = emit_json(model)
+        back = parse_json(text)
+        assert back == model
+        assert emit_json(back) == text
+        assert emit_lp_text(back) == emit_lp_text(model)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"name": 7}, r"variables\[1\]: name is not a string"),
+            ({"cid": 7}, r"linear_constraints\[0\]: id is not a string"),
+            ({"lower": True}, r"variables\[0\]: lower is not a number"),
+            ({"rhs": False}, r"linear_constraints\[0\]: rhs is not a number"),
+            ({"term": ("a", True)}, r"linear_constraints\[0\]: linear term must be"),
+            ({"eps": True}, "metadata: eps is not a number"),
+            ({"constant": False}, "objective: constant is not a number"),
+            ({"rhs": np.bool_(True)}, r"linear_constraints\[0\]: rhs is not a number"),
+            ({"rhs": np.int64(3)}, r"linear_constraints\[0\]: rhs is not a number"),
+            ({"term": ("a",)}, r"linear_constraints\[0\]: linear term must be"),
+            ({"rhs": 10**400}, r"linear_constraints\[0\]: rhs is not finite"),
+            ({"term": ("a", 10**400)}, "r: coefficient of a is not finite"),
+        ],
+        ids=["name-7", "id-7", "lower-true", "rhs-false", "coef-true", "eps-true",
+             "constant-false", "rhs-np-bool", "rhs-np-int64", "short-term", "rhs-huge", "coef-huge"],
+    )
+    def test_refused_at_construction(self, fields, message):
+        with pytest.raises(ModelFormatError, match=message):
+            _row_model(**fields)
+
+    def test_huge_integer_coefficient_in_file_refused(self):
+        text = TestJsonNumbers.TEXT.replace('[["z", 1.0]], "rel"', '[["z", 1%s]], "rel"' % ("0" * 400))
+        with pytest.raises(ModelFormatError, match="cap: coefficient of z is not finite"):
+            parse_json(text)
+
+    def test_integer_literal_written_back(self):
+        text = emit_json(parse_json(TestJsonNumbers.TEXT.replace('"rhs": 5.0', '"rhs": 5')))
+        assert '"rhs": 5\n' in text
 
 
 class TestCheckAssignment:

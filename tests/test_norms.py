@@ -14,7 +14,7 @@ from lipbound import (
     relaxed_jacobian,
 )
 from lipbound.network import _jacobian_from_bits, jacobian
-from lipbound.norms import check_norm_kind, inf_to_str, operator_norms
+from lipbound.norms import check_norm_kind, inf_to_str, operator_norms, pattern_norms
 
 from conftest import random_net
 
@@ -146,6 +146,12 @@ class TestStackedNorms:
             for bits, J in zip(flat, stack):
                 sigma = ActivationPattern.from_flat(net.hidden_widths, tuple(bits))
                 assert np.array_equal(J, jacobian(net, sigma))
+
+    @pytest.mark.parametrize("p", PS)
+    def test_pattern_norms_of_no_patterns(self, p):
+        net = random_net(3)
+        norms = pattern_norms(net, np.empty((0, net.total_hidden_bits), dtype=int), p)
+        assert norms.shape == (0,) and norms.dtype == float
 
 
 class TestPatternNorm:

@@ -1,7 +1,8 @@
 """The benchmark zoo through both modes: the branch-and-bound's report equals
 the 2^n oracle's outside "stats", its summed search counters stay at their
 recorded values, and the reports' bytes stay pinned, so a search change
-that moves any of them fails here and not only in a benchmark run."""
+that moves any of them fails here and not only in a benchmark run. The
+bytes of the models written for the large benchmark nets are pinned too."""
 
 import functools
 import hashlib
@@ -12,7 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lipbound import Box, MlpNetwork, compute_report, load_domain, load_network, report_to_dict
+from lipbound import (
+    Box,
+    MlpNetwork,
+    assignment_for_pattern,
+    build_model,
+    compute_report,
+    emit_json,
+    emit_lp_text,
+    load_domain,
+    load_network,
+    pattern_of,
+    report_to_dict,
+)
+from lipbound.miqcqp import emit_assignment_json
 
 ZOO = Path(__file__).resolve().parents[1] / "perfbench" / "zoo.py"
 EPS = [0.05, 0.2]
@@ -23,6 +37,10 @@ COUNTERS = {"nodes_explored": 9834, "lp_calls": 7908, "warm_lps": 7202, "pivots"
 # sha256 of json.dumps(report, sort_keys=True) of every zoo report of seeds
 # 0-2, stats included, bnb before oracle, seed by seed.
 REPORTS_SHA256 = "014611f62316c13b3faebe1a2182cb12ed91586cf7015e63e86227318a33e554"
+# sha256 of emit_json, emit_lp_text and the instance point's
+# emit_assignment_json of the model at eps 0 of every large_instance(0, i),
+# i < 63, p=inf also linearized.
+MODELS_SHA256 = "00b685761e6f56ae6d03f84afcc0e83300ac21e97498306ed76893b484a8a330"
 
 
 @functools.cache
@@ -81,3 +99,20 @@ def test_report_bytes_pinned():
             for doc in reports(seed, mode):
                 digest.update(json.dumps(doc, sort_keys=True).encode())
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+def test_model_bytes_pinned():
+    """A change meant to keep the model format keeps these bytes, as
+    test_report_bytes_pinned does for reports."""
+    zoo, digest = load_zoo(), hashlib.sha256()
+    for i in range(63):
+        inst = zoo.large_instance(0, i)
+        p = inst["p"]
+        net, domain = load_network(json.dumps(inst["net"])), load_domain(json.dumps(inst["domain"]))
+        sigma = pattern_of(net, np.array(inst["point"]))
+        for lin in (False, True) if p == np.inf else (False,):
+            model = build_model(net, domain, p, 0.0, linearize_inf_objective=lin)
+            a = assignment_for_pattern(net, domain, p, 0.0, sigma, linearize_inf_objective=lin)
+            for text in (emit_json(model), emit_lp_text(model), emit_assignment_json(a)):
+                digest.update(text.encode())
+    assert digest.hexdigest() == MODELS_SHA256
