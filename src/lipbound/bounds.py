@@ -337,8 +337,17 @@ def _node_bound(c: np.ndarray, fixed: Sequence[int], later: Sequence[tuple], p) 
     return float(_operator_norms(np.maximum(-lo, hi), p))
 
 
+def _meets_closed(bound: float) -> bool:
+    """The prefix LP's stop test: its bound on the slack meets the closed level."""
+    return meets_level(bound, 0.0)
+
+
 def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStats):
     """Depth-first search over patterns, bit 1 before bit 0, one bit per node.
+
+    The order is walked on an explicit stack of pending prefixes, each
+    entry (prefix length, last bit, parent slack, parent tableau), so the
+    depth is not bounded by Python's recursion limit.
 
     Returns the flat bits (k, n) and the norms (k,) of the leaves it keeps
     that no other kept leaf dominates. A prefix, a leaf included, is
@@ -390,27 +399,21 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
     flats: list = []  # the kept leaves, their norms and their search slacks
     norms: list = []
     slacks: list = []
-    bits: list[int] = []
-
-    def bound(k: int, h: int) -> float:
-        if k == nbits:
-            return operator_norm(coeff[h], p)
-        return _node_bound(coeff[h], bits[starts[h] :], split[h + 1 :], p)
-
-    def prefix_slack(tab, a, b):
-        """The prefix LP, warm from its parent's tableau: its slack and its
-        tableau. A stopped or infeasible LP has a slack below the closed level."""
+    bits: list[int] = []  # the popped entry's prefix
+    tab = None
+    if domain is not None:
+        n0 = net.input_dim
+        root = slack_lp(domain, n0, np.eye(1, n0 + 1, n0), np.zeros(1))  # max t, t <= 0
+        sol, tab = lp_tableau(root)
         stats.lp_calls += 1
-        stats.warm_lps += 1
-        tab = append_row(tab, a, b)
-        sol = dual_simplex(tab, lambda bound: meets_level(bound, 0.0))
         stats.pivots += sol.pivots
-        return (sol.value if sol.status == "optimal" else -INF), tab
-
-    def visit(s: float, tab) -> None:
-        """Expand the prefix `bits`, whose depth s bounds."""
+        tab = symbolic_rhs(tab, root.b.size - 1)  # t <= W
+    stack = [(0, 0, INF, tab)]  # (prefix length, last bit, parent slack, parent tableau)
+    while stack:
+        k, b, s, tab = stack.pop()
+        if k:
+            bits[k - 1 :] = (b,)
         stats.nodes_explored += 1
-        k = len(bits)
         h = layer_of[k]
         if k == starts[h]:
             if h > 0:
@@ -419,35 +422,30 @@ def _search(net: MlpNetwork, domain: Optional[InputDomain], p, stats: SearchStat
             if domain is not None and h < len(widths):
                 rows[h] = tuple(margin_rows(np.full(widths[h], g), coeff[h], offset[h]) for g in (0.0, 1.0))
         best = env.at(s + 2 * TAU_STRICT if s > TAU_STRICT else s)
-        ub = bound(k, h) if k == nbits or best > -INF else None
+        if k == nbits:
+            ub = operator_norm(coeff[h], p)
+        else:
+            ub = _node_bound(coeff[h], bits[starts[h] :], split[h + 1 :], p) if best > -INF else None
         if ub is not None and ub < best - _PRUNE_MARGIN:
-            return
-        if domain is not None and k:
+            continue
+        if domain is not None and k:  # the prefix LP, warm from its parent's tableau
             hk = layer_of[k - 1]
-            A, rhs = rows[hk][bits[-1]]
-            s, tab = prefix_slack(tab, A[k - 1 - starts[hk]], rhs[k - 1 - starts[hk]])
+            A, rhs = rows[hk][b]
+            stats.lp_calls += 1
+            stats.warm_lps += 1
+            tab = append_row(tab, A[k - 1 - starts[hk]], rhs[k - 1 - starts[hk]])
+            sol = dual_simplex(tab, _meets_closed)
+            stats.pivots += sol.pivots
+            s = sol.value if sol.status == "optimal" else -INF  # a stopped or infeasible LP misses
             if not meets_level(s, 0.0):
-                return
+                continue
         if k == nbits:
             flats.append(tuple(bits))
             norms.append(ub)
             slacks.append(s)
             env.add(s, ub)
-            return
-        for b in (1, 0):
-            bits.append(b)
-            visit(s, tab)
-            bits.pop()
-
-    if domain is None:
-        visit(INF, None)
-    else:
-        n0 = net.input_dim
-        root = slack_lp(domain, n0, np.eye(1, n0 + 1, n0), np.zeros(1))  # max t, t <= 0
-        sol, tab = lp_tableau(root)
-        stats.lp_calls += 1
-        stats.pivots += sol.pivots
-        visit(INF, symbolic_rhs(tab, root.b.size - 1))  # t <= W
+        else:
+            stack += ((k + 1, 0, s, tab), (k + 1, 1, s, tab))  # bit 1 pops first
     keep = np.array([not env.at(s + 2 * TAU_STRICT) > v for s, v in zip(slacks, norms)], dtype=bool)
     return np.array(flats, dtype=int).reshape(len(flats), nbits)[keep], np.array(norms)[keep]
 

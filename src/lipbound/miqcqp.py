@@ -66,12 +66,12 @@ def _check_number(x, what: str) -> None:
 
 def _json_plain(v) -> bool:
     """v is made of what the reader builds from JSON: tuples, str-keyed
-    dicts, str, bool, None and numbers."""
+    dicts, str, bool, None, ints and finite floats."""
     if type(v) is tuple:
         return all(map(_json_plain, v))
     if type(v) is dict:
         return all(type(k) is str and _json_plain(x) for k, x in v.items())
-    return v is None or type(v) in (str, bool, int) or isinstance(v, float)
+    return v is None or type(v) in (str, bool, int) or (isinstance(v, float) and math.isfinite(v))
 
 
 @dataclass(frozen=True)

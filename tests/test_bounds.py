@@ -15,6 +15,7 @@ from lipbound import (
     branch_and_bound,
     brute_force_bounds,
     compute_report,
+    operator_norm,
     pattern_norm,
     pattern_of,
     report_to_dict,
@@ -117,6 +118,18 @@ class TestUnconstrainedBound:
                 for flat in itertools.product((0, 1), repeat=net.total_hidden_bits)
             )
             assert unconstrained_bound(net, p) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("p", PS)
+    def test_deeper_than_the_recursion_limit(self, p):
+        # 1,200 bits on one path: with positive weights every entry of every
+        # pattern Jacobian is nonnegative, so the all-on pattern is the max
+        # and the value prune leaves about 2n + 1 nodes on a search deeper
+        # than Python's recursion limit
+        rng = np.random.default_rng(1200)
+        w0 = np.abs(rng.standard_normal((1200, 2))) + 0.1
+        w1 = np.abs(rng.standard_normal((1, 1200))) + 0.1
+        net = MlpNetwork.from_arrays([(w0, rng.standard_normal(1200)), (w1, [0.0])])
+        assert unconstrained_bound(net, p) == pytest.approx(operator_norm(w1 @ w0, p), rel=1e-12)
 
 
 class TestBranchAndBound:

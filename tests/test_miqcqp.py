@@ -535,7 +535,7 @@ class TestWriterAgainstStdlib:
                 lower=np.float64(-2.0), constant=np.float64(0.5), obj_lin=(("a", np.float64(3.0)),),
             ),
             _hand_model(groups={}),
-            _hand_model(groups={"u": (), "odd": ((), (("a",),), 1, 2.5, None, True, math.nan)}),
+            _hand_model(groups={"u": (), "odd": ((), (("a",),), 1, 2.5, None, True)}),
         ],
         ids=["no-rows", "p1-big_m", "pinf-neg-zero", "extremes", "ints", "np-float64",
              "no-groups", "odd-groups"],
@@ -597,13 +597,14 @@ class TestJsonStrings:
         assert parse_json(json.dumps(doc).replace('"x0_1"', '"7"')).variables[0].name == "7"
 
 
-def _row_model(name="a", cid="r", lower=None, rhs=1.0, term=("a", 1.0), eps=0.0, constant=0.0):
+def _row_model(name="a", cid="r", lower=None, rhs=1.0, term=("a", 1.0), eps=0.0, constant=0.0,
+               groups=None):
     """Variable a, and a variable named name unless it is "a", with one <= row
     cid holding term."""
     variables = (Variable("a", "continuous", lower),) + (() if name == "a" else (Variable(name),))
     return MiqcqpModel(
-        1, 2, eps, None, {}, variables, (Constraint(cid, (), (term,), "<=", rhs),), (),
-        Objective("max", (), (), constant),
+        1, 2, eps, None, {} if groups is None else groups, variables,
+        (Constraint(cid, (), (term,), "<=", rhs),), (), Objective("max", (), (), constant),
     )
 
 
@@ -685,9 +686,12 @@ class TestOneCheck:
             ({"term": ("a",)}, r"linear_constraints\[0\]: linear term must be"),
             ({"rhs": 10**400}, r"linear_constraints\[0\]: rhs is not finite"),
             ({"term": ("a", 10**400)}, "r: coefficient of a is not finite"),
+            ({"groups": {"u": (math.nan,)}}, "metadata: groups must be an object of JSON values"),
+            ({"groups": {"u": {"v": (1.0, -math.inf)}}}, "metadata: groups must be an object of JSON values"),
         ],
         ids=["name-7", "id-7", "lower-true", "rhs-false", "coef-true", "eps-true",
-             "constant-false", "rhs-np-bool", "rhs-np-int64", "short-term", "rhs-huge", "coef-huge"],
+             "constant-false", "rhs-np-bool", "rhs-np-int64", "short-term", "rhs-huge", "coef-huge",
+             "groups-nan", "groups-inf"],
     )
     def test_refused_at_construction(self, fields, message):
         with pytest.raises(ModelFormatError, match=message):

@@ -191,7 +191,7 @@ def test_warm_prefix_slacks_equal_cold_max_slack(case):
     def spy(tab, keep):
         sol = dual_simplex(tab, keep)
         frame = sys._getframe(1)
-        while frame.f_code.co_name != "visit":
+        while frame.f_code.co_name != "_search":
             frame = frame.f_back
         seen.append((tuple(frame.f_locals["bits"]), sol))
         return sol
@@ -221,7 +221,7 @@ def test_leaf_slacks_equal_max_slack(case):
     def spy(tab, keep):
         sol = dual_simplex(tab, keep)
         frame = sys._getframe(1)
-        while frame.f_code.co_name != "visit":
+        while frame.f_code.co_name != "_search":
             frame = frame.f_back
         bits = tuple(frame.f_locals["bits"])
         if len(bits) == nbits:

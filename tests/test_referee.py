@@ -37,6 +37,11 @@ COUNTERS = {"nodes_explored": 9834, "lp_calls": 7908, "warm_lps": 7202, "pivots"
 # sha256 of json.dumps(report, sort_keys=True) of every zoo report of seeds
 # 0-2, stats included, bnb before oracle, seed by seed.
 REPORTS_SHA256 = "014611f62316c13b3faebe1a2182cb12ed91586cf7015e63e86227318a33e554"
+# Summed bnb counters and the sha256 of the reports, stats included, of the
+# [3, 10, 10, 1] net at p = 1, 2, inf on the box: a 20-bit search.
+DEEP_COUNTERS = {"nodes_explored": 5009, "lp_calls": 4336, "warm_lps": 4306, "pivots": 3803,
+                 "patterns_feasible": 24}
+DEEP_SHA256 = "f2350e448ce9936ac2466d9080b85645c5aeedecfe9997b76fc64b14d7d0f195"
 # sha256 of emit_json, emit_lp_text and the instance point's
 # emit_assignment_json of the model at eps 0 of every large_instance(0, i),
 # i < 63, p=inf also linearized.
@@ -81,6 +86,30 @@ def test_sparse_fourteen_bits(p):
     net = MlpNetwork.from_arrays(load_zoo()._layers(np.random.default_rng([0, *shape]), shape, 0.5))
     box = Box(-np.ones(3), np.ones(3))
     bnb, oracle = (report_to_dict(compute_report(net, box, p, EPS, mode=mode)) for mode in ("bnb", "oracle"))
+    assert without_stats(bnb) == without_stats(oracle)
+
+
+def test_twenty_bit_search_pinned():
+    # deeper than any zoo search (at most 12 bits), across two hidden layers
+    shape = (3, 10, 10, 1)
+    net = MlpNetwork.from_arrays(load_zoo()._layers(np.random.default_rng([0, *shape]), shape, 0.5))
+    box = Box(-np.ones(3), np.ones(3))
+    docs = [report_to_dict(compute_report(net, box, p, EPS, mode="bnb")) for p in (1, 2, "inf")]
+    assert {key: sum(d["stats"][key] for d in docs) for key in DEEP_COUNTERS} == DEEP_COUNTERS
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == DEEP_SHA256
+
+
+@pytest.mark.xfail(strict=True, reason="bnb loses the upper bound at a weight ratio of 1e13")
+def test_weight_ratio_1e13():
+    # the oracle finds an upper bound of 1.0 at argmax ((0, 1), (0, 1)); the
+    # search prunes every pattern, so its upper is None
+    net = MlpNetwork.from_arrays([([[1e13], [1.0]], [-1e15, 0.0]), ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+                                  ([[1.0, 1.0]], [0.0])])
+    box = Box(-np.ones(1), np.ones(1))
+    bnb, oracle = (report_to_dict(compute_report(net, box, 1, mode=mode)) for mode in ("bnb", "oracle"))
     assert without_stats(bnb) == without_stats(oracle)
 
 
