@@ -169,9 +169,7 @@ def _lower_witness(net, domain, p, sigma, slack: float, norm: float, stats) -> n
     stats.pivots += res.pivots
     if res.slack != slack or operator_norm(_jacobian_from_bits(net, sigma.bits), p) != norm:
         raise AssertionError("a stacked slack or norm differs from its pattern's own")
-    if res.status == "bounded":
-        return np.array(res.witness)
-    return witness_at_level(net, sigma, domain, 1.0, slack=res)
+    return witness_at_level(net, sigma, domain, 0.0 if res.status == "bounded" else 1.0, slack=res)
 
 
 def _eps_values(eps_list: Sequence[float]) -> list[float]:

@@ -30,7 +30,7 @@ from .miqcqp import (
     witness_from_bounds,
 )
 from .network import AllSpace, Box, L2Ball, load_domain, load_network
-from .norms import INF, inf_to_str
+from .norms import inf_to_str
 from .sampling import pairwise_quotient_estimate, sampled_lower_bound
 
 
@@ -40,20 +40,13 @@ def _fmt_value(v) -> str:
     return f"{v:g}"
 
 
-def _parse_p(raw: str):
-    if raw == "inf":
-        return INF
-    return int(raw)
-
-
-def _load_net(path: str):
-    return load_network(Path(path).read_text())
-
-
-def _load_domain_arg(path):
-    if path is None:
-        return AllSpace()
-    return load_domain(Path(path).read_text())
+def _inputs(args):
+    """(net, domain, p) of a command: --net read, --domain read or AllSpace(),
+    and --p as a float, which every library entry point names by
+    check_norm_kind (1.0 as 1, inf as INF)."""
+    net = load_network(Path(args.net).read_text())
+    domain = AllSpace() if args.domain is None else load_domain(Path(args.domain).read_text())
+    return net, domain, float(args.p)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -130,12 +123,11 @@ def _report(args, eps_list, summary):
     L2 balls are not polyhedral; --relax-ball-to-box widens them to the
     circumscribed box. Widening keeps upper bounds valid but voids lower
     certificates, so the report is flagged."""
-    net = _load_net(args.net)
-    domain = _load_domain_arg(args.domain)
+    net, domain, p = _inputs(args)
     relaxed = args.relax_ball_to_box and isinstance(domain, L2Ball)
     if relaxed:
         domain = Box(domain.center - domain.radius, domain.center + domain.radius)
-    report = compute_report(net, domain, _parse_p(args.p), eps_list, mode=args.mode)
+    report = compute_report(net, domain, p, eps_list, mode=args.mode)
     print(summary(report))
     if relaxed:
         print("note: domain widened to circumscribed box; lower bounds are not certificates")
@@ -174,8 +166,13 @@ def _cmd_curve(args) -> int:
 
     _, _, report = _report(args, [], summary)
     if args.csv:
+        # eps = 0 takes the closed value, upper, which may exceed the value
+        # just above 0, where the first segment starts
         segments = report.curve
-        rows = ["eps,value", f"0,{segments[0].value!r}"]
+        at_zero = 0.0 if report.upper is None else report.upper
+        rows = ["eps,value", f"0,{at_zero!r}"]
+        if segments[0].value != at_zero:
+            rows.append(f"0,{segments[0].value!r}")
         for i, seg in enumerate(segments):
             end = repr(seg.eps_end)
             rows.append(f"{end},{seg.value!r}")
@@ -189,9 +186,7 @@ def _cmd_emit(args) -> int:
     eps_list = args.eps if args.eps is not None else [0.0]
     if len(eps_list) != 1:
         raise ValueError("emit expects exactly one --eps level")
-    net = _load_net(args.net)
-    domain = _load_domain_arg(args.domain)  # L2 balls are fine here
-    p = _parse_p(args.p)
+    net, domain, p = _inputs(args)  # L2 balls are fine here
     model = build_model(
         net, domain, p, eps_list[0], linearize_inf_objective=args.linearize_inf_objective
     )
@@ -229,9 +224,7 @@ def _cmd_sample(args) -> int:
     pairs = args.pairs if args.pairs is not None else args.samples
     if pairs <= 0:
         raise ValueError("--pairs must be positive")
-    net = _load_net(args.net)
-    domain = _load_domain_arg(args.domain)
-    p = _parse_p(args.p)
+    net, domain, p = _inputs(args)
     est = sampled_lower_bound(net, domain, p, args.samples, args.seed)
     quot = pairwise_quotient_estimate(net, domain, p, pairs, args.seed)
     print(f"sampled_lower_bound={est.value:g} (valid_samples={est.n_valid})")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,8 @@ LE, GE, EQ = "<=", ">=", "="
 CONTINUOUS = "continuous"
 BINARY = "binary"
 
+_SPACE = re.compile(r"\s")
+
 
 def _finite(x) -> bool:
     """Whether the number x, an int or a float (np.float64 included), is
@@ -62,6 +65,14 @@ def _check_number(x, what: str) -> None:
         raise ModelFormatError(f"{what} is not a number") from None
     if not finite:
         raise ModelFormatError(f"{what} is not finite")
+
+
+def _check_no_space(key: str, field: str, names: list) -> None:
+    """The LP text splits at whitespace, so no name or id may hold any; the
+    names are searched as one string, and a path is formatted only to raise."""
+    if _SPACE.search("".join(names)):
+        i = next(i for i, name in enumerate(names) if _SPACE.search(name))
+        raise ModelFormatError(f"{key}[{i}]: {field} contains whitespace")
 
 
 def _json_plain(v) -> bool:
@@ -105,9 +116,10 @@ class Objective:
 class MiqcqpModel:
     """A model whose every field is checked at construction, with the
     messages of the reader, which checks no value itself: names, ids, kinds,
-    rel and sense are str; variables, rows and terms are tuples; a number is
-    an int or a float and finite (_finite); groups hold JSON values. So
-    emit_json writes every model, and parse_json reads it back equal."""
+    rel and sense are str, names and ids without whitespace; variables, rows
+    and terms are tuples; a number is an int or a float and finite
+    (_finite); groups hold JSON values. So emit_json and emit_lp_text write
+    every model, and parse_json reads it back equal."""
 
     format_version: int
     p: float
@@ -146,6 +158,7 @@ class MiqcqpModel:
                 raise ModelFormatError(f"variable {v.name}: unknown kind {v.kind!r}")
             if v.kind == BINARY and (v.lower, v.upper) != (0.0, 1.0):
                 raise ModelFormatError(f"binary variable {v.name} must carry bounds [0, 1]")
+        _check_no_space("variables", "name", [v.name for v in self.variables])
         index = self.variable_index
         if len(index) != len(self.variables):
             raise ModelFormatError("duplicate variable names")
@@ -202,6 +215,7 @@ class MiqcqpModel:
                 if c.quad and key == "linear_constraints":
                     raise ModelFormatError(f"{cid}: a linear constraint has quadratic terms")
                 check_terms(key, i, cid, c.lin, c.quad)
+            _check_no_space(key, "id", [c.cid for c in records])
         obj = self.objective
         if type(obj.sense) is not str:
             raise ModelFormatError("objective: sense is not a string")
@@ -249,27 +263,20 @@ def compute_bigM(net: MlpNetwork, p) -> float:
 class _Builder:
     def __init__(self):
         self.variables: list[Variable] = []
-        self.index: dict[str, int] = {}
         self.linear: list[Constraint] = []
         self.quadratic: list[Constraint] = []
 
     def var(self, name, kind=CONTINUOUS, lower=None, upper=None) -> str:
-        self.index[name] = len(self.variables)
         self.variables.append(Variable(name, kind, lower, upper))
         return name
 
     def vec(self, prefix, n, **kw) -> list[str]:
         return [self.var(f"{prefix}_{i + 1}", **kw) for i in range(n)]
 
-    def tri(self, a: str, b: str, coef: float) -> tuple[str, str, float]:
-        if self.index[a] >= self.index[b]:
-            return (a, b, float(coef))
-        return (b, a, float(coef))
-
     def con(self, cid, lin, rel, rhs, quad=None):
         """Add a constraint, quadratic when quad is given; zero terms are dropped."""
         rows = self.linear if quad is None else self.quadratic
-        quad = tuple(t for t in quad or () if t[2] != 0.0)
+        quad = tuple((a, b, float(c)) for a, b, c in quad or () if c != 0.0)
         lin = tuple((n, float(c)) for n, c in lin if c != 0.0)
         rows.append(Constraint(cid, quad, lin, rel, float(rhs)))
 
@@ -300,6 +307,9 @@ def build_model(
     L = net.depth
     n0, nL = widths[0], widths[-1]
 
+    # Variables are created x, sigma, y, then the per-p auxiliaries, and each
+    # bilinear term names its later variable first: the lower-triangular
+    # order that MiqcqpModel checks.
     b = _Builder()
     x = [b.vec("x0", n0)]
     for k in range(1, L):
@@ -344,7 +354,7 @@ def build_model(
     for k in range(2, L + 1):
         Mk = net.layers[k - 1].weights
         for i in range(widths[k]):
-            quad = [b.tri(sigma[k - 2][j], y[k - 1][j], -Mk[i, j]) for j in range(widths[k - 1])]
+            quad = [(y[k - 1][j], sigma[k - 2][j], -Mk[i, j]) for j in range(widths[k - 1])]
             b.con(f"yrec{k}[{i + 1}]", [(y[k][i], 1.0)], EQ, 0.0, quad)
 
     # x recursion and margin constraints for every hidden layer
@@ -352,7 +362,7 @@ def build_model(
         Mk = net.layers[k - 1].weights
         bk = net.layers[k - 1].bias
         for i in range(widths[k]):
-            gated = [b.tri(sigma[k - 1][i], x[k - 1][j], Mk[i, j]) for j in range(widths[k - 1])]
+            gated = [(sigma[k - 1][i], x[k - 1][j], Mk[i, j]) for j in range(widths[k - 1])]
             lin = [(x[k][i], 1.0), (sigma[k - 1][i], -bk[i])]
             b.con(f"xrec{k}[{i + 1}]", lin, EQ, 0.0, [(s, v, -c) for s, v, c in gated])
             lin = [(x[k - 1][j], -0.5 * Mk[i, j]) for j in range(widths[k - 1])]
@@ -387,7 +397,7 @@ def build_model(
     else:
         for i in range(nL):
             lin = [(u[i], 1.0), (y[L][i], 1.0)]
-            b.con(f"uabs[{i + 1}]", lin, EQ, 0.0, [b.tri(mu[i], y[L][i], -2.0)])
+            b.con(f"uabs[{i + 1}]", lin, EQ, 0.0, [(mu[i], y[L][i], -2.0)])
         b.con("selector", [(n, 1.0) for n in eta], EQ, 1.0)
         if linearize_inf_objective:
             C = big_m
@@ -398,9 +408,7 @@ def build_model(
                 b.con(f"wlin_pos[{i + 1}]", [(w[i], 1.0)], GE, 0.0)
             objective = Objective("max", (), tuple((n, 1.0) for n in w), 0.0)
         else:
-            objective = Objective(
-                "max", tuple(b.tri(eta[i], u[i], 1.0) for i in range(nL)), (), 0.0
-            )
+            objective = Objective("max", tuple((eta[i], u[i], 1.0) for i in range(nL)), (), 0.0)
 
     return MiqcqpModel(
         format_version=FORMAT_VERSION,
@@ -434,9 +442,7 @@ def check_assignment(model: MiqcqpModel, assignment: dict, tol: float = 1e-7) ->
     within tol; the objective value is always reported. A NaN anywhere
     (in a value or from an overflowing term) counts as a violation.
     """
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    tol = check_eps(tol, "tol")
     values = {}
     for v in model.variables:
         if v.name not in assignment:

@@ -55,14 +55,15 @@ def meets_level(slack: float, eps: Optional[float]) -> bool:
     return slack >= (TAU_CLOSED if eps == 0.0 else eps)
 
 
-def check_eps(eps) -> float:
-    """eps as a float; a ValueError unless it is a finite nonnegative real
-    number. Strings, bytes and booleans are refused, numpy scalars taken."""
+def check_eps(eps, what: str = "eps") -> float:
+    """eps as a float; a ValueError naming `what` unless it is a finite
+    nonnegative real number. Strings, bytes and booleans are refused, numpy
+    scalars taken. Every level and tolerance goes through this one rule."""
     if isinstance(eps, bool) or not isinstance(eps, numbers.Real):  # numpy booleans are not Real
-        raise ValueError(f"eps must be a number, got {eps!r}")
+        raise ValueError(f"{what} must be a number, got {eps!r}")
     eps = float(eps)
     if not 0.0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+        raise ValueError(f"{what} must be finite and nonnegative, got {eps}")
     return eps
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from importlib import resources
@@ -153,6 +154,23 @@ class TestCurve:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "eps,value"
         assert lines[1:] == ["0,1.0", "0.5,1.0", "0.5,0.0", "inf,0.0"]
+
+    @pytest.mark.parametrize("p", ["1", "2", "inf"])
+    def test_csv_starts_at_upper(self, capsys, tmp_path, p):
+        # pattern (1, 1) has the closed region {0} and norm 2, above the
+        # open regions' 1, so eps = 0 reads upper before the curve's first step
+        net, box, csv = tmp_path / "net.json", tmp_path / "box.json", tmp_path / "curve.csv"
+        layers = [{"weights": [[1.0], [-1.0]], "bias": [0.0, 0.0]},
+                  {"weights": [[1.0, -1.0]], "bias": [0.0]}]
+        net.write_text(json.dumps({"layers": layers}))
+        box.write_text('{"type": "box", "lower": [-1.0], "upper": [1.0]}')
+        argv = ["--net", str(net), "--domain", str(box), "--p", p]
+        rc, out, _ = run(capsys, "bounds", *argv, "--eps", "0")
+        assert rc == 0 and "upper=2 lower=1 L_0=2" in out
+        rc, _, _ = run(capsys, "curve", *argv, "--csv", str(csv))
+        assert rc == 0
+        lines = csv.read_text().strip().splitlines()
+        assert lines[1:] == ["0,2.0", "0,1.0", "0.5,1.0", "0.5,0.0", "inf,0.0"]
 
     def test_zero_bias_single_segment(self, capsys, tmp_path):
         net = tmp_path / "zb.json"
@@ -316,6 +334,17 @@ class TestCheckInputs:
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""
 
+    def test_whitespace_id_exit_1(self, capsys, files):
+        # the LP text would split such an id, so the reader refuses it
+        model_path, witness_path = files
+        doc = json.loads(model_path.read_text())
+        doc["linear_constraints"][0]["id"] = "u abs"
+        model_path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "check", str(model_path), str(witness_path))
+        assert rc == 1
+        assert "linear_constraints[0]: id contains whitespace" in err
+        assert out == ""
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exit_1(self, capsys, files, tol):
         rc, _, err = run(capsys, "check", *map(str, files), "--tol", tol)
@@ -370,6 +399,19 @@ class TestSample:
         rc, _, err = run(capsys, "sample", "--net", ex1_path, "--p", "2", "--pairs", "0")
         assert rc == 1
         assert "--pairs must be positive" in err
+
+    def test_sample_files_pinned(self, capsys, ex1_path, tmp_path):
+        # the sha256 of the three files at the defaults (100 samples, seed 0),
+        # config dropped
+        digest = hashlib.sha256()
+        out = tmp_path / "sample.json"
+        for p in ("1", "2", "inf"):
+            rc, _, _ = run(capsys, "sample", "--net", ex1_path, "--p", p, "--out", str(out))
+            assert rc == 0
+            doc = json.loads(out.read_text())
+            doc.pop("config")
+            digest.update((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+        assert digest.hexdigest() == "e54bcdc0a288c04b0c6e579b3f1075685c685294c966d9f4ebd02ef1fff35575"
 
     def test_all_samples_on_a_boundary_write_null_pattern(self, capsys, tmp_path):
         # the hidden neuron's pre-activation is 0 everywhere, so no sample counts

@@ -494,8 +494,8 @@ def _hand_model(p=2, big_m=None, names=("a", "b"), groups=None, lin=(), quad=(),
     """Continuous a and binary b, with one linear and one quadratic row
     unless with_rows is False."""
     a, b = names
-    rows = (Constraint(f"row {a}", (), lin or ((a, 1.0),), "<=", rhs),) if with_rows else ()
-    qrows = (Constraint(f"q {b}", quad or ((b, a, 1.0),), lin, ">=", rhs),) if with_rows else ()
+    rows = (Constraint(f"row_{a}", (), lin or ((a, 1.0),), "<=", rhs),) if with_rows else ()
+    qrows = (Constraint(f"q_{b}", quad or ((b, a, 1.0),), lin, ">=", rhs),) if with_rows else ()
     return MiqcqpModel(
         version, p, eps, big_m, {"x": ((a,), (b,))} if groups is None else groups,
         (Variable(a, "continuous", lower, upper), Variable(b, BINARY, 0.0, 1.0)),
@@ -544,7 +544,7 @@ class TestWriterAgainstStdlib:
         assert emit_json(model) == _stdlib_json(model)
 
     @pytest.mark.parametrize("names", [('q"1', "back\\slash"), ("\u00e9t\u00e9", "\U0001d465"),
-                                       ("ctl\x01", "tab\tnew\nline")])
+                                       ("ctl\x01", "bell\x07esc\x1b")])
     def test_names_that_need_escapes(self, names):
         model = _hand_model(names=names, obj_lin=((names[0], 1.0),),
                             groups={names[1]: (names[0],)})
@@ -688,10 +688,14 @@ class TestOneCheck:
             ({"term": ("a", 10**400)}, "r: coefficient of a is not finite"),
             ({"groups": {"u": (math.nan,)}}, "metadata: groups must be an object of JSON values"),
             ({"groups": {"u": {"v": (1.0, -math.inf)}}}, "metadata: groups must be an object of JSON values"),
+            ({"name": "b c"}, r"variables\[1\]: name contains whitespace"),
+            ({"name": "b\tc"}, r"variables\[1\]: name contains whitespace"),
+            ({"name": "b\n"}, r"variables\[1\]: name contains whitespace"),
+            ({"cid": "r 1"}, r"linear_constraints\[0\]: id contains whitespace"),
         ],
         ids=["name-7", "id-7", "lower-true", "rhs-false", "coef-true", "eps-true",
              "constant-false", "rhs-np-bool", "rhs-np-int64", "short-term", "rhs-huge", "coef-huge",
-             "groups-nan", "groups-inf"],
+             "groups-nan", "groups-inf", "name-space", "name-tab", "name-newline", "id-space"],
     )
     def test_refused_at_construction(self, fields, message):
         with pytest.raises(ModelFormatError, match=message):
@@ -759,6 +763,16 @@ class TestCheckAssignment:
     def test_tol_must_be_finite_and_nonnegative(self, tol):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             check_assignment(self._cap_model(), {"z": 0.0, "s": 0.0}, tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, "0.1", b"1"])
+    def test_tol_must_be_a_number(self, tol):
+        # the rule of check_eps: True, a str or bytes is no level
+        with pytest.raises(ValueError, match="tol must be a number"):
+            check_assignment(self._cap_model(), {"z": 0.0, "s": 0.0}, tol=tol)
+
+    def test_numpy_tol_taken(self):
+        res = check_assignment(self._cap_model(), {"z": 5.0 + 5e-8, "s": 0.0}, tol=np.float32(1e-7))
+        assert res.feasible
 
     @pytest.mark.parametrize("field", ["coeff", "rhs", "bound", "eps", "big_m", "objective"])
     def test_non_finite_model_numbers_rejected(self, field):
